@@ -10,7 +10,6 @@ against its analytic structure, and runs phase estimation on top of it.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND_ENV, active_backend
 from .circulant import (
     CirculantSpec,
     circulant_eigenvalues,
@@ -74,8 +73,6 @@ from .schedule import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
-    "active_backend",
     "CirculantSpec",
     "circulant_eigenvalues",
     "dft_matrix",

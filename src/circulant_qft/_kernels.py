@@ -1,193 +1,83 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
+"""Hot numeric kernels: propagator stepping and eigensystem grid scans.
 
-Two inner loops dominate runtime: the sequential propagator stepping
-(one Hermitian eigendecomposition plus a few small matrix products per
-time step) and grid scans of instantaneous eigensystems.  Both exist in
-a numba ``@njit`` version and a vectorized numpy version.
-
-Backend selection is controlled by the ``CIRCULANT_QFT_BACKEND``
-environment variable:
-
-* ``auto`` (default): numba when importable, else numpy
-* ``numba``: force numba (falls back with a warning if unavailable)
-* ``numpy``: force the pure-numpy path
-
-``benchmarks/bench_backends.py`` compares the two paths.
+Both batch their Hermitian eigendecompositions: eigh_grid makes one
+LAPACK call over its whole grid, the propagator one per chunk of CHUNK
+steps, which bounds the memory held for long grids.  Within a chunk it
+multiplies the step matrices between consecutive samples (and the chunk
+end) by balanced pairwise (tree) products, the segment products of a
+parallel-prefix scan (Blelloch, "Prefix Sums and Their Applications",
+CMU-CS-90-190, 1990).  Segments of equal length are reduced together,
+so no Python loop runs per step; only the short chain of segment
+products is sequential.
 """
-
-import os
-import warnings
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-BACKEND_ENV = "CIRCULANT_QFT_BACKEND"
+CHUNK = 1024  # step matrices held at once
 
 
-def active_backend():
-    """Resolve the kernel backend from the environment."""
-    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"{BACKEND_ENV} must be 'auto', 'numba' or 'numpy', got {choice!r}"
-        )
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        warnings.warn("numba requested but not importable; using numpy kernels")
-        return "numpy"
-    return "numba" if HAS_NUMBA else "numpy"
+def _tree_product(mats):
+    """mats[-1] @ ... @ mats[0] over the leading axis, by pairwise products
+    (a balanced tree); further leading axes are batched."""
+    while len(mats) > 1:
+        odd = len(mats) % 2
+        paired = mats[1::2] @ mats[0:len(mats) - odd:2]
+        if odd:
+            paired = np.concatenate([paired, mats[-1:]])
+        mats = paired
+    return mats[0]
 
 
-# ---------------------------------------------------------------------------
-# propagator stepping: U <- exp(-i H_k dt) U  with  H_k = a_k H0 + b_k H1
-# ---------------------------------------------------------------------------
-
-def propagate_numpy(h0, h1, a_mid, b_mid, dt, sample_idx):
-    """Exponential-midpoint stepping, numpy path.
-
-    Eigendecompositions of all midpoint Hamiltonians are batched through
-    one LAPACK call; the strictly sequential accumulation of U stays in
-    a short Python loop over tiny matrices.
-
-    Returns (u_samples, u_final, max_unitarity_drift).  ``sample_idx``
-    holds ascending step counts in [0, len(a_mid)] at which U is recorded
-    (0 records the identity).
-    """
-    n = h0.shape[0]
-    hs = a_mid[:, None, None] * h0 + b_mid[:, None, None] * h1
-    w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * dt * w)
-    step_mats = np.einsum("kij,kj,klj->kil", v, phases, v.conj())
-
-    eye = np.eye(n, dtype=np.complex128)
-    u = eye.copy()
-    samples = np.empty((len(sample_idx), n, n), dtype=np.complex128)
-    s = 0
-    if s < len(sample_idx) and sample_idx[s] == 0:
-        samples[s] = u
-        s += 1
-    drift = 0.0
-    for k in range(len(a_mid)):
-        u = step_mats[k] @ u
-        d = np.linalg.norm(u.conj().T @ u - eye)
-        if d > drift:
-            drift = d
-        if s < len(sample_idx) and sample_idx[s] == k + 1:
-            samples[s] = u
-            s += 1
-    return samples, u, drift
+def _runs(values):
+    """(value, count) for each run of equal consecutive values."""
+    starts = np.flatnonzero(np.diff(values, prepend=values[0] - 1))
+    counts = np.diff(starts, append=len(values))
+    return zip(values[starts].tolist(), counts.tolist())
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _propagate_jit(h0, h1, a_mid, b_mid, dt, sample_idx):
-        n = h0.shape[0]
-        m = a_mid.shape[0]
-        u = np.eye(n, dtype=np.complex128)
-        samples = np.empty((sample_idx.shape[0], n, n), dtype=np.complex128)
-        s = 0
-        if s < sample_idx.shape[0] and sample_idx[s] == 0:
-            samples[s] = u
-            s += 1
-        drift = 0.0
-        for k in range(m):
-            h = a_mid[k] * h0 + b_mid[k] * h1
-            w, v = np.linalg.eigh(h)
-            phase = np.exp(-1j * dt * w)
-            u = (v * phase) @ (np.conj(v.T) @ u)
-            g = np.conj(u.T) @ u
-            acc = 0.0
-            for i in range(n):
-                for j in range(n):
-                    gij = g[i, j] - (1.0 + 0.0j if i == j else 0.0j)
-                    acc += gij.real * gij.real + gij.imag * gij.imag
-            d = np.sqrt(acc)
-            if d > drift:
-                drift = d
-            if s < sample_idx.shape[0] and sample_idx[s] == k + 1:
-                samples[s] = u
-                s += 1
-        return samples, u, drift
-
-    def propagate_numba(h0, h1, a_mid, b_mid, dt, sample_idx):
-        """Exponential-midpoint stepping, jitted end to end."""
-        return _propagate_jit(
-            np.ascontiguousarray(h0, dtype=np.complex128),
-            np.ascontiguousarray(h1, dtype=np.complex128),
-            np.asarray(a_mid, dtype=np.float64),
-            np.asarray(b_mid, dtype=np.float64),
-            float(dt),
-            np.asarray(sample_idx, dtype=np.int64),
-        )
-
-else:  # pragma: no cover
-    propagate_numba = None
+def _step_matrices(h0, h1, a, b, dt):
+    """exp(-i dt (a_k H0 + b_k H1)) for every k, from one batched eigh."""
+    w, v = np.linalg.eigh(a[:, None, None] * h0 + b[:, None, None] * h1)
+    return (v * np.exp(-1j * dt * w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
 
 
 def propagate(h0, h1, a_mid, b_mid, dt, sample_idx):
-    """Dispatch the stepping kernel per the active backend."""
-    if active_backend() == "numba":
-        return propagate_numba(h0, h1, a_mid, b_mid, dt, sample_idx)
-    return propagate_numpy(h0, h1, a_mid, b_mid, dt, sample_idx)
+    """Exponential-midpoint stepping: U <- exp(-i H_k dt) U, H_k = a_k H0 + b_k H1.
 
-
-# ---------------------------------------------------------------------------
-# grid scans of instantaneous eigensystems
-# ---------------------------------------------------------------------------
-
-def eigh_grid_numpy(h0, h1, a, b):
-    """Eigenvalues and eigenvectors of a_k*H0 + b_k*H1 for every k (batched)."""
-    hs = a[:, None, None] * h0 + b[:, None, None] * h1
-    return np.linalg.eigh(hs)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _eigh_grid_jit(h0, h1, a, b):
-        m = a.shape[0]
-        n = h0.shape[0]
-        w = np.empty((m, n), dtype=np.float64)
-        v = np.empty((m, n, n), dtype=np.complex128)
-        for k in range(m):
-            h = a[k] * h0 + b[k] * h1
-            wk, vk = np.linalg.eigh(h)
-            w[k] = wk
-            v[k] = vk
-        return w, v
-
-    def eigh_grid_numba(h0, h1, a, b):
-        return _eigh_grid_jit(
-            np.ascontiguousarray(h0, dtype=np.complex128),
-            np.ascontiguousarray(h1, dtype=np.complex128),
-            np.asarray(a, dtype=np.float64),
-            np.asarray(b, dtype=np.float64),
-        )
-
-else:  # pragma: no cover
-    eigh_grid_numba = None
+    Returns (u_samples, u_final, max_unitarity_drift).  ``sample_idx``
+    holds strictly ascending step counts in [0, len(a_mid)] at which U is
+    recorded (0 records the identity).  The drift is the largest
+    ||U'U - I||_F over the samples and the end.  Checking there loses
+    nothing: unitary steps leave U'U unchanged, so a defect made by any
+    step is still present at the next sample.
+    """
+    n = h0.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    u = eye
+    samples = np.empty((len(sample_idx), n, n), dtype=np.complex128)
+    s = int(np.searchsorted(sample_idx, 0, side="right"))
+    samples[:s] = eye
+    for start in range(0, len(a_mid), CHUNK):
+        stop = min(start + CHUNK, len(a_mid))
+        mats = _step_matrices(h0, h1, a_mid[start:stop], b_mid[start:stop], dt)
+        last = int(np.searchsorted(sample_idx, stop, side="right"))
+        ends = np.union1d(sample_idx[s:last], stop)
+        pos = 0
+        for length, count in _runs(np.diff(ends, prepend=start)):
+            block = mats[pos:pos + length * count].reshape(count, length, n, n)
+            pos += length * count
+            for segment in _tree_product(np.swapaxes(block, 0, 1)):
+                u = segment @ u
+                if s < last:
+                    samples[s] = u
+                    s += 1
+    checked = np.concatenate([samples, u[None]])
+    defects = np.linalg.norm(
+        np.conj(np.swapaxes(checked, 1, 2)) @ checked - eye, axis=(1, 2))
+    return samples, u, float(defects.max())
 
 
 def eigh_grid(h0, h1, a, b):
-    """Dispatch the grid eigensystem kernel per the active backend."""
-    if active_backend() == "numba":
-        return eigh_grid_numba(h0, h1, a, b)
-    return eigh_grid_numpy(h0, h1, a, b)
-
-
-def warmup():
-    """Trigger jit compilation on tiny inputs so later calls run hot."""
-    if active_backend() != "numba":
-        return
-    h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    coeff = np.array([0.5, 0.5])
-    propagate_numba(h, h, coeff, coeff, 0.1, np.array([0, 2], dtype=np.int64))
-    eigh_grid_numba(h, h, coeff, coeff)
+    """Eigenvalues and eigenvectors of a_k*H0 + b_k*H1 for every k (batched)."""
+    hs = a[:, None, None] * h0 + b[:, None, None] * h1
+    return np.linalg.eigh(hs)

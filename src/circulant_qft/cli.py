@@ -32,6 +32,7 @@ from .propagator import adiabatic_phase_prediction, evolve, factor_phased_dft
 from .qpe import ideal_distribution, run_qpe, to_bits
 from .schedule import (
     FORWARD,
+    INVERSE,
     Schedule,
     SechMaskedPair,
     TanhPair,
@@ -169,10 +170,8 @@ def build_pulses(cfg):
     raise ConfigError(f"pulses.kind: expected tanh or sech_masked, got {kind!r}")
 
 
-def build_schedule(cfg, default_direction=FORWARD, steps_override=None):
-    h0, h1 = build_model(cfg)
-    pulses = build_pulses(cfg)
-    direction = cfg.get("direction", default_direction)
+def _window_and_steps(cfg, steps_override=None):
+    """The config's (window, steps); window None selects the default."""
     window = cfg.get("window")
     if window is not None:
         if not (isinstance(window, list) and len(window) == 2
@@ -180,13 +179,36 @@ def build_schedule(cfg, default_direction=FORWARD, steps_override=None):
             raise ConfigError("window: expected [t_min, t_max]")
         window = (float(window[0]), float(window[1]))
     steps = steps_override if steps_override is not None else cfg.get("steps", 4000)
-    if not isinstance(steps, int) or steps < 1:
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise ConfigError(f"steps: expected a positive integer, got {steps!r}")
+    return window, steps
+
+
+def _make_schedule(h0, h1, pulses, direction, window, steps):
+    """Schedule whose rejected inputs surface as config errors."""
     try:
         return Schedule(pulses=pulses, h0=h0, h1=h1, direction=direction,
                         window=window, steps=steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def build_schedule(cfg, default_direction=FORWARD, steps_override=None):
+    h0, h1 = build_model(cfg)
+    pulses = build_pulses(cfg)
+    direction = cfg.get("direction", default_direction)
+    window, steps = _window_and_steps(cfg, steps_override)
+    return _make_schedule(h0, h1, pulses, direction, window, steps)
+
+
+def _phase_register(phi, r):
+    """Validated phase phi in [0, 1) and register size r >= 1."""
+    if (isinstance(phi, bool) or not isinstance(phi, (int, float))
+            or not 0 <= phi < 1):
+        raise ConfigError(f"phi: expected a number in [0, 1), got {phi!r}")
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise ConfigError(f"r: expected a positive integer, got {r!r}")
+    return phi, r
 
 
 _COMMON_KEYS = ["model", "pulses", "window", "steps", "direction"]
@@ -263,27 +285,19 @@ def cmd_qpe(cfg, args):
     _check_keys("config", cfg,
                 ["model", "pulses", "window", "steps", "phi", "r", "shots"],
                 ["model", "pulses", "phi", "r"])
-    h0, h1 = build_model(cfg)
-    pulses = build_pulses(cfg)
-    phi = cfg["phi"]
-    r = cfg["r"]
-    if not isinstance(phi, (int, float)) or not 0 <= phi < 1:
-        raise ConfigError(f"phi: expected a number in [0, 1), got {phi!r}")
-    if not isinstance(r, int) or r < 1:
-        raise ConfigError(f"r: expected a positive integer, got {r!r}")
+    sched = build_schedule(cfg, default_direction=INVERSE,
+                           steps_override=args.steps)
+    phi, r = _phase_register(cfg["phi"], cfg["r"])
     shots = cfg.get("shots", 0)
     if not isinstance(shots, int) or shots < 0:
         raise ConfigError(f"shots: expected a nonnegative integer, got {shots!r}")
-    window = cfg.get("window")
-    if window is not None:
-        window = (float(window[0]), float(window[1]))
-    steps = args.steps if args.steps is not None else cfg.get("steps", 4000)
 
-    result = run_qpe(phi, r, h0, h1, pulses, window=window, steps=steps,
+    result = run_qpe(phi, r, sched.h0, sched.h1, sched.pulses,
+                     window=sched.window, steps=sched.steps,
                      shots=shots or None, seed=args.seed)
 
     out = Path(args.out)
-    f_vals, g_vals = pulses.values(result.fidelity_times)
+    f_vals, g_vals = sched.pulses.values(result.fidelity_times)
     write_csv(
         out / "qpe_trace.csv", ["t", "f", "g", "fidelity"],
         [[t, fv, gv, p] for t, fv, gv, p in
@@ -390,21 +404,16 @@ def cmd_sweep(cfg, args):
             and all(isinstance(v, (int, float)) and v > 0 for v in ets)):
         raise ConfigError("et_values: expected a list of positive numbers")
     v_over_e = _as_complex("v_over_e", cfg.get("v_over_e", [1.0, 1.0 / 3.0]))
-    phi = cfg.get("phi", 0.75)
-    r = cfg.get("r", 2)
-    steps = args.steps if args.steps is not None else cfg.get("steps", 4000)
-    window = cfg.get("window")
-    if window is not None:
-        window = (float(window[0]), float(window[1]))
+    phi, r = _phase_register(cfg.get("phi", 0.75), cfg.get("r", 2))
+    window, steps = _window_and_steps(cfg, args.steps)
 
     t_scale = pulses.crossing_time()
     rows = []
     for et in ets:
         energy = float(et) / t_scale
         h0, h1 = build_four_level(energy, energy * v_over_e)
-        sched = Schedule(pulses=pulses, h0=h0, h1=h1, direction=FORWARD,
-                         window=window, steps=steps)
-        res = evolve(sched)
+        sched = _make_schedule(h0, h1, pulses, FORWARD, window, steps)
+        res = evolve(sched, convergence_check=False)
         factorization = factor_phased_dft(res.u_final, FORWARD)
         qpe_res = run_qpe(phi, r, h0, h1, pulses, window=window, steps=steps)
         rows.append([float(et), factorization.residual, qpe_res.final_fidelity])

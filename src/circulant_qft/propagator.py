@@ -4,6 +4,9 @@ The propagator solves i dU/dt = H(t) U with U(t_min) = I by exponential
 midpoint stepping: each step applies exp(-i H(t + dt/2) dt) computed
 through an exact eigendecomposition, so unitarity is preserved per step
 up to solver roundoff and the global error is second order in the step.
+The stepping kernel (_kernels.propagate) checks ||U'U - I||_F at the
+recorded samples and at the end; evolve rejects a drift above
+UNITARITY_TOL or a non-finite propagator.
 
 In the adiabatic regime the final forward propagator is a DFT up to a
 basis renumbering sigma and per-column phases alpha; factor_phased_dft
@@ -42,9 +45,11 @@ class EvolutionResult:
     """Propagator samples and integration diagnostics.
 
     times[k] is the grid time of u_samples[k]; u_final is the propagator
-    at the window end; unitarity_drift the worst ||U'U - I||_F seen along
-    the way; convergence_estimate the Frobenius distance between the
-    final propagators at the requested and doubled step counts.
+    at the window end; unitarity_drift the worst ||U'U - I||_F over the
+    recorded samples and the end (a step's defect persists, so no step
+    escapes it); convergence_estimate the Frobenius distance between the
+    final propagators at the requested and doubled step counts, or NaN
+    when the run was made without convergence_check.
     """
 
     times: np.ndarray
@@ -82,7 +87,9 @@ def evolve(s, sample_stride=None, convergence_check=True):
     recorded (default about 200 samples); the first and final grid
     points are always included.  When convergence_check is set, the
     integration is repeated at double resolution and the difference of
-    the final propagators is reported (the extra run is discarded).
+    the final propagators is reported (the extra run is discarded);
+    callers that do not read convergence_estimate turn it off, which
+    saves two thirds of the steps.
     """
     steps = s.steps
     if sample_stride is None:

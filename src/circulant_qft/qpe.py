@@ -160,7 +160,7 @@ def run_qpe(phi, r, h0, h1, pulses, window=None, steps=None,
     target_index = int(sigma_inv[target_value])
 
     psi0 = prepare_register_state(phi, r)
-    result = evolve(sched, sample_stride=sample_stride)
+    result = evolve(sched, sample_stride=sample_stride, convergence_check=False)
     states = result.u_samples @ psi0
     trace = np.abs(states[:, target_index]) ** 2
 

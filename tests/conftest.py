@@ -6,10 +6,18 @@ from circulant_qft.models import build_four_level
 from circulant_qft.schedule import Schedule, SechMaskedPair
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # pay the jit compile cost once, outside any timed assertions
-    _kernels.warmup()
+@pytest.fixture()
+def propagated_steps(monkeypatch):
+    """Steps integrated by _kernels.propagate during the test, as [total]."""
+    total = [0]
+    original = _kernels.propagate
+
+    def counting(h0, h1, a_mid, b_mid, dt, sample_idx):
+        total[0] += len(a_mid)
+        return original(h0, h1, a_mid, b_mid, dt, sample_idx)
+
+    monkeypatch.setattr(_kernels, "propagate", counting)
+    return total
 
 
 @pytest.fixture(scope="session")

@@ -235,7 +235,46 @@ class TestSweep:
         assert float(rows[1][2]) >= 0.99
 
 
+SWEEP_CONFIG = {"pulses": {"kind": "sech_masked", "T": 1.0, "tau": 1.0},
+                "et_values": [10, 20], "steps": 300}
+
+
+class TestStepCounts:
+    # only evolve prints the convergence estimate, so only evolve pays
+    # for the doubled-step rerun
+    def test_evolve_keeps_its_convergence_rerun(self, tmp_path, capsys,
+                                                propagated_steps):
+        cfg = write_config(tmp_path, FOUR_LEVEL)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert propagated_steps[0] == 3 * FOUR_LEVEL["steps"]
+        out = capsys.readouterr().out
+        estimate = float(out.split("convergence estimate ")[1].split()[0])
+        assert np.isfinite(estimate)
+
+    def test_sweep_point_integrates_twice(self, tmp_path, propagated_steps):
+        cfg = write_config(tmp_path, SWEEP_CONFIG)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert propagated_steps[0] == 4 * SWEEP_CONFIG["steps"]
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize("command, payload", [
+        ("qpe", {**QPE_CONFIG, "steps": "x"}),
+        ("qpe", {**QPE_CONFIG, "window": "ab"}),
+        ("sweep", {**SWEEP_CONFIG, "phi": 2.0}),
+        ("sweep", {**SWEEP_CONFIG, "steps": 0}),
+        ("qpe", {**QPE_CONFIG, "steps": True}),
+        ("sweep", {**SWEEP_CONFIG, "phi": False}),
+    ], ids=["qpe_steps", "qpe_window", "sweep_phi", "sweep_steps",
+            "qpe_steps_bool", "sweep_phi_bool"])
+    def test_exits_config_code_without_traceback(self, tmp_path, capsys,
+                                                 command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
+
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**FOUR_LEVEL, "banana": 1})
         assert main(["eigentraj", "--config", cfg, "--out", str(tmp_path)]) == 2

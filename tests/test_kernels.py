@@ -2,64 +2,64 @@ import numpy as np
 import pytest
 
 from circulant_qft import _kernels
+from circulant_qft.errors import IntegrationError
 from circulant_qft.models import build_four_level
-from circulant_qft.propagator import evolve
-from circulant_qft.schedule import Schedule, SechMaskedPair
+from circulant_qft.propagator import UNITARITY_TOL, evolve
+from circulant_qft.schedule import SechMaskedPair
 
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA,
-                                 reason="numba not importable")
+CHUNK = _kernels.CHUNK
 
 
-def _case():
+def _case(steps):
     h0, h1 = build_four_level(10.0, 10.0 * (1 + 1j / 3))
-    t_mid = np.linspace(-6, 6, 500)
-    pair = SechMaskedPair(T=1.0, tau=1.0)
-    a, b = pair.values(t_mid)
-    return h0, h1, a, b
+    dt = 12.0 / steps
+    a, b = SechMaskedPair(T=1.0, tau=1.0).values(-6 + dt * (np.arange(steps) + 0.5))
+    return h0, h1, a, b, dt
 
 
-@needs_numba
-def test_propagate_backends_agree():
-    h0, h1, a, b = _case()
-    idx = np.array([0, 100, 250, 500], dtype=np.int64)
-    s_np, u_np, d_np = _kernels.propagate_numpy(h0, h1, a, b, 0.024, idx)
-    s_nb, u_nb, d_nb = _kernels.propagate_numba(h0, h1, a, b, 0.024, idx)
-    assert np.abs(u_np - u_nb).max() <= 1e-12
-    assert np.abs(s_np - s_nb).max() <= 1e-12
-    assert abs(d_np - d_nb) <= 1e-12
+def _sequential(h0, h1, a, b, dt, sample_idx):
+    """The plain per-step loop u = step @ u, recording the requested samples."""
+    u = np.eye(h0.shape[0], dtype=np.complex128)
+    samples = [u] if 0 in sample_idx else []
+    for k in range(len(a)):
+        w, v = np.linalg.eigh(a[k] * h0 + b[k] * h1)
+        u = (v * np.exp(-1j * dt * w)) @ v.conj().T @ u
+        if k + 1 in sample_idx:
+            samples.append(u)
+    return np.array(samples).reshape(-1, *u.shape), u
 
 
-@needs_numba
-def test_eigh_grid_backends_agree():
-    h0, h1, a, b = _case()
-    w_np, v_np = _kernels.eigh_grid_numpy(h0, h1, a, b)
-    w_nb, v_nb = _kernels.eigh_grid_numba(h0, h1, a, b)
-    assert np.abs(w_np - w_nb).max() <= 1e-12
-    # eigenvector phases may differ between LAPACK call paths; compare
-    # the spectral projectors instead
-    for k in (0, 123, 499):
-        for col in range(4):
-            p_np = np.outer(v_np[k, :, col], v_np[k, :, col].conj())
-            p_nb = np.outer(v_nb[k, :, col], v_nb[k, :, col].conj())
-            assert np.abs(p_np - p_nb).max() <= 1e-10
+@pytest.mark.parametrize("steps, sample_idx", [
+    (500, [0, 100, 250, 500]),
+    # not a multiple of the chunk; samples on both sides of both boundaries
+    (2 * CHUNK + 37, [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 3,
+                      2 * CHUNK + 2, 2 * CHUNK + 37]),
+    (CHUNK + 5, []),
+    (300, [0]),
+], ids=["irregular", "across_chunks", "no_samples", "identity_only"])
+def test_propagate_matches_sequential_product(steps, sample_idx):
+    h0, h1, a, b, dt = _case(steps)
+    idx = np.array(sample_idx, dtype=np.int64)
+    samples, u_final, drift = _kernels.propagate(h0, h1, a, b, dt, idx)
+    ref_samples, ref_final = _sequential(h0, h1, a, b, dt, sample_idx)
+    assert samples.shape == ref_samples.shape
+    assert np.abs(samples - ref_samples).max(initial=0.0) <= 1e-12
+    assert np.abs(u_final - ref_final).max() <= 1e-12
+    assert 0.0 <= drift <= 1e-10
 
 
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv(_kernels.BACKEND_ENV, "numpy")
-    assert _kernels.active_backend() == "numpy"
+def test_drift_gate_fires_with_sampled_checks(monkeypatch, paper_schedule):
+    # eigenvectors scaled by 1 + 1e-6 make every step slightly non-unitary;
+    # checking at the samples and the end must still see it
+    eigh = np.linalg.eigh
 
+    def skewed(m):
+        w, v = eigh(m)
+        return w, v * (1 + 1e-6)
 
-def test_env_flag_rejects_unknown(monkeypatch):
-    monkeypatch.setenv(_kernels.BACKEND_ENV, "fortran")
-    with pytest.raises(ValueError):
-        _kernels.active_backend()
-
-
-def test_evolution_identical_across_backends(monkeypatch, paper_schedule):
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not importable")
-    monkeypatch.setenv(_kernels.BACKEND_ENV, "numba")
-    res_nb = evolve(paper_schedule, convergence_check=False)
-    monkeypatch.setenv(_kernels.BACKEND_ENV, "numpy")
-    res_np = evolve(paper_schedule, convergence_check=False)
-    assert np.abs(res_nb.u_final - res_np.u_final).max() <= 1e-11
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(IntegrationError, match="unitarity drift"):
+        evolve(paper_schedule, convergence_check=False)
+    h0, h1, a, b, dt = _case(100)
+    _, _, drift = _kernels.propagate(h0, h1, a, b, dt, np.empty(0, dtype=np.int64))
+    assert drift > UNITARITY_TOL

@@ -154,6 +154,13 @@ class TestRunQpe:
         assert np.isclose(ideal[1], expected, atol=1e-12)
         assert abs(result.relabeled_distribution[1] - expected) <= 1e-2
 
+    def test_integrates_steps_once(self, paper_model, paper_pulses,
+                                   propagated_steps):
+        # run_qpe never reads the convergence estimate, so no rerun
+        h0, h1 = paper_model
+        run_qpe(0.75, 2, h0, h1, paper_pulses, steps=600)
+        assert propagated_steps[0] == 600
+
     def test_dimension_mismatch_rejected(self, paper_model, paper_pulses):
         h0, h1 = paper_model
         with pytest.raises(ConfigError):
