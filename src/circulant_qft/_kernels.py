@@ -8,12 +8,13 @@ end) by balanced pairwise (tree) products, the segment products of a
 parallel-prefix scan (Blelloch, "Prefix Sums and Their Applications",
 CMU-CS-90-190, 1990).  Segments of equal length are reduced together,
 so no Python loop runs per step; only the short chain of segment
-products is sequential.
+products is sequential.  schedule.adiabaticity_report scans its grid in
+chunks of the same size.
 """
 
 import numpy as np
 
-CHUNK = 1024  # step matrices held at once
+CHUNK = 1024  # step matrices (or adiabaticity scan points) held at once
 
 
 def _tree_product(mats):

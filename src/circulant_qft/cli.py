@@ -103,11 +103,16 @@ def _check_keys(section, mapping, allowed, required):
         raise ConfigError(f"{section}: missing required key(s) {', '.join(missing)}")
 
 
+def _is_number(value):
+    """A JSON number; booleans are ints to Python but not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(section, value):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+            and all(_is_number(v) for v in value)):
         return complex(value[0], value[1])
     raise ConfigError(f"{section}: expected a number or [re, im] pair, got {value!r}")
 
@@ -131,7 +136,7 @@ def build_model(cfg):
     kind = model.get("kind")
     if kind == "four_level":
         _check_keys("model", model, ["kind", "E", "V"], ["kind", "E", "V"])
-        if not isinstance(model["E"], (int, float)) or model["E"] <= 0:
+        if not _is_number(model["E"]) or model["E"] <= 0:
             raise ConfigError("model.E: expected a positive number")
         return build_four_level(float(model["E"]), _as_complex("model.V", model["V"]))
     if kind == "six_level":
@@ -142,7 +147,7 @@ def build_model(cfg):
                              _as_complex("model.omega2", model["omega2"]))
         diag = model["h0_diag"]
         if not (isinstance(diag, list) and len(diag) == 6
-                and all(isinstance(v, (int, float)) for v in diag)):
+                and all(_is_number(v) for v in diag)):
             raise ConfigError("model.h0_diag: expected 6 real numbers")
         return np.diag(np.array(diag, dtype=np.complex128)), h1
     if kind == "custom":
@@ -175,7 +180,7 @@ def _window_and_steps(cfg, steps_override=None):
     window = cfg.get("window")
     if window is not None:
         if not (isinstance(window, list) and len(window) == 2
-                and all(isinstance(v, (int, float)) for v in window)):
+                and all(_is_number(v) for v in window)):
             raise ConfigError("window: expected [t_min, t_max]")
         window = (float(window[0]), float(window[1]))
     steps = steps_override if steps_override is not None else cfg.get("steps", 4000)
@@ -203,8 +208,7 @@ def build_schedule(cfg, default_direction=FORWARD, steps_override=None):
 
 def _phase_register(phi, r):
     """Validated phase phi in [0, 1) and register size r >= 1."""
-    if (isinstance(phi, bool) or not isinstance(phi, (int, float))
-            or not 0 <= phi < 1):
+    if not _is_number(phi) or not 0 <= phi < 1:
         raise ConfigError(f"phi: expected a number in [0, 1), got {phi!r}")
     if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise ConfigError(f"r: expected a positive integer, got {r!r}")
@@ -221,7 +225,7 @@ def cmd_eigentraj(cfg, args):
     n = traj.energies.shape[1]
     out = Path(args.out)
     header = ["t"] + [f"eps_{k}" for k in range(n)]
-    rows = [[t, *row] for t, row in zip(traj.times, traj.energies)]
+    rows = np.column_stack([traj.times, traj.energies]).tolist()
     write_csv(out / "eigentraj.csv", header, rows)
     write_meta(out / "eigentraj.meta.json", "eigentraj", cfg)
     if args.svg:
@@ -269,8 +273,8 @@ def cmd_adiabaticity(cfg, args):
     sched = build_schedule(cfg, steps_override=args.steps)
     report = adiabaticity_report(sched)
     out = Path(args.out)
-    rows = [[t, g, c] for t, g, c in
-            zip(report.times, report.gap_trace, report.coupling_trace)]
+    rows = np.column_stack(
+        [report.times, report.gap_trace, report.coupling_trace]).tolist()
     write_csv(out / "adiabaticity.csv", ["t", "min_gap", "max_coupling"], rows)
     write_meta(out / "adiabaticity.meta.json", "adiabaticity", cfg)
     print(f"adiabaticity: min gap {_fmt(report.min_gap)}, "
@@ -401,10 +405,13 @@ def cmd_sweep(cfg, args):
     pulses = build_pulses(cfg)
     ets = cfg["et_values"]
     if not (isinstance(ets, list) and ets
-            and all(isinstance(v, (int, float)) and v > 0 for v in ets)):
+            and all(_is_number(v) and v > 0 for v in ets)):
         raise ConfigError("et_values: expected a list of positive numbers")
     v_over_e = _as_complex("v_over_e", cfg.get("v_over_e", [1.0, 1.0 / 3.0]))
     phi, r = _phase_register(cfg.get("phi", 0.75), cfg.get("r", 2))
+    if r != 2:  # every sweep point is a four-level model, dimension 2**2
+        raise ConfigError(
+            f"register of {r} qubits needs a model of dimension 2**{r}, got 4")
     window, steps = _window_and_steps(cfg, args.steps)
 
     t_scale = pulses.crossing_time()

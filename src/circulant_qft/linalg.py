@@ -86,20 +86,3 @@ def unitary_exp(h, dt, rtol=HERMITIAN_RTOL):
     phases = np.exp(-1j * w * dt)
     return (v * phases) @ dagger(v)
 
-
-def eigenvalue_clusters(w, scale, rtol=CLUSTER_GAP_RTOL):
-    """Group ascending eigenvalues into degenerate clusters.
-
-    Two neighbors belong to one cluster when their gap is below
-    rtol * max(scale, tiny).  Returns a list of index ranges (start, stop).
-    """
-    w = np.asarray(w)
-    threshold = rtol * max(scale, np.finfo(float).tiny)
-    clusters = []
-    start = 0
-    for k in range(1, len(w)):
-        if w[k] - w[k - 1] > threshold:
-            clusters.append((start, k))
-            start = k
-    clusters.append((start, len(w)))
-    return clusters

@@ -181,10 +181,6 @@ def evaluate_pulses(pulses, t):
     return pulses.values(t)
 
 
-def hamiltonian_at(s, t):
-    return s.hamiltonian_at(t)
-
-
 @dataclass(frozen=True)
 class TrajectoryResult:
     """Instantaneous eigenvalues over the grid, ascending per time."""
@@ -239,16 +235,14 @@ class AdiabaticityReport:
 
 
 def _fix_gauge(vectors):
-    """Phase-fix eigenvector columns: largest-modulus component real
-    positive, ties broken by lowest index (needed for smooth finite
-    differences)."""
-    mods = np.abs(vectors)
+    """Phase-fix eigenvector columns in place: largest-modulus component
+    real positive, ties broken by lowest index (needed for smooth finite
+    differences).  Leading axes are batched."""
     # argmax returns the first (lowest-index) maximum, which is the tie rule
-    anchor = mods.argmax(axis=0)
-    cols = np.arange(vectors.shape[1])
-    pivots = vectors[anchor, cols]
-    phases = pivots / np.abs(pivots)
-    return vectors / phases[None, :]
+    anchor = np.abs(vectors).argmax(axis=-2)
+    phases = np.take_along_axis(vectors, anchor[..., None, :], axis=-2)
+    phases /= np.abs(phases)
+    vectors /= phases
 
 
 def adiabaticity_report(s, grid=None):
@@ -258,7 +252,10 @@ def adiabaticity_report(s, grid=None):
     <dchi_m/dt | chi_n> is approximated by
     <chi_m(t+d) - chi_m(t-d) | chi_n(t)> / (2d) at interior points.
     Pairs inside a degenerate cluster (gap below the cluster threshold
-    relative to ||H||) are skipped and reported as warnings.
+    relative to ||H||) are skipped and reported as warnings, ordered by
+    time and then by state pair.  The gauge fix and the interior scan run
+    in batches of _kernels.CHUNK grid points, which bounds the memory
+    they hold on long grids.
     """
     t = s.grid() if grid is None else np.asarray(grid, dtype=float)
     if len(t) < 3:
@@ -266,48 +263,49 @@ def adiabaticity_report(s, grid=None):
     a, b = s.coefficients(t)
     w, v = _kernels.eigh_grid(s.h0, s.h1, a, b)
     m_pts, n = w.shape
-    for k in range(m_pts):
-        v[k] = _fix_gauge(v[k])
+    for start in range(0, m_pts, _kernels.CHUNK):
+        _fix_gauge(v[start:start + _kernels.CHUNK])
 
-    scales = np.array(
-        [frobenius(ak * s.h0 + bk * s.h1) for ak, bk in zip(a, b)]
-    )
     gap_trace = np.diff(w, axis=1).min(axis=1)
     min_gap = float(gap_trace.min())
 
-    max_coupling = 0.0
+    off_diagonal = ~np.eye(n, dtype=bool)
+    upper = np.triu(off_diagonal)
     margin = np.inf
     coupling_trace = np.zeros(m_pts)
     warnings_list = []
-    for k in range(1, m_pts - 1):
-        delta = 0.5 * (t[k + 1] - t[k - 1])
-        dv = (v[k + 1] - v[k - 1]) / (2.0 * delta)
-        # coupling[m, n] = <dchi_m/dt | chi_n> at time t_k
-        coupling = np.conj(dv).T @ v[k]
-        threshold = CLUSTER_GAP_RTOL * max(scales[k], np.finfo(float).tiny)
-        worst = 0.0
-        for mm in range(n):
-            for nn in range(n):
-                if mm == nn:
-                    continue
-                gap = abs(w[k, mm] - w[k, nn])
-                if gap <= threshold:
-                    if mm < nn:
-                        warnings_list.append(
-                            (float(t[k]), f"eigenvalues {mm} and {nn} degenerate "
-                                          f"(gap {gap:.3e})")
-                        )
-                    continue
-                c = abs(coupling[mm, nn])
-                worst = max(worst, c)
-                if c > 0:
-                    margin = min(margin, gap / c)
-        coupling_trace[k] = worst
-        max_coupling = max(max_coupling, worst)
+    for start in range(1, m_pts - 1, _kernels.CHUNK):
+        stop = min(start + _kernels.CHUNK, m_pts - 1)
+        hs = a[start:stop, None, None] * s.h0 + b[start:stop, None, None] * s.h1
+        # ||H||_F by the dot products frobenius() takes, so bit for bit
+        flat = hs.reshape(stop - start, n * n)
+        scales = np.sqrt(np.vecdot(flat.real, flat.real)
+                         + np.vecdot(flat.imag, flat.imag))
+        threshold = CLUSTER_GAP_RTOL * np.maximum(scales, np.finfo(float).tiny)
+        delta = 0.5 * (t[start + 1:stop + 1] - t[start - 1:stop - 1])
+        dv = (v[start + 1:stop + 1] - v[start - 1:stop - 1]) \
+            / (2.0 * delta)[:, None, None]
+        # coupling[i, m, n] = |<dchi_m/dt | chi_n>| at time t[start + i];
+        # hypot is the scalar complex abs, which np.abs can miss by an ulp
+        coupling = np.conj(np.swapaxes(dv, 1, 2)) @ v[start:stop]
+        coupling = np.hypot(coupling.real, coupling.imag)
+        w_k = w[start:stop]
+        gap = np.abs(w_k[:, :, None] - w_k[:, None, :])
+        degenerate = gap <= threshold[:, None, None]
+        for i, mm, nn in zip(*np.nonzero(degenerate & upper)):
+            warnings_list.append(
+                (float(t[start + i]), f"eigenvalues {mm} and {nn} degenerate "
+                                      f"(gap {gap[i, mm, nn]:.3e})")
+            )
+        coupled = off_diagonal & ~degenerate
+        coupling_trace[start:stop] = np.where(coupled, coupling, 0.0).max(axis=(1, 2))
+        coupled &= coupling > 0
+        if coupled.any():
+            margin = min(margin, float((gap[coupled] / coupling[coupled]).min()))
 
     return AdiabaticityReport(
         min_gap=min_gap,
-        max_coupling=float(max_coupling),
+        max_coupling=float(coupling_trace.max()),
         margin=float(margin),
         rate_scale=1.0 / s.pulses.crossing_time(),
         times=t,

@@ -104,9 +104,10 @@ def write_line_plot(path, x, series, title="", xlabel="", ylabel=""):
             f'transform="rotate(-90 18 {cy:.1f})">{ylabel}</text>'
         )
 
+    x_px = px(x).tolist()
     for idx, (name, y) in enumerate(ys.items()):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x, y))
+        points = " ".join(f"{xv:.2f},{yv:.2f}" for xv, yv in zip(x_px, py(y).tolist()))
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

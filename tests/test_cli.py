@@ -256,6 +256,13 @@ class TestStepCounts:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert propagated_steps[0] == 4 * SWEEP_CONFIG["steps"]
 
+    def test_sweep_rejects_register_before_integrating(self, tmp_path, capsys,
+                                                      propagated_steps):
+        cfg = write_config(tmp_path, {**SWEEP_CONFIG, "r": 3})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert propagated_steps[0] == 0
+        assert "register of 3 qubits" in capsys.readouterr().err
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("command, payload", [
@@ -265,8 +272,17 @@ class TestConfigErrors:
         ("sweep", {**SWEEP_CONFIG, "steps": 0}),
         ("qpe", {**QPE_CONFIG, "steps": True}),
         ("sweep", {**SWEEP_CONFIG, "phi": False}),
+        ("evolve", {**FOUR_LEVEL, "model": {**FOUR_LEVEL["model"], "E": True}}),
+        ("evolve", {**FOUR_LEVEL,
+                    "model": {**FOUR_LEVEL["model"], "V": [True, 3.0]}}),
+        ("sweep", {**SWEEP_CONFIG, "et_values": [True, 20.0]}),
+        ("eigentraj", {**FOUR_LEVEL, "window": [False, 4.0]}),
+        ("models", {"model": {"kind": "six_level", "omega1": [2.0, 0.0],
+                              "omega2": [0.0, 2.0],
+                              "h0_diag": [-2.5, -1.5, -0.5, 0.5, 1.5, True]}}),
     ], ids=["qpe_steps", "qpe_window", "sweep_phi", "sweep_steps",
-            "qpe_steps_bool", "sweep_phi_bool"])
+            "qpe_steps_bool", "sweep_phi_bool", "model_E_bool",
+            "model_V_bool", "sweep_et_bool", "window_bool", "h0_diag_bool"])
     def test_exits_config_code_without_traceback(self, tmp_path, capsys,
                                                  command, payload):
         cfg = write_config(tmp_path, payload)

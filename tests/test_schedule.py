@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from circulant_qft import _kernels, svg
 from circulant_qft.circulant import CirculantSpec, circulant_eigenvalues
 from circulant_qft.errors import DegenerateSpectrumError
+from circulant_qft.linalg import CLUSTER_GAP_RTOL, frobenius
 from circulant_qft.models import build_four_level
 from circulant_qft.schedule import (
     FORWARD,
@@ -10,6 +14,7 @@ from circulant_qft.schedule import (
     Schedule,
     SechMaskedPair,
     TanhPair,
+    _fix_gauge,
     adiabaticity_report,
     eigen_trajectories,
     evaluate_pulses,
@@ -169,3 +174,135 @@ class TestAdiabaticity:
         t_stamp, message = report.degeneracy_warnings[0]
         assert s.window[0] <= t_stamp <= s.window[1]
         assert "degenerate" in message
+
+
+def reference_report(s, t):
+    """(gap_trace, coupling_trace, margin, warnings) computed one grid point
+    and one state pair at a time: the scan before it was batched."""
+    a, b = s.coefficients(t)
+    w, v = np.linalg.eigh(a[:, None, None] * s.h0 + b[:, None, None] * s.h1)
+    m_pts, n = w.shape
+    gap_trace = np.array([np.diff(w[k]).min() for k in range(m_pts)])
+    for k in range(m_pts):
+        anchor = np.abs(v[k]).argmax(axis=0)
+        pivots = v[k][anchor, np.arange(n)]
+        v[k] = v[k] / (pivots / np.abs(pivots))[None, :]
+    margin = np.inf
+    coupling_trace = np.zeros(m_pts)
+    warnings_list = []
+    for k in range(1, m_pts - 1):
+        delta = 0.5 * (t[k + 1] - t[k - 1])
+        dv = (v[k + 1] - v[k - 1]) / (2.0 * delta)
+        coupling = np.conj(dv).T @ v[k]
+        scale = frobenius(a[k] * s.h0 + b[k] * s.h1)
+        threshold = CLUSTER_GAP_RTOL * max(scale, np.finfo(float).tiny)
+        worst = 0.0
+        for mm in range(n):
+            for nn in range(n):
+                if mm == nn:
+                    continue
+                gap = abs(w[k, mm] - w[k, nn])
+                if gap <= threshold:
+                    if mm < nn:
+                        warnings_list.append(
+                            (float(t[k]), f"eigenvalues {mm} and {nn} degenerate "
+                                          f"(gap {gap:.3e})"))
+                    continue
+                c = abs(coupling[mm, nn])
+                worst = max(worst, c)
+                if c > 0:
+                    margin = min(margin, gap / c)
+        coupling_trace[k] = worst
+    return gap_trace, coupling_trace, margin, warnings_list
+
+
+def _weak_schedule(_):
+    h0, h1 = build_four_level(0.1, 0.1 * (1 + 1j / 3))
+    return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1)
+
+
+def _uncoupled_schedule(paper_model):
+    h0, _ = paper_model
+    return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0,
+                    h1=np.zeros_like(h0))
+
+
+def _clustered_schedule(_):
+    h0 = np.diag(np.array([-1.0, -1.0 + 1e-12, 1 / 3, 1.0], dtype=complex))
+    return Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0))
+
+
+def _paper_schedule(paper_model):
+    h0, h1 = paper_model
+    return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1)
+
+
+class TestBatchedScan:
+    """The chunked, batched scan against the per-point reference loop."""
+
+    @pytest.mark.parametrize("points", [2 * _kernels.CHUNK + 37, 3])
+    @pytest.mark.parametrize("make", [_paper_schedule, _weak_schedule,
+                                      _uncoupled_schedule, _clustered_schedule],
+                             ids=["paper", "weak", "uncoupled", "clustered"])
+    def test_matches_reference_loop(self, paper_model, make, points):
+        s = make(paper_model)
+        t = np.linspace(-6, 6, points)
+        report = adiabaticity_report(s, t)
+        gap_trace, coupling_trace, margin, warnings_list = reference_report(s, t)
+        assert np.array_equal(report.times, t)
+        assert np.array_equal(report.gap_trace, gap_trace)
+        assert report.min_gap == gap_trace.min()
+        assert report.degeneracy_warnings == warnings_list
+        # the batched coupling product may sum in another order
+        close = dict(rel=1e-12, abs=0)
+        assert report.coupling_trace == pytest.approx(coupling_trace, **close)
+        assert report.max_coupling == pytest.approx(coupling_trace.max(), **close)
+        assert report.margin == pytest.approx(margin, **close)
+
+    def test_gauge_fix_breaks_ties_by_lowest_index(self):
+        # every entry has modulus exactly 1/2, so each column's anchor is a
+        # tie that the lowest row index must win, in every batch entry
+        entries = np.array([0.5, 0.5j, -0.5, -0.5j])
+        cyclic = np.stack([np.roll(entries, j) for j in range(4)], axis=1)
+        batch = np.stack([cyclic * 1j**p for p in range(4)])
+        _fix_gauge(batch)
+        assert np.allclose(batch[:, 0, :], 0.5, rtol=0, atol=1e-15)
+        assert np.allclose(np.abs(batch), 0.5, rtol=0, atol=1e-15)
+        # a unique anchor is rotated onto the positive real axis
+        column = np.array([[0.1j], [-0.9], [0.3 + 0.2j], [0.1]])
+        _fix_gauge(column)
+        assert column[1, 0] == 0.9 and column[0, 0] == -0.1j
+
+    def test_edge_cases_are_exercised(self, paper_model):
+        t = np.linspace(-6, 6, 2 * _kernels.CHUNK + 37)
+        uncoupled = adiabaticity_report(_uncoupled_schedule(paper_model), t)
+        assert uncoupled.margin == np.inf and uncoupled.max_coupling == 0.0
+        clustered = adiabaticity_report(_clustered_schedule(paper_model), t)
+        # one warning per interior point, across both chunk boundaries
+        assert len(clustered.degeneracy_warnings) == len(t) - 2
+        weak = adiabaticity_report(_weak_schedule(paper_model), t)
+        assert 0 < weak.margin < 1
+
+
+def reference_polyline_points(x, y, x_lo, x_hi, y_lo, y_hi):
+    """The polyline points attribute, one scalar point at a time."""
+    plot_w = svg.WIDTH - svg.MARGIN_LEFT - svg.MARGIN_RIGHT
+    plot_h = svg.HEIGHT - svg.MARGIN_TOP - svg.MARGIN_BOTTOM
+    return " ".join(
+        f"{svg.MARGIN_LEFT + (xv - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
+        f"{svg.MARGIN_TOP + (y_hi - yv) / (y_hi - y_lo) * plot_h:.2f}"
+        for xv, yv in zip(x, y))
+
+
+def test_line_plot_points_match_per_point_formatter(tmp_path):
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.uniform(-6, 6, 500))
+    series = {"a": rng.standard_normal(500), "b": np.cumsum(rng.uniform(-1, 1, 500))}
+    svg.write_line_plot(tmp_path / "plot.svg", x, series, title="t")
+    text = (tmp_path / "plot.svg").read_text()
+    all_y = np.concatenate(list(series.values()))
+    pad = 0.05 * (all_y.max() - all_y.min())
+    expected = [reference_polyline_points(x, y, x.min(), x.max(),
+                                          all_y.min() - pad, all_y.max() + pad)
+                for y in series.values()]
+    assert re.findall(r'<polyline points="([^"]*)"', text) == expected
