@@ -8,6 +8,7 @@ byte-identical outputs.  Exit codes: 0 success, 2 config error,
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -46,7 +47,8 @@ EXIT_NUMERICAL = 3
 EXIT_PHYSICS = 4
 
 _CONFIG_ERRORS = (ConfigError,)
-_NUMERICAL_ERRORS = (IntegrationError, EigenConvergenceError)
+_NUMERICAL_ERRORS = (IntegrationError, EigenConvergenceError,
+                     np.linalg.LinAlgError)
 _PHYSICS_ERRORS = (
     DegenerateSpectrumError,
     NotPhaseEquivalentError,
@@ -104,8 +106,24 @@ def _check_keys(section, mapping, allowed, required):
 
 
 def _is_number(value):
-    """A JSON number; booleans are ints to Python but not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number.
+
+    Booleans are ints to Python but not numbers here, and JSON's NaN,
+    Infinity and integers beyond the float range are rejected too.
+    """
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _is_int(value):
+    """A JSON integer, booleans excluded."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive(section, value):
+    if not _is_number(value) or value <= 0:
+        raise ConfigError(f"{section}: expected a positive number, got {value!r}")
+    return float(value)
 
 
 def _as_complex(section, value):
@@ -136,9 +154,8 @@ def build_model(cfg):
     kind = model.get("kind")
     if kind == "four_level":
         _check_keys("model", model, ["kind", "E", "V"], ["kind", "E", "V"])
-        if not _is_number(model["E"]) or model["E"] <= 0:
-            raise ConfigError("model.E: expected a positive number")
-        return build_four_level(float(model["E"]), _as_complex("model.V", model["V"]))
+        return build_four_level(_positive("model.E", model["E"]),
+                                _as_complex("model.V", model["V"]))
     if kind == "six_level":
         _check_keys("model", model,
                     ["kind", "omega1", "omega2", "h0_diag"],
@@ -163,15 +180,13 @@ def build_pulses(cfg):
     if not isinstance(pulses, dict):
         raise ConfigError("pulses: expected an object with a 'kind' key")
     kind = pulses.get("kind")
-    try:
-        if kind == "tanh":
-            _check_keys("pulses", pulses, ["kind", "T"], ["kind", "T"])
-            return TanhPair(T=float(pulses["T"]))
-        if kind == "sech_masked":
-            _check_keys("pulses", pulses, ["kind", "T", "tau"], ["kind", "T", "tau"])
-            return SechMaskedPair(T=float(pulses["T"]), tau=float(pulses["tau"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"pulses: {exc}") from exc
+    if kind == "tanh":
+        _check_keys("pulses", pulses, ["kind", "T"], ["kind", "T"])
+        return TanhPair(T=_positive("pulses.T", pulses["T"]))
+    if kind == "sech_masked":
+        _check_keys("pulses", pulses, ["kind", "T", "tau"], ["kind", "T", "tau"])
+        return SechMaskedPair(T=_positive("pulses.T", pulses["T"]),
+                              tau=_positive("pulses.tau", pulses["tau"]))
     raise ConfigError(f"pulses.kind: expected tanh or sech_masked, got {kind!r}")
 
 
@@ -184,7 +199,7 @@ def _window_and_steps(cfg, steps_override=None):
             raise ConfigError("window: expected [t_min, t_max]")
         window = (float(window[0]), float(window[1]))
     steps = steps_override if steps_override is not None else cfg.get("steps", 4000)
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+    if not _is_int(steps) or steps < 1:
         raise ConfigError(f"steps: expected a positive integer, got {steps!r}")
     return window, steps
 
@@ -206,12 +221,17 @@ def build_schedule(cfg, default_direction=FORWARD, steps_override=None):
     return _make_schedule(h0, h1, pulses, direction, window, steps)
 
 
-def _phase_register(phi, r):
-    """Validated phase phi in [0, 1) and register size r >= 1."""
+def _phase_register(phi, r, dim):
+    """Validated phase phi in [0, 1) and register size r with 2**r == dim."""
     if not _is_number(phi) or not 0 <= phi < 1:
         raise ConfigError(f"phi: expected a number in [0, 1), got {phi!r}")
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+    if not _is_int(r) or r < 1:
         raise ConfigError(f"r: expected a positive integer, got {r!r}")
+    # 2**r > dim once r reaches dim's bit length, so a huge r never
+    # builds 2**r
+    if r >= dim.bit_length() or 2**r != dim:
+        raise ConfigError(f"register of {r} qubits needs a model of "
+                          f"dimension 2**{r}, got {dim}")
     return phi, r
 
 
@@ -242,9 +262,9 @@ def cmd_eigentraj(cfg, args):
 def cmd_evolve(cfg, args):
     _check_keys("config", cfg, _COMMON_KEYS, ["model", "pulses"])
     sched = build_schedule(cfg, steps_override=args.steps)
+    predicted = adiabatic_phase_prediction(sched).alpha
     result = evolve(sched)
     factorization = factor_phased_dft(result.u_final, sched.direction)
-    predicted = adiabatic_phase_prediction(sched).alpha
 
     out = Path(args.out)
     n = result.dim
@@ -291,14 +311,12 @@ def cmd_qpe(cfg, args):
                 ["model", "pulses", "phi", "r"])
     sched = build_schedule(cfg, default_direction=INVERSE,
                            steps_override=args.steps)
-    phi, r = _phase_register(cfg["phi"], cfg["r"])
+    phi, r = _phase_register(cfg["phi"], cfg["r"], sched.dim)
     shots = cfg.get("shots", 0)
-    if not isinstance(shots, int) or shots < 0:
+    if not _is_int(shots) or shots < 0:
         raise ConfigError(f"shots: expected a nonnegative integer, got {shots!r}")
 
-    result = run_qpe(phi, r, sched.h0, sched.h1, sched.pulses,
-                     window=sched.window, steps=sched.steps,
-                     shots=shots or None, seed=args.seed)
+    result = run_qpe(sched, phi, r, shots=shots or None, seed=args.seed)
 
     out = Path(args.out)
     f_vals, g_vals = sched.pulses.values(result.fidelity_times)
@@ -331,9 +349,7 @@ def cmd_qpe(cfg, args):
                             ylabel="probability")
 
     # sigma maps basis -> DFT column; the oracle wants its inverse
-    sigma_inv = np.empty_like(result.sigma)
-    sigma_inv[result.sigma] = np.arange(n)
-    ideal = ideal_distribution(phi, r, sigma=sigma_inv)
+    ideal = ideal_distribution(phi, r, sigma=np.argsort(result.sigma))
     tv = 0.5 * float(np.abs(ideal - result.relabeled_distribution).sum())
 
     bits_str = "".join(str(b) for b in result.top_bits)
@@ -408,10 +424,8 @@ def cmd_sweep(cfg, args):
             and all(_is_number(v) and v > 0 for v in ets)):
         raise ConfigError("et_values: expected a list of positive numbers")
     v_over_e = _as_complex("v_over_e", cfg.get("v_over_e", [1.0, 1.0 / 3.0]))
-    phi, r = _phase_register(cfg.get("phi", 0.75), cfg.get("r", 2))
-    if r != 2:  # every sweep point is a four-level model, dimension 2**2
-        raise ConfigError(
-            f"register of {r} qubits needs a model of dimension 2**{r}, got 4")
+    # every sweep point is a four-level model
+    phi, r = _phase_register(cfg.get("phi", 0.75), cfg.get("r", 2), 4)
     window, steps = _window_and_steps(cfg, args.steps)
 
     t_scale = pulses.crossing_time()
@@ -422,7 +436,7 @@ def cmd_sweep(cfg, args):
         sched = _make_schedule(h0, h1, pulses, FORWARD, window, steps)
         res = evolve(sched, convergence_check=False)
         factorization = factor_phased_dft(res.u_final, FORWARD)
-        qpe_res = run_qpe(phi, r, h0, h1, pulses, window=window, steps=steps)
+        qpe_res = run_qpe(dataclasses.replace(sched, direction=INVERSE), phi, r)
         rows.append([float(et), factorization.residual, qpe_res.final_fidelity])
         print(f"sweep: E*T = {_fmt(et)} -> residual {_fmt(factorization.residual)}, "
               f"fidelity {_fmt(qpe_res.final_fidelity)}")

@@ -32,10 +32,6 @@ def hermiticity_defect(m):
     return frobenius(m - dagger(m)) / scale
 
 
-def is_hermitian(m, rtol=HERMITIAN_RTOL):
-    return hermiticity_defect(m) <= rtol
-
-
 def require_hermitian(m, rtol=HERMITIAN_RTOL, what="matrix"):
     defect = hermiticity_defect(m)
     if defect > rtol:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import _kernels
-from .circulant import CirculantSpec, circulant_eigenvalues, dft_matrix
+from .circulant import circulant_eigenvalues, dft_matrix
 from .errors import (
     AmbiguousPermutationError,
     BranchTrackingError,
@@ -129,12 +129,6 @@ class PhasedDftFactorization:
     alpha: np.ndarray
     residual: float
 
-    @property
-    def sigma_inverse(self):
-        inv = np.empty_like(self.sigma)
-        inv[self.sigma] = np.arange(len(self.sigma))
-        return inv
-
 
 def _assign_columns(weights):
     """Bijection maximizing total |overlap|, with per-column ambiguity check."""
@@ -185,38 +179,38 @@ def factor_phased_dft(u, direction=FORWARD):
     return PhasedDftFactorization(sigma=sigma, alpha=alpha, residual=float(residual))
 
 
-def _ranks(values):
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.intp)
-    ranks[order] = np.arange(len(values))
-    return ranks
+def _by_rank(s, spectrum):
+    """Eigenstates of "H0" (basis states) or "H1" (DFT columns) by rank.
+
+    Entry k is the state whose eigenvalue has ascending rank k.  This is
+    the one rank-matching rule: with no level crossings, adiabatic
+    following sends the state of rank k in one spectrum to the state of
+    rank k in the other.  A degenerate spectrum has no rank order.
+    """
+    if spectrum == "H0":
+        values = np.diag(s.h0).real
+    else:
+        values = circulant_eigenvalues(s.h1_spec).real
+    gaps = np.diff(np.sort(values))
+    scale = max(np.abs(values).max(), np.finfo(float).tiny)
+    if gaps.min() <= CLUSTER_GAP_RTOL * scale:
+        raise DegenerateSpectrumError(
+            f"{spectrum} spectrum is degenerate; rank matching is undefined"
+        )
+    return np.argsort(values, kind="stable")
 
 
-def predict_permutation(h0, h1):
+def predict_permutation(s):
     """Renumbering sigma from adiabatic rank matching.
 
-    With no level crossings, the state starting in basis state j (the
-    eigenvector of H0 with eigenvalue rank r) ends in the circulant
-    eigenvector whose eigenvalue has the same rank; sigma[j] is the DFT
-    column index of that eigenvector.
+    sigma[j] is the DFT column whose circulant eigenvalue has the rank
+    of H0's eigenvalue j: with no level crossings a forward sweep
+    carries basis state j into that column and an inverse sweep carries
+    the column back to j, so sigma does not depend on the direction.
     """
-    h0 = np.asarray(h0)
-    energies = np.diag(h0).real
-    lam = circulant_eigenvalues(CirculantSpec(np.asarray(h1)[:, 0].copy()))
-    if np.abs(lam.imag).max() > 1e-10 * max(1.0, np.abs(lam).max()):
-        raise ValueError("H1 spectrum is not real; H1 must be Hermitian circulant")
-    lam = lam.real
-
-    for name, vals in (("H0", energies), ("H1", lam)):
-        gaps = np.diff(np.sort(vals))
-        scale = max(np.abs(vals).max(), np.finfo(float).tiny)
-        if gaps.min() <= CLUSTER_GAP_RTOL * scale:
-            raise DegenerateSpectrumError(
-                f"{name} spectrum is degenerate; rank matching is undefined"
-            )
-
-    lam_order = np.argsort(lam, kind="stable")
-    return lam_order[_ranks(energies)]
+    sigma = np.empty(s.dim, dtype=np.intp)
+    sigma[_by_rank(s, "H0")] = _by_rank(s, "H1")
+    return sigma
 
 
 def _wrap(angles):
@@ -242,6 +236,43 @@ class AdiabaticPhases:
         return _wrap(self.dynamical + self.geometric)
 
 
+# The spectrum each direction starts and ends in, and the sign its
+# factorization gives the acquired phase.
+_ENDS = {FORWARD: ("H0", "H1", 1.0), INVERSE: ("H1", "H0", -1.0)}
+
+
+def _branches(s, grid):
+    """Start states, dynamical phases and eigenvectors of the branches.
+
+    Returns (label, dynamical, v): label[k] is the start state of the
+    branch of rank k, dynamical the quasienergy integral of each branch,
+    indexed by its start state, signed as in the factorization and
+    wrapped, and v the eigenvectors of H(t) on the grid in ascending
+    eigenvalue order.  Tracking by rank is invalid where two
+    branches collide; a vanishing Hamiltonian has nothing to track.
+    """
+    t = s.grid() if grid is None else np.asarray(grid, dtype=float)
+    a, b = s.coefficients(t)
+    w, v = _kernels.eigh_grid(s.h0, s.h1, a, b)
+
+    scale = float(np.abs(w).max())
+    gaps = np.diff(w, axis=1).min(axis=1)
+    bad = gaps <= CLUSTER_GAP_RTOL * scale
+    if scale > 0.0 and bad.any():
+        k = int(np.argmax(bad))
+        raise BranchTrackingError(
+            f"eigenvalue branches collide at t = {t[k]:.6g} "
+            f"(gap {gaps[k]:.3e}); rank tracking is invalid",
+            t=float(t[k]),
+        )
+
+    start, _, sign = _ENDS[s.direction]
+    label = _by_rank(s, start)
+    dynamical = np.empty(s.dim)
+    dynamical[label] = -sign * np.trapezoid(w, t, axis=0)
+    return label, _wrap(dynamical), v
+
+
 def adiabatic_phase_prediction(s, grid=None):
     """Predicted factorization phases from the instantaneous eigensystem.
 
@@ -251,53 +282,25 @@ def adiabatic_phase_prediction(s, grid=None):
     geometric phase from discrete parallel transport: the phase of the
     start state on the branch eigenvector, the summed link angles
     arg<v_k|v_k+1> and the phase of the end state on the last
-    eigenvector.  Start and end states are matched by rank alone, as in
+    eigenvector.  Start and end states are matched by the rank rule of
     predict_permutation: a forward branch runs from the basis state of
     rank r in H0 to the DFT column of rank r in the circulant spectrum,
-    an inverse branch the other way round.  Nothing is taken from the
+    an inverse branch the other way round, and a degenerate spectrum
+    raises DegenerateSpectrumError.  Nothing is taken from the
     propagator.  The forward factorization reports the acquired phase as
     alpha, indexed by basis state; the inverse one reports its negative
     (the exp(-i alpha) form), indexed by DFT column.
     """
-    t = s.grid() if grid is None else np.asarray(grid, dtype=float)
-    a, b = s.coefficients(t)
-    w, v = _kernels.eigh_grid(s.h0, s.h1, a, b)
-
-    scale = float(np.abs(w).max())
-    if scale == 0.0:
-        return AdiabaticPhases(dynamical=np.zeros(s.dim),
-                               geometric=np.zeros(s.dim))
-    gaps = np.diff(w, axis=1).min(axis=1)
-    bad = gaps <= CLUSTER_GAP_RTOL * scale
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise BranchTrackingError(
-            f"eigenvalue branches collide at t = {t[k]:.6g} "
-            f"(gap {gaps[k]:.3e}); rank tracking is invalid",
-            t=float(t[k]),
-        )
-
-    # basis state and DFT column holding each rank; degenerate spectra
-    # get the stable order, which raises nothing but predicts nothing
-    basis_by_rank = np.argsort(np.diag(s.h0).real, kind="stable")
-    dft_by_rank = np.argsort(circulant_eigenvalues(s.h1_spec).real,
-                             kind="stable")
-    basis = np.eye(s.dim)[:, basis_by_rank]
-    dft = dft_matrix(s.dim)[:, dft_by_rank]
-    if s.direction == FORWARD:
-        label, start, end, sign = basis_by_rank, basis, dft, 1.0
-    else:
-        label, start, end, sign = dft_by_rank, dft, basis, -1.0
-
+    label, dynamical, v = _branches(s, grid)
+    start, end, sign = _ENDS[s.direction]
+    states = {"H0": np.eye(s.dim), "H1": dft_matrix(s.dim)}
     links = np.angle(np.sum(v[:-1].conj() * v[1:], axis=1)).sum(axis=0)
-    enter = np.angle(np.sum(start.conj() * v[0], axis=0))
-    leave = np.angle(np.sum(end.conj() * v[-1], axis=0))
-    dynamical = np.empty(s.dim)
+    enter = np.angle(np.sum(states[start][:, label].conj() * v[0], axis=0))
+    leave = np.angle(np.sum(states[end][:, _by_rank(s, end)].conj() * v[-1],
+                            axis=0))
     geometric = np.empty(s.dim)
-    dynamical[label] = -sign * np.trapezoid(w, t, axis=0)
     geometric[label] = sign * (leave - links - enter)
-    return AdiabaticPhases(dynamical=_wrap(dynamical),
-                           geometric=_wrap(geometric))
+    return AdiabaticPhases(dynamical=dynamical, geometric=_wrap(geometric))
 
 
 def dynamical_phase_prediction(s, grid=None):
@@ -307,8 +310,9 @@ def dynamical_phase_prediction(s, grid=None):
     the factorization's sign convention: -int eps_j dt for the branch
     starting at basis state j of a forward schedule, +int eps_n dt for
     the branch starting at DFT column n of an inverse one.  Values are
-    wrapped to (-pi, pi].  This is not the full prediction of alpha,
-    which also carries the geometric phase: see
+    wrapped to (-pi, pi].  Only the start states are ranked, so the end
+    spectrum may be degenerate.  This is not the full prediction of
+    alpha, which also carries the geometric phase: see
     adiabatic_phase_prediction.
     """
-    return adiabatic_phase_prediction(s, grid).dynamical
+    return _branches(s, grid)[1]

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circulant import dft_matrix
-from .errors import ConfigError
 from .linalg import dagger
 from .propagator import evolve, predict_permutation
-from .schedule import INVERSE, Schedule
+from .schedule import INVERSE
 
 
 def binary_fraction(bits):
@@ -48,38 +47,15 @@ def to_bits(phi, r):
     return bits, exact
 
 
-@dataclass(frozen=True)
-class PhaseValue:
-    """A phase in [0, 1) targeted by an r-qubit register."""
-
-    phi: float
-    r: int
-
-    def __post_init__(self):
-        to_bits(self.phi, self.r)  # validates ranges
-
-    @property
-    def n_states(self):
-        return 2**self.r
-
-    @property
-    def exact(self):
-        return to_bits(self.phi, self.r)[1]
-
-    @property
-    def nearest_bits(self):
-        return to_bits(self.phi, self.r)[0]
-
-
 def prepare_register_state(phi, r):
     """First-register state 2^{-r/2} sum_k exp(2 pi i k phi) |k>.
 
     For phi with an exact r-bit expansion m / 2^r this is exactly DFT
     column m, which the inverse transform maps to one basis state.
     """
-    value = PhaseValue(phi, r)
-    k = np.arange(value.n_states)
-    return np.exp(2j * np.pi * k * phi) / np.sqrt(value.n_states)
+    to_bits(phi, r)  # validates phi and r
+    k = np.arange(2**r)
+    return np.exp(2j * np.pi * k * phi) / np.sqrt(2**r)
 
 
 def ideal_phased_inverse_qft(alpha, sigma, n):
@@ -128,39 +104,28 @@ class QpeResult:
     counts: np.ndarray | None = None
 
 
-def run_qpe(phi, r, h0, h1, pulses, window=None, steps=None,
-            sample_stride=None, shots=None, seed=None):
-    """Estimate phi by evolving the register state under the inverse schedule.
+def run_qpe(s, phi, r, shots=None, seed=None):
+    """Estimate phi by evolving the register state under the schedule s.
 
-    The register dimension 2^r must match the model dimension.  The
-    returned distribution is read directly from amplitudes (no shot
-    noise); pass shots (with a seed) for an additional sampled histogram,
-    which exists for demonstration only.
+    s must run in the inverse direction on a model of dimension 2^r.
+    The returned distribution is read directly from amplitudes (no shot
+    noise); pass shots (with a seed) for an additional sampled
+    histogram, which exists for demonstration only.
     """
-    value = PhaseValue(phi, r)
-    n = value.n_states
-    h0 = np.asarray(h0, dtype=np.complex128)
-    if h0.shape[0] != n:
-        raise ConfigError(
-            f"register of {r} qubits needs a model of dimension {n}, "
-            f"got {h0.shape[0]}"
-        )
-    kwargs = {}
-    if steps is not None:
-        kwargs["steps"] = steps
-    sched = Schedule(pulses=pulses, h0=h0, h1=h1, direction=INVERSE,
-                     window=window, **kwargs)
-
-    sigma = predict_permutation(h0, h1)
-    sigma_inv = np.empty_like(sigma)
-    sigma_inv[sigma] = np.arange(n)
-
-    target_bits = value.nearest_bits
-    target_value = int("".join(str(b) for b in target_bits), 2)
-    target_index = int(sigma_inv[target_value])
+    if s.direction != INVERSE:
+        raise ValueError(f"phase estimation needs an inverse schedule, "
+                         f"got {s.direction!r}")
+    if 2**r != s.dim:
+        raise ValueError(f"register of {r} qubits needs a model of "
+                         f"dimension 2**{r}, got {s.dim}")
+    target_bits, exact = to_bits(phi, r)
+    sigma = predict_permutation(s)
+    # argsort inverts sigma: the basis state that reads out the target
+    target = int("".join(map(str, target_bits)), 2)
+    target_index = int(np.argsort(sigma)[target])
 
     psi0 = prepare_register_state(phi, r)
-    result = evolve(sched, sample_stride=sample_stride, convergence_check=False)
+    result = evolve(s, convergence_check=False)
     states = result.u_samples @ psi0
     trace = np.abs(states[:, target_index]) ** 2
 
@@ -169,7 +134,6 @@ def run_qpe(phi, r, h0, h1, pulses, window=None, steps=None,
     relabeled = np.empty_like(distribution)
     relabeled[sigma] = distribution
     top = int(np.argmax(relabeled))
-    top_bits = tuple((top >> (r - 1 - j)) & 1 for j in range(r))
 
     counts = None
     if shots:
@@ -182,9 +146,9 @@ def run_qpe(phi, r, h0, h1, pulses, window=None, steps=None,
         distribution=distribution,
         relabeled_distribution=relabeled,
         sigma=sigma,
-        top_bits=top_bits,
+        top_bits=to_bits(top / s.dim, r)[0],
         target_bits=target_bits,
-        exact_expansion=value.exact,
+        exact_expansion=exact,
         fidelity_times=result.times,
         fidelity_trace=trace,
         final_fidelity=float(distribution[target_index]),
@@ -200,8 +164,7 @@ def ideal_distribution(phi, r, sigma=None, alpha=None):
     is independent of alpha: phases only multiply amplitudes whose
     moduli are measured.
     """
-    value = PhaseValue(phi, r)
-    n = value.n_states
+    n = 2**r
     if sigma is None:
         sigma = np.arange(n)
     if alpha is None:

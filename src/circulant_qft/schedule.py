@@ -176,11 +176,6 @@ class Schedule:
         return np.linspace(self.window[0], self.window[1], n + 1)
 
 
-def evaluate_pulses(pulses, t):
-    """Closed-form (f(t), g(t)) of a pulse pair."""
-    return pulses.values(t)
-
-
 @dataclass(frozen=True)
 class TrajectoryResult:
     """Instantaneous eigenvalues over the grid, ascending per time."""

@@ -31,7 +31,13 @@ from circulant_qft.propagator import (
     factor_phased_dft,
 )
 from circulant_qft.qpe import ideal_distribution, run_qpe
-from circulant_qft.schedule import FORWARD, Schedule, SechMaskedPair, eigen_trajectories
+from circulant_qft.schedule import (
+    FORWARD,
+    INVERSE,
+    Schedule,
+    SechMaskedPair,
+    eigen_trajectories,
+)
 
 from conftest import random_hermitian_circulant_column
 
@@ -113,7 +119,8 @@ def test_criterion_3_eigenvalue_trajectories(pulses):
 def test_criterion_4_phase_estimation_figure(pulses):
     start = time.perf_counter()
     h0, h1 = paper_system(10.0)
-    result = run_qpe(0.75, 2, h0, h1, pulses, steps=4000)
+    result = run_qpe(Schedule(pulses=pulses, h0=h0, h1=h1, direction=INVERSE,
+                              steps=4000), 0.75, 2)
     elapsed = time.perf_counter() - start
     ok = (result.final_fidelity >= 0.99 and result.top_bits == (1, 1)
           and elapsed < 30.0)
@@ -231,7 +238,8 @@ def test_criterion_10_oracle_equivalence(pulses):
     h0, h1 = paper_system(10.0)
     worst = 0.0
     for phi in (0.0, 0.25, 1 / 3, 0.6, 0.75):
-        result = run_qpe(phi, 2, h0, h1, pulses)
+        result = run_qpe(Schedule(pulses=pulses, h0=h0, h1=h1,
+                                  direction=INVERSE), phi, 2)
         sigma_inv = np.empty_like(result.sigma)
         sigma_inv[result.sigma] = np.arange(4)
         ideal = ideal_distribution(phi, 2, sigma=sigma_inv)

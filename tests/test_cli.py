@@ -121,18 +121,19 @@ class TestEvolve:
         assert np.abs(predicted).max() <= np.pi
         assert np.abs(np.angle(np.exp(1j * (alpha - predicted)))).max() <= 0.05
 
-    def test_real_coupling_still_runs(self, tmp_path, capsys):
-        # a real V makes the circulant spectrum degenerate: the run warns,
-        # and the phase prediction must not turn that into a failure
+    def test_real_coupling_exits_physics_code(self, tmp_path, capsys,
+                                              propagated_steps):
+        # a real V makes the circulant spectrum degenerate: the model warns,
+        # and rank matching has no end state to predict, as in qpe
         payload = {**FOUR_LEVEL, "model": {"kind": "four_level", "E": 10.0,
                                            "V": 10.0}}
         cfg = write_config(tmp_path, payload)
         with pytest.warns(DegenerateSpectrumWarning):
             assert main(["evolve", "--config", cfg,
-                         "--out", str(tmp_path)]) == 0
-        _, rows = read_csv(tmp_path / "factorization.csv")
-        assert np.isfinite([float(r[3]) for r in rows]).all()
-        assert "residual" in capsys.readouterr().out
+                         "--out", str(tmp_path)]) == 4
+        assert "physics precondition violated" in capsys.readouterr().err
+        assert not (tmp_path / "factorization.csv").exists()
+        assert propagated_steps[0] == 0
 
     def test_steps_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, FOUR_LEVEL)
@@ -263,6 +264,17 @@ class TestStepCounts:
         assert propagated_steps[0] == 0
         assert "register of 3 qubits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r", [3, 100000])
+    def test_qpe_rejects_register_before_integrating(self, tmp_path, capsys,
+                                                    propagated_steps, r):
+        # 2**100000 overflows a float, so the check must not form phi * 2**r
+        cfg = write_config(tmp_path, {**QPE_CONFIG, "r": r})
+        assert main(["qpe", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert propagated_steps[0] == 0
+        err = capsys.readouterr().err
+        assert f"register of {r} qubits" in err
+        assert "Traceback" not in err
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("command, payload", [
@@ -280,9 +292,18 @@ class TestConfigErrors:
         ("models", {"model": {"kind": "six_level", "omega1": [2.0, 0.0],
                               "omega2": [0.0, 2.0],
                               "h0_diag": [-2.5, -1.5, -0.5, 0.5, 1.5, True]}}),
+        ("evolve", {**FOUR_LEVEL,
+                    "model": {**FOUR_LEVEL["model"], "E": float("nan")}}),
+        ("evolve", {**FOUR_LEVEL,
+                    "model": {**FOUR_LEVEL["model"], "E": float("inf")}}),
+        ("evolve", {**FOUR_LEVEL, "pulses": {"kind": "sech_masked",
+                                             "T": True, "tau": "1"}}),
+        ("qpe", {**QPE_CONFIG, "shots": True}),
     ], ids=["qpe_steps", "qpe_window", "sweep_phi", "sweep_steps",
             "qpe_steps_bool", "sweep_phi_bool", "model_E_bool",
-            "model_V_bool", "sweep_et_bool", "window_bool", "h0_diag_bool"])
+            "model_V_bool", "sweep_et_bool", "window_bool", "h0_diag_bool",
+            "model_E_nan", "model_E_inf", "pulses_bool_and_string",
+            "qpe_shots_bool"])
     def test_exits_config_code_without_traceback(self, tmp_path, capsys,
                                                  command, payload):
         cfg = write_config(tmp_path, payload)

@@ -8,7 +8,7 @@ from circulant_qft.errors import (
     IntegrationError,
 )
 from circulant_qft.linalg import frobenius, unitary_exp
-from circulant_qft.models import build_four_level
+from circulant_qft.models import DegenerateSpectrumWarning, build_four_level
 from circulant_qft.propagator import (
     adiabatic_phase_prediction,
     dynamical_phase_prediction,
@@ -138,7 +138,8 @@ class TestFactorization:
 class TestPredictPermutation:
     def test_paper_model(self, paper_model):
         h0, h1 = paper_model
-        assert predict_permutation(h0, h1).tolist() == [2, 1, 3, 0]
+        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1)
+        assert predict_permutation(s).tolist() == [2, 1, 3, 0]
 
     def test_identity_when_spectrum_ascending_in_index(self):
         # first column chosen so lambda_n = (-2.5, -1, 1, 2.5), ascending
@@ -150,13 +151,25 @@ class TestPredictPermutation:
              [np.conj(c1), -0.75, c1, 0]]
         )
         h0 = np.diag(np.array([1.0, 2.0, 3.0, 4.0], dtype=complex))
-        assert predict_permutation(h0, h1).tolist() == [0, 1, 2, 3]
+        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1)
+        assert predict_permutation(s).tolist() == [0, 1, 2, 3]
 
     def test_degenerate_diagonal_rejected(self, paper_model):
         _, h1 = paper_model
         h0 = np.diag(np.array([1.0, 1.0, 2.0, 3.0], dtype=complex))
         with pytest.raises(DegenerateSpectrumError):
-            predict_permutation(h0, h1)
+            predict_permutation(Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1))
+
+    def test_degenerate_circulant_rejected_by_every_rank_match(self):
+        # a real V makes two circulant eigenvalues coincide; the phase
+        # prediction matches end states by the same rule, so it fails too
+        with pytest.warns(DegenerateSpectrumWarning):
+            h0, h1 = build_four_level(10.0, 10.0)
+        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1)
+        with pytest.raises(DegenerateSpectrumError, match="H1 spectrum"):
+            predict_permutation(s)
+        with pytest.raises(DegenerateSpectrumError, match="H1 spectrum"):
+            adiabatic_phase_prediction(s)
 
 
 class TestDynamicalPhases:
@@ -274,6 +287,6 @@ class TestAdiabaticLimit:
         sum20, sigma, sched = mirror_sum(20.0)
         sum40, _, _ = mirror_sum(40.0)
         assert np.abs(wrap(sum20 - sum40)).max() <= 0.02
-        assert sigma.tolist() == predict_permutation(sched.h0, sched.h1).tolist()
+        assert sigma.tolist() == predict_permutation(sched).tolist()
         geo = adiabatic_phase_prediction(sched).geometric
         assert np.abs(wrap(sum40 - 2 * geo)).max() <= 0.02

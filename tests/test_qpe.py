@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from circulant_qft.circulant import dft_matrix
-from circulant_qft.errors import ConfigError
 from circulant_qft.linalg import unitarity_defect
 from circulant_qft.qpe import (
     binary_fraction,
@@ -12,6 +11,7 @@ from circulant_qft.qpe import (
     run_qpe,
     to_bits,
 )
+from circulant_qft.schedule import INVERSE, Schedule
 
 
 class TestBits:
@@ -118,10 +118,14 @@ class TestIdealOracle:
         assert np.isclose(p[3], 1.0, atol=1e-12)
 
 
+def inverse(model, pulses, **kwargs):
+    h0, h1 = model
+    return Schedule(pulses=pulses, h0=h0, h1=h1, direction=INVERSE, **kwargs)
+
+
 class TestRunQpe:
     def test_paper_point(self, paper_model, paper_pulses):
-        h0, h1 = paper_model
-        result = run_qpe(0.75, 2, h0, h1, paper_pulses)
+        result = run_qpe(inverse(paper_model, paper_pulses), 0.75, 2)
         assert result.final_fidelity >= 0.99
         assert result.top_bits == (1, 1)
         assert result.exact_expansion
@@ -130,16 +134,14 @@ class TestRunQpe:
 
     def test_distributions_are_permutations_of_each_other(self, paper_model,
                                                           paper_pulses):
-        h0, h1 = paper_model
-        result = run_qpe(0.6, 2, h0, h1, paper_pulses)
+        result = run_qpe(inverse(paper_model, paper_pulses), 0.6, 2)
         assert np.allclose(np.sort(result.distribution),
                            np.sort(result.relabeled_distribution), atol=0)
         assert abs(result.distribution.sum() - 1) <= 1e-9
 
     def test_simulator_close_to_oracle_for_inexact_phase(self, paper_model,
                                                          paper_pulses):
-        h0, h1 = paper_model
-        result = run_qpe(1 / 3, 2, h0, h1, paper_pulses)
+        result = run_qpe(inverse(paper_model, paper_pulses), 1 / 3, 2)
         assert not result.exact_expansion
         assert result.top_bits == (0, 1)
         sigma_inv = np.empty_like(result.sigma)
@@ -157,20 +159,17 @@ class TestRunQpe:
     def test_integrates_steps_once(self, paper_model, paper_pulses,
                                    propagated_steps):
         # run_qpe never reads the convergence estimate, so no rerun
-        h0, h1 = paper_model
-        run_qpe(0.75, 2, h0, h1, paper_pulses, steps=600)
+        run_qpe(inverse(paper_model, paper_pulses, steps=600), 0.75, 2)
         assert propagated_steps[0] == 600
 
     def test_dimension_mismatch_rejected(self, paper_model, paper_pulses):
-        h0, h1 = paper_model
-        with pytest.raises(ConfigError):
-            run_qpe(0.5, 3, h0, h1, paper_pulses)
+        with pytest.raises(ValueError):
+            run_qpe(inverse(paper_model, paper_pulses), 0.5, 3)
 
     def test_sampled_mode_reproducible(self, paper_model, paper_pulses):
-        h0, h1 = paper_model
-        kwargs = dict(steps=400, shots=500, seed=7)
-        a = run_qpe(0.75, 2, h0, h1, paper_pulses, **kwargs)
-        b = run_qpe(0.75, 2, h0, h1, paper_pulses, **kwargs)
+        s = inverse(paper_model, paper_pulses, steps=400)
+        a = run_qpe(s, 0.75, 2, shots=500, seed=7)
+        b = run_qpe(s, 0.75, 2, shots=500, seed=7)
         assert a.counts is not None
         assert a.counts.sum() == 500
         assert np.array_equal(a.counts, b.counts)
@@ -180,7 +179,6 @@ class TestRunQpe:
         # multiplying the final state by any phase leaves the distribution
         # untouched; the simulated run realizes this because probabilities
         # are computed from moduli only
-        h0, h1 = paper_model
-        result = run_qpe(0.25, 2, h0, h1, paper_pulses, steps=800)
+        result = run_qpe(inverse(paper_model, paper_pulses, steps=800), 0.25, 2)
         rotated = np.exp(1j * 1.234) * result.final_state
         assert np.allclose(np.abs(rotated) ** 2, result.distribution, atol=1e-15)

@@ -17,13 +17,12 @@ from circulant_qft.schedule import (
     _fix_gauge,
     adiabaticity_report,
     eigen_trajectories,
-    evaluate_pulses,
 )
 
 
 class TestPulses:
     def test_tanh_midpoint(self):
-        f, g = evaluate_pulses(TanhPair(T=2.0), 0.0)
+        f, g = TanhPair(T=2.0).values(0.0)
         assert f == 0.5 and g == 0.5
 
     def test_tanh_sums_to_one(self):
@@ -33,7 +32,7 @@ class TestPulses:
         assert np.all(f + g == 1.0)
 
     def test_sech_masked_midpoint(self):
-        f, g = evaluate_pulses(SechMaskedPair(T=3.0, tau=0.5), 0.0)
+        f, g = SechMaskedPair(T=3.0, tau=0.5).values(0.0)
         assert f == 1.0 and g == 1.0
 
     def test_ratio_at_three_crossing_times(self):
