@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     CouplingPatternError,
     DegenerateSpectrumError,
-    EigenConvergenceError,
     IntegrationError,
     NonHermitianError,
     NotPhaseEquivalentError,
@@ -32,6 +31,7 @@ from .models import build_four_level, build_six_level, solve_level_shifts
 from .propagator import adiabatic_phase_prediction, evolve, factor_phased_dft
 from .qpe import ideal_distribution, run_qpe, to_bits
 from .schedule import (
+    DEFAULT_STEPS,
     FORWARD,
     INVERSE,
     Schedule,
@@ -46,9 +46,12 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PHYSICS = 4
 
+# Complex values in the largest array a command holds: eigentraj keeps
+# the (steps + 1) eigenvector matrices of its grid.
+MAX_GRID_VALUES = 2**24
+
 _CONFIG_ERRORS = (ConfigError,)
-_NUMERICAL_ERRORS = (IntegrationError, EigenConvergenceError,
-                     np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (IntegrationError, np.linalg.LinAlgError)
 _PHYSICS_ERRORS = (
     DegenerateSpectrumError,
     NotPhaseEquivalentError,
@@ -190,7 +193,7 @@ def build_pulses(cfg):
     raise ConfigError(f"pulses.kind: expected tanh or sech_masked, got {kind!r}")
 
 
-def _window_and_steps(cfg, steps_override=None):
+def _window_and_steps(cfg, steps_override):
     """The config's (window, steps); window None selects the default."""
     window = cfg.get("window")
     if window is not None:
@@ -198,14 +201,23 @@ def _window_and_steps(cfg, steps_override=None):
                 and all(_is_number(v) for v in window)):
             raise ConfigError("window: expected [t_min, t_max]")
         window = (float(window[0]), float(window[1]))
-    steps = steps_override if steps_override is not None else cfg.get("steps", 4000)
+    steps = (steps_override if steps_override is not None
+             else cfg.get("steps", DEFAULT_STEPS))
     if not _is_int(steps) or steps < 1:
         raise ConfigError(f"steps: expected a positive integer, got {steps!r}")
     return window, steps
 
 
 def _make_schedule(h0, h1, pulses, direction, window, steps):
-    """Schedule whose rejected inputs surface as config errors."""
+    """Schedule whose rejected inputs surface as config errors.
+
+    A step count whose grid of eigenvector matrices would exceed
+    MAX_GRID_VALUES is rejected before anything is allocated.
+    """
+    dim = len(h0)
+    if (steps + 1) * dim**2 > MAX_GRID_VALUES:
+        raise ConfigError(f"steps: at most {MAX_GRID_VALUES // dim**2 - 1} "
+                          f"for a {dim}-level model, got {steps}")
     try:
         return Schedule(pulses=pulses, h0=h0, h1=h1, direction=direction,
                         window=window, steps=steps)
@@ -381,7 +393,7 @@ def cmd_models(cfg, args):
     kind = cfg["model"].get("kind")
     if kind == "four_level":
         energy = float(cfg["model"]["E"])
-        lam = circulant_eigenvalues_of(h1)
+        lam = circulant_eigenvalues(CirculantSpec(h1[:, 0].copy())).real
         print("circulant eigenvalues (index order):", _round_list(lam))
         shifts = solve_level_shifts(energy)
         ez, gs, es = shifts.as_floats()
@@ -401,10 +413,6 @@ def cmd_models(cfg, args):
             print("  note: spectrum is degenerate for every choice of the "
                   "Rabi phases (the ring's loop product has a fixed argument)")
     return EXIT_OK
-
-
-def circulant_eigenvalues_of(h1):
-    return circulant_eigenvalues(CirculantSpec(np.asarray(h1)[:, 0].copy())).real
 
 
 def _round_list(values):
@@ -447,13 +455,28 @@ def cmd_sweep(cfg, args):
     return EXIT_OK
 
 
+# name: (runner, help, the optional flags it reads)
 _COMMANDS = {
-    "eigentraj": cmd_eigentraj,
-    "evolve": cmd_evolve,
-    "adiabaticity": cmd_adiabaticity,
-    "qpe": cmd_qpe,
-    "models": cmd_models,
-    "sweep": cmd_sweep,
+    "eigentraj": (cmd_eigentraj,
+                  "instantaneous eigenvalue trajectories over the window",
+                  ("--svg", "--steps")),
+    "evolve": (cmd_evolve,
+               "integrate the propagator and factor it as a phased DFT",
+               ("--steps",)),
+    "adiabaticity": (cmd_adiabaticity,
+                     "gap vs nonadiabatic-coupling diagnostics", ("--steps",)),
+    "qpe": (cmd_qpe, "phase estimation via the simulated inverse transform",
+            ("--svg", "--steps", "--seed")),
+    "models": (cmd_models, "build and inspect the model Hamiltonians", ()),
+    "sweep": (cmd_sweep, "factorization residual and fidelity across E*T values",
+              ("--steps",)),
+}
+_FLAGS = {
+    "--svg": dict(action="store_true", help="also write SVG plots"),
+    "--steps": dict(type=int, default=None,
+                    help="override integrator step count"),
+    "--seed": dict(type=int, default=0,
+                   help="seed for sampled measurements"),
 }
 
 
@@ -466,22 +489,12 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("eigentraj", "instantaneous eigenvalue trajectories over the window"),
-        ("evolve", "integrate the propagator and factor it as a phased DFT"),
-        ("adiabaticity", "gap vs nonadiabatic-coupling diagnostics"),
-        ("qpe", "phase estimation via the simulated inverse transform"),
-        ("models", "build and inspect the model Hamiltonians"),
-        ("sweep", "factorization residual and fidelity across E*T values"),
-    ]:
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--svg", action="store_true", help="also write SVG plots")
-        p.add_argument("--steps", type=int, default=None,
-                       help="override integrator step count")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled measurements (qpe only)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -491,7 +504,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

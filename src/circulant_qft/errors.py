@@ -14,14 +14,6 @@ class NonHermitianError(CirculantQftError):
     """Input matrix violates the Hermitian precondition."""
 
 
-class EigenConvergenceError(CirculantQftError):
-    """Eigensolver failed to converge; carries the achieved residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class DegenerateSpectrumError(CirculantQftError):
     """An operation that needs a non-degenerate spectrum found a cluster."""
 

@@ -24,51 +24,34 @@ class DegenerateSpectrumWarning(UserWarning):
     """The built coupling matrix has (near-)degenerate eigenvalues."""
 
 
-@dataclass(frozen=True)
-class FourLevelModel:
-    """Four-level system: energy scale E and complex ring coupling V.
-
-    Interaction energy relates to a Rabi frequency via V = hbar*Omega/2
-    (hbar = 1 throughout, energies in units of 1/T).
-    """
-
-    energy: float
-    coupling: complex
-
-    def h0(self):
-        e = self.energy
-        return np.diag(np.array([-e, -e / 3, e / 3, e], dtype=np.complex128))
-
-    def h1(self):
-        return materialize(self.spec())
-
-    def spec(self):
-        v = complex(self.coupling)
-        return CirculantSpec(np.array([0, np.conj(v), 0, v], dtype=np.complex128))
-
-
 def build_four_level(energy, coupling):
     """(H0, H1) for the four-level ring system.
 
-    H0 = diag(-E, -E/3, E/3, E); H1 is circulant with first column
-    (0, V*, 0, V), so its spectrum is 2*Re(V * i**n).  Warns when that
-    spectrum is degenerate (V = 0, or V real/imaginary collapsing a pair),
-    since degenerate eigenvalues break the adiabatic protocol.
+    Energy scale E and complex ring coupling V; the interaction energy
+    relates to a Rabi frequency via V = hbar*Omega/2 (hbar = 1 throughout,
+    energies in units of 1/T).  Basis order is frozen as the ascending
+    levels of H0 = diag(-E, -E/3, E/3, E); H1 is circulant with first
+    column (0, V*, 0, V), so its spectrum is 2*Re(V * i**n).  Warns when
+    that spectrum is degenerate (V = 0, or V real/imaginary collapsing a
+    pair), since degenerate eigenvalues break the adiabatic protocol.
     """
     if not energy > 0:
         raise ValueError(f"energy scale must be positive, got {energy}")
-    model = FourLevelModel(float(energy), complex(coupling))
-    lam = np.sort(circulant_eigenvalues(model.spec()).real)
+    e = float(energy)
+    v = complex(coupling)
+    spec = CirculantSpec(np.array([0, np.conj(v), 0, v], dtype=np.complex128))
+    lam = np.sort(circulant_eigenvalues(spec).real)
     gaps = np.diff(lam)
-    scale = max(abs(complex(coupling)), np.finfo(float).tiny)
-    if gaps.size == 0 or gaps.min() < 1e-9 * scale or abs(coupling) == 0:
+    scale = max(abs(v), np.finfo(float).tiny)
+    if gaps.size == 0 or gaps.min() < 1e-9 * scale or v == 0:
         warnings.warn(
             "four-level coupling spectrum is degenerate "
             f"(V = {coupling}); adiabatic rank tracking will fail",
             DegenerateSpectrumWarning,
             stacklevel=2,
         )
-    return model.h0(), model.h1()
+    h0 = np.diag(np.array([-e, -e / 3, e / 3, e], dtype=np.complex128))
+    return h0, materialize(spec)
 
 
 @dataclass(frozen=True)
@@ -136,39 +119,29 @@ def solve_level_shifts(energy):
     )
 
 
-@dataclass(frozen=True)
-class SixLevelModel:
-    """Six-level J=1 <-> J=1 ring with complex Rabi frequencies.
+def build_six_level(omega1, omega2):
+    """Six-level J=1 <-> J=1 ring Hamiltonian with complex Rabi frequencies.
 
     omega1 couples sublevels of different m, omega2 sublevels of equal m
     (Clebsch-Gordan factors absorbed into both).  Matrix entries carry
     the hbar/2 prefactor with hbar = 1.  Basis order is frozen as
-    |m'=-1>, |m''=0>, |m'=1>, |m''=1>, |m'=0>, |m''=-1>.
+    |m'=-1>, |m''=0>, |m'=1>, |m''=1>, |m'=0>, |m''=-1>.  The m'=0 <->
+    m''=0 gap in the linkage (a dipole-forbidden transition) is what
+    closes the ring.
     """
-
-    omega1: complex
-    omega2: complex
-
-    def matrix(self):
-        o1 = complex(self.omega1)
-        o2 = complex(self.omega2)
-        c1 = np.conj(o1)
-        c2 = np.conj(o2)
-        h = np.array(
-            [
-                [0, -o1, 0, 0, 0, -o2],
-                [-c1, 0, c1, 0, 0, 0],
-                [0, o1, 0, o2, 0, 0],
-                [0, 0, c2, 0, -c1, 0],
-                [0, 0, 0, -o1, 0, o1],
-                [-c2, 0, 0, 0, c1, 0],
-            ],
-            dtype=np.complex128,
-        )
-        return 0.5 * h
-
-
-def build_six_level(omega1, omega2):
-    """Six-level ring Hamiltonian; the m'=0 <-> m''=0 gap in the linkage
-    (a dipole-forbidden transition) is what closes the ring."""
-    return SixLevelModel(complex(omega1), complex(omega2)).matrix()
+    o1 = complex(omega1)
+    o2 = complex(omega2)
+    c1 = np.conj(o1)
+    c2 = np.conj(o2)
+    h = np.array(
+        [
+            [0, -o1, 0, 0, 0, -o2],
+            [-c1, 0, c1, 0, 0, 0],
+            [0, o1, 0, o2, 0, 0],
+            [0, 0, c2, 0, -c1, 0],
+            [0, 0, 0, -o1, 0, o1],
+            [-c2, 0, 0, 0, c1, 0],
+        ],
+        dtype=np.complex128,
+    )
+    return 0.5 * h

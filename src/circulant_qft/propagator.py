@@ -13,9 +13,9 @@ basis renumbering sigma and per-column phases alpha; factor_phased_dft
 extracts (sigma, alpha) and the Frobenius residual of that description,
 predict_permutation derives sigma from eigenvalue rank matching alone,
 and adiabatic_phase_prediction predicts alpha from the instantaneous
-eigensystem: the quasienergy integral (dynamical part, also available
-alone as dynamical_phase_prediction) plus the open-path geometric phase
-of parallel transport along each eigenvalue branch.
+eigensystem: the quasienergy integral (its dynamical part) plus the
+open-path geometric phase of parallel transport along each eigenvalue
+branch.
 """
 
 from dataclasses import dataclass
@@ -38,6 +38,8 @@ from .schedule import FORWARD, INVERSE
 UNITARITY_TOL = 1e-8
 # Two column overlaps closer than this make the renumbering ambiguous.
 OVERLAP_AMBIGUITY = 1e-3
+# evolve records about this many intermediate propagators.
+SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -80,21 +82,18 @@ def _integrate(s, steps, sample_idx):
     return samples, u_final, drift
 
 
-def evolve(s, sample_stride=None, convergence_check=True):
+def evolve(s, convergence_check=True):
     """Integrate the schedule's propagator over its window.
 
-    sample_stride controls how densely intermediate propagators are
-    recorded (default about 200 samples); the first and final grid
-    points are always included.  When convergence_check is set, the
-    integration is repeated at double resolution and the difference of
-    the final propagators is reported (the extra run is discarded);
-    callers that do not read convergence_estimate turn it off, which
-    saves two thirds of the steps.
+    About SAMPLES intermediate propagators are recorded at a fixed
+    stride; the first and final grid points are always included.  When
+    convergence_check is set, the integration is repeated at double
+    resolution and the difference of the final propagators is reported
+    (the extra run is discarded); callers that do not read
+    convergence_estimate turn it off, which saves two thirds of the steps.
     """
     steps = s.steps
-    if sample_stride is None:
-        sample_stride = max(1, steps // 200)
-    sample_idx = np.arange(0, steps + 1, int(sample_stride))
+    sample_idx = np.arange(0, steps + 1, max(1, steps // SAMPLES))
     if sample_idx[-1] != steps:
         sample_idx = np.append(sample_idx, steps)
 
@@ -241,7 +240,7 @@ class AdiabaticPhases:
 _ENDS = {FORWARD: ("H0", "H1", 1.0), INVERSE: ("H1", "H0", -1.0)}
 
 
-def _branches(s, grid):
+def _branches(s):
     """Start states, dynamical phases and eigenvectors of the branches.
 
     Returns (label, dynamical, v): label[k] is the start state of the
@@ -251,7 +250,7 @@ def _branches(s, grid):
     eigenvalue order.  Tracking by rank is invalid where two
     branches collide; a vanishing Hamiltonian has nothing to track.
     """
-    t = s.grid() if grid is None else np.asarray(grid, dtype=float)
+    t = s.grid()
     a, b = s.coefficients(t)
     w, v = _kernels.eigh_grid(s.h0, s.h1, a, b)
 
@@ -273,7 +272,7 @@ def _branches(s, grid):
     return label, _wrap(dynamical), v
 
 
-def adiabatic_phase_prediction(s, grid=None):
+def adiabatic_phase_prediction(s):
     """Predicted factorization phases from the instantaneous eigensystem.
 
     Tracks each eigenvalue branch by rank across the grid (valid while
@@ -291,7 +290,7 @@ def adiabatic_phase_prediction(s, grid=None):
     alpha, indexed by basis state; the inverse one reports its negative
     (the exp(-i alpha) form), indexed by DFT column.
     """
-    label, dynamical, v = _branches(s, grid)
+    label, dynamical, v = _branches(s)
     start, end, sign = _ENDS[s.direction]
     states = {"H0": np.eye(s.dim), "H1": dft_matrix(s.dim)}
     links = np.angle(np.sum(v[:-1].conj() * v[1:], axis=1)).sum(axis=0)
@@ -301,18 +300,3 @@ def adiabatic_phase_prediction(s, grid=None):
     geometric = np.empty(s.dim)
     geometric[label] = sign * (leave - links - enter)
     return AdiabaticPhases(dynamical=dynamical, geometric=_wrap(geometric))
-
-
-def dynamical_phase_prediction(s, grid=None):
-    """Dynamical part of the predicted factorization phases.
-
-    The quasienergy integral of each rank-tracked eigenvalue branch, in
-    the factorization's sign convention: -int eps_j dt for the branch
-    starting at basis state j of a forward schedule, +int eps_n dt for
-    the branch starting at DFT column n of an inverse one.  Values are
-    wrapped to (-pi, pi].  Only the start states are ranked, so the end
-    spectrum may be degenerate.  This is not the full prediction of
-    alpha, which also carries the geometric phase: see
-    adiabatic_phase_prediction.
-    """
-    return _branches(s, grid)[1]

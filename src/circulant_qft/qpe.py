@@ -19,16 +19,6 @@ from .propagator import evolve, predict_permutation
 from .schedule import INVERSE
 
 
-def binary_fraction(bits):
-    """phi = 0.b1 b2 ... br as a float in [0, 1)."""
-    phi = 0.0
-    for j, bit in enumerate(bits, start=1):
-        if bit not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {bit!r}")
-        phi += bit * 2.0 ** (-j)
-    return phi
-
-
 def to_bits(phi, r):
     """Nearest r-bit expansion of a phase, cyclically.
 

@@ -5,8 +5,9 @@ or H(t) = g(t) H0 + f(t) H1 (inverse direction), where the pulse pair
 (f, g) satisfies g/f -> 0 as t -> -inf and g/f -> inf as t -> +inf, so
 the diagonal part precedes the circulant part in time.  Two pulse
 families are provided: the plain tanh crossing pair and the
-experimentally friendlier sech-masked variant.  Additional shapes can be
-supplied by subclassing PulsePair (untested extension point).
+experimentally friendlier sech-masked variant.  A pulse pair is any
+object with values(t) -> (f, g) and crossing_time() -> T, the timescale
+of the f/g crossing that sets the 1/T coupling scale.
 
 Also here: instantaneous eigenvalue trajectories over the time window
 and the adiabaticity diagnostic comparing eigenvalue gaps to
@@ -31,19 +32,8 @@ DEFAULT_WINDOW_HALFWIDTH = 6.0
 DEFAULT_STEPS = 4000
 
 
-class PulsePair:
-    """Base pulse pair; subclasses implement values(t) -> (f, g)."""
-
-    def values(self, t):
-        raise NotImplementedError
-
-    def crossing_time(self):
-        """Timescale T of the f/g crossing (sets the 1/T coupling scale)."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class TanhPair(PulsePair):
+class TanhPair:
     """f = [1 - tanh(t/T)]/2, g = [1 + tanh(t/T)]/2; f + g = 1 exactly."""
 
     T: float
@@ -61,7 +51,7 @@ class TanhPair(PulsePair):
 
 
 @dataclass(frozen=True)
-class SechMaskedPair(PulsePair):
+class SechMaskedPair:
     """Tanh crossing under a sech envelope of width tau.
 
     f = sech(t/tau) [1 - tanh(t/T)], g = sech(t/tau) [1 + tanh(t/T)].
@@ -129,7 +119,7 @@ class Schedule:
     intervals.
     """
 
-    pulses: PulsePair
+    pulses: object
     h0: np.ndarray
     h1: np.ndarray
     direction: str = FORWARD
@@ -167,13 +157,8 @@ class Schedule:
             return f, g
         return g, f
 
-    def hamiltonian_at(self, t):
-        a, b = self.coefficients(t)
-        return a * self.h0 + b * self.h1
-
-    def grid(self, steps=None):
-        n = self.steps if steps is None else int(steps)
-        return np.linspace(self.window[0], self.window[1], n + 1)
+    def grid(self):
+        return np.linspace(self.window[0], self.window[1], self.steps + 1)
 
 
 @dataclass(frozen=True)
@@ -186,14 +171,14 @@ class TrajectoryResult:
     min_gap_time: float
 
 
-def eigen_trajectories(s, grid=None):
-    """Ascending eigenvalues of H(t) on the grid, with the worst gap.
+def eigen_trajectories(s):
+    """Ascending eigenvalues of H(t) on the schedule's grid, with the worst gap.
 
     The minimal pairwise gap over the scan is the quantity the adiabatic
     protocol cares about; it is reported together with the time at which
     it occurs.
     """
-    t = s.grid() if grid is None else np.asarray(grid, dtype=float)
+    t = s.grid()
     a, b = s.coefficients(t)
     hs_w, _ = _kernels.eigh_grid(s.h0, s.h1, a, b)
     gaps = np.diff(hs_w, axis=1)
@@ -240,7 +225,7 @@ def _fix_gauge(vectors):
     vectors /= phases
 
 
-def adiabaticity_report(s, grid=None):
+def adiabaticity_report(s):
     """Estimate nonadiabatic couplings by central differences.
 
     Eigenvectors are gauge-fixed at every grid point, then
@@ -252,7 +237,7 @@ def adiabaticity_report(s, grid=None):
     in batches of _kernels.CHUNK grid points, which bounds the memory
     they hold on long grids.
     """
-    t = s.grid() if grid is None else np.asarray(grid, dtype=float)
+    t = s.grid()
     if len(t) < 3:
         raise ValueError("adiabaticity scan needs at least 3 grid points")
     a, b = s.coefficients(t)

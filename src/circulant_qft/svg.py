@@ -13,15 +13,15 @@ MARGIN_RIGHT = 20
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 50
 
+TICKS = 5  # per axis
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
            "#17becf", "#e377c2"]
 
 
-def _ticks(lo, hi, count=5):
+def _ticks(lo, hi):
     if hi == lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, count)
-    return raw
+    return np.linspace(lo, hi, TICKS)
 
 
 def _fmt(x):

@@ -221,6 +221,14 @@ class TestModels:
         err = capsys.readouterr().err
         assert "unequal moduli" in err
 
+    def test_rejects_flags_it_does_not_read(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": FOUR_LEVEL["model"]})
+        with pytest.raises(SystemExit) as exit_:
+            main(["models", "--config", cfg, "--out", str(tmp_path), "--svg"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --svg" in capsys.readouterr().err
+        assert not (tmp_path / "models.meta.json").exists()
+
 
 class TestSweep:
     def test_residual_monotone(self, tmp_path):
@@ -274,6 +282,21 @@ class TestStepCounts:
         err = capsys.readouterr().err
         assert f"register of {r} qubits" in err
         assert "Traceback" not in err
+
+    # eigentraj would hold (steps + 1) * 16 complex values for these
+    @pytest.mark.parametrize("command, payload, flags", [
+        ("eigentraj", {**FOUR_LEVEL, "steps": 10**12}, []),
+        ("evolve", {**FOUR_LEVEL, "steps": 10**12}, []),
+        ("evolve", {**FOUR_LEVEL, "steps": 10**400}, []),
+        ("sweep", SWEEP_CONFIG, ["--steps", "1000000000000"]),
+    ], ids=["eigentraj", "evolve", "evolve_beyond_float", "sweep_flag"])
+    def test_rejects_oversized_grid_before_allocating(
+            self, tmp_path, capsys, propagated_steps, command, payload, flags):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path),
+                     *flags]) == 2
+        assert "config error: steps: at most 1048575" in capsys.readouterr().err
+        assert propagated_steps[0] == 0
 
 
 class TestConfigErrors:

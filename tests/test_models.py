@@ -4,7 +4,6 @@ import pytest
 from circulant_qft.circulant import CirculantSpec, circulant_eigenvalues, materialize
 from circulant_qft.models import (
     DegenerateSpectrumWarning,
-    SixLevelModel,
     build_four_level,
     build_six_level,
     solve_level_shifts,
@@ -89,7 +88,7 @@ class TestSixLevel:
         assert h[0, 2] == 0 and h[1, 3] == 0 and h[2, 4] == 0
 
     def test_hermitian(self):
-        h = SixLevelModel(0.4 - 1.1j, 2.0 + 0.2j).matrix()
+        h = build_six_level(0.4 - 1.1j, 2.0 + 0.2j)
         assert np.allclose(h, h.conj().T, atol=0)
 
     def test_only_ring_couplings(self):

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from circulant_qft import propagator
 from circulant_qft.circulant import dft_matrix
 from circulant_qft.errors import (
     AmbiguousPermutationError,
+    BranchTrackingError,
     DegenerateSpectrumError,
     IntegrationError,
 )
-from circulant_qft.linalg import frobenius, unitary_exp
+from circulant_qft.linalg import frobenius
 from circulant_qft.models import DegenerateSpectrumWarning, build_four_level
 from circulant_qft.propagator import (
     adiabatic_phase_prediction,
-    dynamical_phase_prediction,
     evolve,
     factor_phased_dft,
     predict_permutation,
@@ -19,15 +20,15 @@ from circulant_qft.propagator import (
 from circulant_qft.schedule import (
     FORWARD,
     INVERSE,
-    PulsePair,
     Schedule,
     SechMaskedPair,
     TanhPair,
 )
 
 
-class ConstantPair(PulsePair):
-    """Frozen coefficients; exercises the pulse-shape extension point."""
+class ConstantPair:
+    """Frozen coefficients; any object with values(t) and crossing_time()
+    is a pulse pair."""
 
     def __init__(self, f, g, T=1.0):
         self.f = f
@@ -53,7 +54,8 @@ class TestEvolve:
         s = Schedule(pulses=ConstantPair(1.0, 0.0), h0=h0, h1=h1,
                      window=window, steps=400)
         res = evolve(s)
-        assert frobenius(res.u_final - unitary_exp(h0, 2.3)) <= 1e-10
+        exact = np.diag(np.exp(-1j * np.diag(h0) * 2.3))
+        assert frobenius(res.u_final - exact) <= 1e-10
 
     def test_zero_hamiltonian_is_identity(self, paper_model):
         h0, h1 = paper_model
@@ -79,7 +81,7 @@ class TestEvolve:
         assert estimates[0] / estimates[1] >= 3.5
 
     def test_samples_cover_window(self, paper_schedule):
-        res = evolve(paper_schedule, sample_stride=1000, convergence_check=False)
+        res = evolve(paper_schedule, convergence_check=False)
         assert res.times[0] == paper_schedule.window[0]
         assert res.times[-1] == paper_schedule.window[1]
         assert np.allclose(res.u_samples[-1], res.u_final, atol=0)
@@ -182,7 +184,9 @@ class TestDynamicalPhases:
         antideriv = lambda t: 0.5 * (t - np.log(np.cosh(t)))
         integral = antideriv(t1) - antideriv(t0)
         expected = wrap(-np.diag(h0).real * integral)
-        assert np.abs(wrap(dynamical_phase_prediction(s) - expected)).max() <= 1e-9
+        # H1 = 0 is degenerate, so only the dynamical part is defined
+        dynamical = propagator._branches(s)[1]
+        assert np.abs(wrap(dynamical - expected)).max() <= 1e-9
         # the propagator stays diagonal, so its phases are a third route
         res = evolve(s, convergence_check=False)
         measured = np.angle(np.diag(res.u_final))
@@ -191,7 +195,8 @@ class TestDynamicalPhases:
     def test_zero_hamiltonian_gives_zero_phases(self, paper_model):
         h0, h1 = paper_model
         s = Schedule(pulses=ConstantPair(0.0, 0.0), h0=h0, h1=h1, steps=50)
-        assert np.allclose(dynamical_phase_prediction(s), 0.0, atol=1e-14)
+        phases = adiabatic_phase_prediction(s)
+        assert np.allclose(phases.dynamical, 0.0, atol=1e-14)
 
     @staticmethod
     def check_alpha_is_dynamical_plus_geometric(pulses, direction):
@@ -201,9 +206,8 @@ class TestDynamicalPhases:
         fac = factor_phased_dft(evolve(s, convergence_check=False).u_final,
                                 direction)
         phases = adiabatic_phase_prediction(s)
-        dyn = dynamical_phase_prediction(s)
+        dyn = phases.dynamical
         geo = phases.geometric
-        assert np.array_equal(phases.dynamical, dyn)
         assert np.abs(wrap(fac.alpha - dyn - geo)).max() <= 0.02
         # and the geometric part really is there (largest branch ~2.04 rad)
         assert np.abs(geo).max() > 2.0
@@ -221,12 +225,10 @@ class TestDynamicalPhases:
         self.check_alpha_is_dynamical_plus_geometric(paper_pulses, INVERSE)
 
     def test_branch_tracking_failure_carries_time(self):
-        from circulant_qft.errors import BranchTrackingError
-
         h0 = np.diag(np.array([-1.0, -1.0 + 1e-12, 1 / 3, 1.0], dtype=complex))
         s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0))
         with pytest.raises(BranchTrackingError) as err:
-            dynamical_phase_prediction(s)
+            adiabatic_phase_prediction(s)
         assert err.value.t is not None
 
 

@@ -4,7 +4,6 @@ import pytest
 from circulant_qft.circulant import dft_matrix
 from circulant_qft.linalg import unitarity_defect
 from circulant_qft.qpe import (
-    binary_fraction,
     ideal_distribution,
     ideal_phased_inverse_qft,
     prepare_register_state,
@@ -15,19 +14,10 @@ from circulant_qft.schedule import INVERSE, Schedule
 
 
 class TestBits:
-    def test_binary_fraction_examples(self):
-        assert binary_fraction((1, 1)) == 0.75
-        assert binary_fraction((0, 0, 0)) == 0.0
-        assert binary_fraction((1, 0, 1)) == 0.625
-
-    def test_invalid_bit_rejected(self):
-        with pytest.raises(ValueError):
-            binary_fraction((1, 2))
-
     def test_exact_expansion_roundtrip(self):
         bits, exact = to_bits(0.75, 2)
         assert bits == (1, 1) and exact
-        assert binary_fraction(bits) == 0.75
+        assert int("".join(map(str, bits)), 2) / 2**2 == 0.75
 
     def test_nearest_for_third(self):
         bits, exact = to_bits(1 / 3, 2)

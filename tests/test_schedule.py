@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,32 +88,36 @@ class TestSchedule:
         s = paper_schedule
         t = s.window[0]
         f, g = s.pulses.values(t)
-        h = s.hamiltonian_at(t)
+        a, b = s.coefficients(t)
+        h = a * s.h0 + b * s.h1
         assert np.abs(h - f * s.h0).max() <= 1e-4 * np.abs(f * s.h0).max()
         t = s.window[1]
         f, g = s.pulses.values(t)
-        h = s.hamiltonian_at(t)
+        a, b = s.coefficients(t)
+        h = a * s.h0 + b * s.h1
         assert np.abs(h - g * s.h1).max() <= 1e-4 * np.abs(g * s.h1).max()
 
     def test_inverse_midpoint_is_average(self, paper_model):
         h0, h1 = paper_model
         s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1, direction=INVERSE)
-        assert np.allclose(s.hamiltonian_at(0.0), (h0 + h1) / 2, atol=0)
+        a, b = s.coefficients(0.0)
+        assert np.allclose(a * h0 + b * h1, (h0 + h1) / 2, atol=0)
 
     def test_forward_inverse_mirror_exactly(self, paper_model):
-        # tanh is odd, so f(-t) = g(t) makes the mirror identity exact
+        # tanh is odd, so f(-t) = g(t) makes the mirror identity of the
+        # coefficients of H0 and H1 exact
         h0, h1 = paper_model
         fwd = Schedule(pulses=TanhPair(T=1.3), h0=h0, h1=h1, direction=FORWARD)
         inv = Schedule(pulses=TanhPair(T=1.3), h0=h0, h1=h1, direction=INVERSE)
-        for t in np.linspace(-5, 5, 41):
-            assert np.array_equal(fwd.hamiltonian_at(t), inv.hamiltonian_at(-t))
+        t = np.linspace(-5, 5, 41)
+        assert np.array_equal(np.array(fwd.coefficients(t)),
+                              np.array(inv.coefficients(-t)))
 
 
 class TestTrajectories:
     def test_asymptotic_values_at_four_crossing_times(self, paper_schedule):
-        s = paper_schedule
-        grid = np.linspace(-4.0, 4.0, 1601)
-        traj = eigen_trajectories(s, grid)
+        s = replace(paper_schedule, window=(-4.0, 4.0), steps=1600)
+        traj = eigen_trajectories(s)
         f, _ = s.pulses.values(-4.0)
         expected = np.sort(f * np.diag(s.h0).real)
         assert np.abs(traj.energies[0] / expected - 1).max() <= 0.01
@@ -122,23 +127,24 @@ class TestTrajectories:
         assert np.abs(traj.energies[-1] / expected - 1).max() <= 0.01
 
     def test_min_gap_positive_in_window(self, paper_schedule):
-        traj = eigen_trajectories(paper_schedule, np.linspace(-4, 4, 1601))
+        traj = eigen_trajectories(replace(paper_schedule, window=(-4.0, 4.0),
+                                          steps=1600))
         assert traj.min_gap > 0
 
     def test_no_coupling_gives_scaled_diagonal(self, paper_model):
         h0, _ = paper_model
         h1 = np.zeros_like(h0)
-        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1)
-        grid = np.linspace(-3, 3, 7)
-        traj = eigen_trajectories(s, grid)
-        f, _ = s.pulses.values(grid)
+        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1, window=(-3.0, 3.0),
+                     steps=6)
+        traj = eigen_trajectories(s)
+        f, _ = s.pulses.values(s.grid())
         expected = np.sort(f[:, None] * np.diag(h0).real[None, :], axis=1)
         assert np.allclose(traj.energies, expected, atol=1e-12)
 
     def test_continuity_improves_with_grid_refinement(self, paper_schedule):
         jumps = []
         for m in (200, 400):
-            traj = eigen_trajectories(paper_schedule, np.linspace(-6, 6, m + 1))
+            traj = eigen_trajectories(replace(paper_schedule, steps=m))
             jumps.append(np.abs(np.diff(traj.energies, axis=0)).max())
         assert jumps[1] <= 0.6 * jumps[0]
 
@@ -147,37 +153,40 @@ class TestAdiabaticity:
     def test_no_coupling_means_no_mixing(self, paper_model):
         h0, _ = paper_model
         s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0,
-                     h1=np.zeros_like(h0))
-        report = adiabaticity_report(s, np.linspace(-6, 6, 401))
+                     h1=np.zeros_like(h0), steps=400)
+        report = adiabaticity_report(s)
         assert report.max_coupling == 0.0
         assert report.margin == np.inf
 
     def test_operating_point_is_adiabatic(self, paper_schedule):
-        report = adiabaticity_report(paper_schedule, np.linspace(-6, 6, 2001))
+        report = adiabaticity_report(replace(paper_schedule, steps=2000))
         assert report.margin > 10
         assert report.rate_scale == 1.0
 
     def test_weak_system_is_diabatic(self):
         h0, h1 = build_four_level(0.1, 0.1 * (1 + 1j / 3))
-        s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1)
-        report = adiabaticity_report(s, np.linspace(-6, 6, 2001))
+        s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+                     steps=2000)
+        report = adiabaticity_report(s)
         assert report.margin < 1
 
     def test_degenerate_cluster_reports_timestamps(self):
         # two H0 levels split by 1e-12 stay below the cluster threshold
         # when nothing couples them; couplings within the pair are undefined
         h0 = np.diag(np.array([-1.0, -1.0 + 1e-12, 1 / 3, 1.0], dtype=complex))
-        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0))
-        report = adiabaticity_report(s, np.linspace(-6, 6, 801))
+        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0),
+                     steps=800)
+        report = adiabaticity_report(s)
         assert report.degeneracy_warnings
         t_stamp, message = report.degeneracy_warnings[0]
         assert s.window[0] <= t_stamp <= s.window[1]
         assert "degenerate" in message
 
 
-def reference_report(s, t):
+def reference_report(s):
     """(gap_trace, coupling_trace, margin, warnings) computed one grid point
     and one state pair at a time: the scan before it was batched."""
+    t = s.grid()
     a, b = s.coefficients(t)
     w, v = np.linalg.eigh(a[:, None, None] * s.h0 + b[:, None, None] * s.h1)
     m_pts, n = w.shape
@@ -215,25 +224,28 @@ def reference_report(s, t):
     return gap_trace, coupling_trace, margin, warnings_list
 
 
-def _weak_schedule(_):
+def _weak_schedule(_, steps):
     h0, h1 = build_four_level(0.1, 0.1 * (1 + 1j / 3))
-    return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1)
+    return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+                    steps=steps)
 
 
-def _uncoupled_schedule(paper_model):
+def _uncoupled_schedule(paper_model, steps):
     h0, _ = paper_model
     return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0,
-                    h1=np.zeros_like(h0))
+                    h1=np.zeros_like(h0), steps=steps)
 
 
-def _clustered_schedule(_):
+def _clustered_schedule(_, steps):
     h0 = np.diag(np.array([-1.0, -1.0 + 1e-12, 1 / 3, 1.0], dtype=complex))
-    return Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0))
+    return Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0),
+                    steps=steps)
 
 
-def _paper_schedule(paper_model):
+def _paper_schedule(paper_model, steps):
     h0, h1 = paper_model
-    return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1)
+    return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+                    steps=steps)
 
 
 class TestBatchedScan:
@@ -244,11 +256,10 @@ class TestBatchedScan:
                                       _uncoupled_schedule, _clustered_schedule],
                              ids=["paper", "weak", "uncoupled", "clustered"])
     def test_matches_reference_loop(self, paper_model, make, points):
-        s = make(paper_model)
-        t = np.linspace(-6, 6, points)
-        report = adiabaticity_report(s, t)
-        gap_trace, coupling_trace, margin, warnings_list = reference_report(s, t)
-        assert np.array_equal(report.times, t)
+        s = make(paper_model, points - 1)
+        report = adiabaticity_report(s)
+        gap_trace, coupling_trace, margin, warnings_list = reference_report(s)
+        assert np.array_equal(report.times, np.linspace(-6, 6, points))
         assert np.array_equal(report.gap_trace, gap_trace)
         assert report.min_gap == gap_trace.min()
         assert report.degeneracy_warnings == warnings_list
@@ -273,13 +284,13 @@ class TestBatchedScan:
         assert column[1, 0] == 0.9 and column[0, 0] == -0.1j
 
     def test_edge_cases_are_exercised(self, paper_model):
-        t = np.linspace(-6, 6, 2 * _kernels.CHUNK + 37)
-        uncoupled = adiabaticity_report(_uncoupled_schedule(paper_model), t)
+        steps = 2 * _kernels.CHUNK + 36
+        uncoupled = adiabaticity_report(_uncoupled_schedule(paper_model, steps))
         assert uncoupled.margin == np.inf and uncoupled.max_coupling == 0.0
-        clustered = adiabaticity_report(_clustered_schedule(paper_model), t)
+        clustered = adiabaticity_report(_clustered_schedule(paper_model, steps))
         # one warning per interior point, across both chunk boundaries
-        assert len(clustered.degeneracy_warnings) == len(t) - 2
-        weak = adiabaticity_report(_weak_schedule(paper_model), t)
+        assert len(clustered.degeneracy_warnings) == steps - 1
+        weak = adiabaticity_report(_weak_schedule(paper_model, steps))
         assert 0 < weak.margin < 1
 
 
