@@ -13,9 +13,9 @@ basis renumbering sigma and per-column phases alpha; factor_phased_dft
 extracts (sigma, alpha) and the Frobenius residual of that description,
 predict_permutation derives sigma from eigenvalue rank matching alone,
 and adiabatic_phase_prediction predicts alpha from the instantaneous
-eigensystem: the quasienergy integral (its dynamical part) plus the
-open-path geometric phase of parallel transport along each eigenvalue
-branch.
+eigensystem: the quasienergy integral (dynamical part, also available
+alone as dynamical_phase_prediction) plus the open-path geometric phase
+of parallel transport along each eigenvalue branch.
 """
 
 from dataclasses import dataclass
@@ -300,3 +300,19 @@ def adiabatic_phase_prediction(s):
     geometric = np.empty(s.dim)
     geometric[label] = sign * (leave - links - enter)
     return AdiabaticPhases(dynamical=dynamical, geometric=_wrap(geometric))
+
+
+def dynamical_phase_prediction(s):
+    """Dynamical part of the predicted factorization phases.
+
+    The quasienergy integral of each rank-tracked eigenvalue branch, in
+    the factorization's sign convention: -int eps_j dt for the branch
+    starting at basis state j of a forward schedule, +int eps_n dt for
+    the branch starting at DFT column n of an inverse one.  Values are
+    wrapped to (-pi, pi].  Only the start states are ranked, so the end
+    spectrum may be degenerate.  This is not the full prediction of
+    alpha, which also carries the geometric phase: see
+    adiabatic_phase_prediction.  No command calls it; it stays while
+    perfbench/spans.py wraps it by name.
+    """
+    return _branches(s)[1]

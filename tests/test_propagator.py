@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from circulant_qft import propagator
 from circulant_qft.circulant import dft_matrix
 from circulant_qft.errors import (
     AmbiguousPermutationError,
-    BranchTrackingError,
     DegenerateSpectrumError,
     IntegrationError,
 )
@@ -13,6 +11,7 @@ from circulant_qft.linalg import frobenius
 from circulant_qft.models import DegenerateSpectrumWarning, build_four_level
 from circulant_qft.propagator import (
     adiabatic_phase_prediction,
+    dynamical_phase_prediction,
     evolve,
     factor_phased_dft,
     predict_permutation,
@@ -184,9 +183,7 @@ class TestDynamicalPhases:
         antideriv = lambda t: 0.5 * (t - np.log(np.cosh(t)))
         integral = antideriv(t1) - antideriv(t0)
         expected = wrap(-np.diag(h0).real * integral)
-        # H1 = 0 is degenerate, so only the dynamical part is defined
-        dynamical = propagator._branches(s)[1]
-        assert np.abs(wrap(dynamical - expected)).max() <= 1e-9
+        assert np.abs(wrap(dynamical_phase_prediction(s) - expected)).max() <= 1e-9
         # the propagator stays diagonal, so its phases are a third route
         res = evolve(s, convergence_check=False)
         measured = np.angle(np.diag(res.u_final))
@@ -195,8 +192,7 @@ class TestDynamicalPhases:
     def test_zero_hamiltonian_gives_zero_phases(self, paper_model):
         h0, h1 = paper_model
         s = Schedule(pulses=ConstantPair(0.0, 0.0), h0=h0, h1=h1, steps=50)
-        phases = adiabatic_phase_prediction(s)
-        assert np.allclose(phases.dynamical, 0.0, atol=1e-14)
+        assert np.allclose(dynamical_phase_prediction(s), 0.0, atol=1e-14)
 
     @staticmethod
     def check_alpha_is_dynamical_plus_geometric(pulses, direction):
@@ -206,8 +202,9 @@ class TestDynamicalPhases:
         fac = factor_phased_dft(evolve(s, convergence_check=False).u_final,
                                 direction)
         phases = adiabatic_phase_prediction(s)
-        dyn = phases.dynamical
+        dyn = dynamical_phase_prediction(s)
         geo = phases.geometric
+        assert np.array_equal(phases.dynamical, dyn)
         assert np.abs(wrap(fac.alpha - dyn - geo)).max() <= 0.02
         # and the geometric part really is there (largest branch ~2.04 rad)
         assert np.abs(geo).max() > 2.0
@@ -225,10 +222,12 @@ class TestDynamicalPhases:
         self.check_alpha_is_dynamical_plus_geometric(paper_pulses, INVERSE)
 
     def test_branch_tracking_failure_carries_time(self):
+        from circulant_qft.errors import BranchTrackingError
+
         h0 = np.diag(np.array([-1.0, -1.0 + 1e-12, 1 / 3, 1.0], dtype=complex))
         s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0))
         with pytest.raises(BranchTrackingError) as err:
-            adiabatic_phase_prediction(s)
+            dynamical_phase_prediction(s)
         assert err.value.t is not None
 
 

@@ -49,4 +49,5 @@ def uncalled(package):
 
 
 def test_every_definition_has_a_caller():
-    assert uncalled(PACKAGE) == []
+    # perfbench/spans.py wraps it by name; delete both together
+    assert uncalled(PACKAGE) == ["propagator.py:dynamical_phase_prediction"]
