@@ -1,10 +1,12 @@
 """Experiment runner: JSON config in, CSV (and optional SVG) out.
 
-Subcommands: eigentraj, evolve, adiabaticity, qpe, models, sweep.  Each
-run writes CSV files with a fixed 12-significant-digit float format plus
-a .meta.json sidecar echoing the config, so identical configs produce
-byte-identical outputs.  Exit codes: 0 success, 2 config error,
-3 numerical failure, 4 violated physics precondition.
+Subcommands: eigentraj, evolve, adiabaticity, qpe, models, sweep, each
+declared once in _COMMANDS with its config keys.  The config is a run's
+only input besides --out and --svg.  Each run writes CSV files with a
+fixed 12-significant-digit float format plus a .meta.json sidecar
+echoing the config, so identical configs produce byte-identical outputs.
+Exit codes: 0 success, 2 config error, 3 numerical failure, 4 violated
+physics precondition.
 """
 
 import argparse
@@ -17,19 +19,10 @@ import numpy as np
 
 from . import __version__, svg
 from .circulant import CirculantSpec, circulant_eigenvalues, phase_equivalent_circulant
-from .errors import (
-    AmbiguousPermutationError,
-    BranchTrackingError,
-    ConfigError,
-    CouplingPatternError,
-    DegenerateSpectrumError,
-    IntegrationError,
-    NonHermitianError,
-    NotPhaseEquivalentError,
-)
+from .errors import ConfigError, IntegrationError, PhysicsError
 from .models import build_four_level, build_six_level, solve_level_shifts
 from .propagator import adiabatic_phase_prediction, evolve, factor_phased_dft
-from .qpe import ideal_distribution, run_qpe, to_bits
+from .qpe import ideal_distribution, run_qpe
 from .schedule import (
     DEFAULT_STEPS,
     FORWARD,
@@ -49,17 +42,6 @@ EXIT_PHYSICS = 4
 # Complex values in the largest array a command holds: eigentraj keeps
 # the (steps + 1) eigenvector matrices of its grid.
 MAX_GRID_VALUES = 2**24
-
-_CONFIG_ERRORS = (ConfigError,)
-_NUMERICAL_ERRORS = (IntegrationError, np.linalg.LinAlgError)
-_PHYSICS_ERRORS = (
-    DegenerateSpectrumError,
-    NotPhaseEquivalentError,
-    CouplingPatternError,
-    AmbiguousPermutationError,
-    BranchTrackingError,
-    NonHermitianError,
-)
 
 
 def _fmt(x):
@@ -94,6 +76,8 @@ def load_config(path):
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond int's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return cfg
@@ -193,7 +177,7 @@ def build_pulses(cfg):
     raise ConfigError(f"pulses.kind: expected tanh or sech_masked, got {kind!r}")
 
 
-def _window_and_steps(cfg, steps_override):
+def _window_and_steps(cfg):
     """The config's (window, steps); window None selects the default."""
     window = cfg.get("window")
     if window is not None:
@@ -201,8 +185,7 @@ def _window_and_steps(cfg, steps_override):
                 and all(_is_number(v) for v in window)):
             raise ConfigError("window: expected [t_min, t_max]")
         window = (float(window[0]), float(window[1]))
-    steps = (steps_override if steps_override is not None
-             else cfg.get("steps", DEFAULT_STEPS))
+    steps = cfg.get("steps", DEFAULT_STEPS)
     if not _is_int(steps) or steps < 1:
         raise ConfigError(f"steps: expected a positive integer, got {steps!r}")
     return window, steps
@@ -225,11 +208,12 @@ def _make_schedule(h0, h1, pulses, direction, window, steps):
         raise ConfigError(str(exc)) from exc
 
 
-def build_schedule(cfg, default_direction=FORWARD, steps_override=None):
+def build_schedule(cfg, direction):
+    """The config's Schedule; a "direction" key overrides `direction`."""
     h0, h1 = build_model(cfg)
     pulses = build_pulses(cfg)
-    direction = cfg.get("direction", default_direction)
-    window, steps = _window_and_steps(cfg, steps_override)
+    direction = cfg.get("direction", direction)
+    window, steps = _window_and_steps(cfg)
     return _make_schedule(h0, h1, pulses, direction, window, steps)
 
 
@@ -247,12 +231,8 @@ def _phase_register(phi, r, dim):
     return phi, r
 
 
-_COMMON_KEYS = ["model", "pulses", "window", "steps", "direction"]
-
-
 def cmd_eigentraj(cfg, args):
-    _check_keys("config", cfg, _COMMON_KEYS, ["model", "pulses"])
-    sched = build_schedule(cfg, steps_override=args.steps)
+    sched = build_schedule(cfg, FORWARD)
     traj = eigen_trajectories(sched)
     n = traj.energies.shape[1]
     out = Path(args.out)
@@ -272,8 +252,7 @@ def cmd_eigentraj(cfg, args):
 
 
 def cmd_evolve(cfg, args):
-    _check_keys("config", cfg, _COMMON_KEYS, ["model", "pulses"])
-    sched = build_schedule(cfg, steps_override=args.steps)
+    sched = build_schedule(cfg, FORWARD)
     predicted = adiabatic_phase_prediction(sched).alpha
     result = evolve(sched)
     factorization = factor_phased_dft(result.u_final, sched.direction)
@@ -301,8 +280,10 @@ def cmd_evolve(cfg, args):
 
 
 def cmd_adiabaticity(cfg, args):
-    _check_keys("config", cfg, _COMMON_KEYS, ["model", "pulses"])
-    sched = build_schedule(cfg, steps_override=args.steps)
+    sched = build_schedule(cfg, FORWARD)
+    # the scan takes differences across three grid points
+    if sched.steps < 2:
+        raise ConfigError(f"steps: adiabaticity needs at least 2, got {sched.steps}")
     report = adiabaticity_report(sched)
     out = Path(args.out)
     rows = np.column_stack(
@@ -318,17 +299,13 @@ def cmd_adiabaticity(cfg, args):
 
 
 def cmd_qpe(cfg, args):
-    _check_keys("config", cfg,
-                ["model", "pulses", "window", "steps", "phi", "r", "shots"],
-                ["model", "pulses", "phi", "r"])
-    sched = build_schedule(cfg, default_direction=INVERSE,
-                           steps_override=args.steps)
+    sched = build_schedule(cfg, INVERSE)
     phi, r = _phase_register(cfg["phi"], cfg["r"], sched.dim)
     shots = cfg.get("shots", 0)
     if not _is_int(shots) or shots < 0:
         raise ConfigError(f"shots: expected a nonnegative integer, got {shots!r}")
 
-    result = run_qpe(sched, phi, r, shots=shots or None, seed=args.seed)
+    result = run_qpe(sched, phi, r, shots=shots or None)
 
     out = Path(args.out)
     f_vals, g_vals = sched.pulses.values(result.fidelity_times)
@@ -341,8 +318,7 @@ def cmd_qpe(cfg, args):
     dist_header = ["value", "bits", "raw_probability", "relabeled_probability"]
     dist_rows = []
     for k in range(n):
-        bits = "".join(str(b) for b in to_bits(k / n, r)[0])
-        row = [str(k), bits, result.distribution[k],
+        row = [str(k), format(k, f"0{r}b"), result.distribution[k],
                result.relabeled_distribution[k]]
         if result.counts is not None:
             row.append(str(int(result.counts[k])))
@@ -381,7 +357,6 @@ def cmd_qpe(cfg, args):
 
 
 def cmd_models(cfg, args):
-    _check_keys("config", cfg, ["model"], ["model"])
     h0, h1 = build_model(cfg)
     out = Path(args.out)
     write_meta(out / "models.meta.json", "models", cfg)
@@ -421,20 +396,15 @@ def _round_list(values):
 
 
 def cmd_sweep(cfg, args):
-    _check_keys(
-        "config", cfg,
-        ["pulses", "et_values", "v_over_e", "phi", "r", "window", "steps"],
-        ["pulses", "et_values"],
-    )
     pulses = build_pulses(cfg)
     ets = cfg["et_values"]
     if not (isinstance(ets, list) and ets
             and all(_is_number(v) and v > 0 for v in ets)):
         raise ConfigError("et_values: expected a list of positive numbers")
     v_over_e = _as_complex("v_over_e", cfg.get("v_over_e", [1.0, 1.0 / 3.0]))
-    # every sweep point is a four-level model
-    phi, r = _phase_register(cfg.get("phi", 0.75), cfg.get("r", 2), 4)
-    window, steps = _window_and_steps(cfg, args.steps)
+    # every sweep point is a four-level model, read by a two-qubit register
+    phi, r = _phase_register(cfg.get("phi", 0.75), 2, 4)
+    window, steps = _window_and_steps(cfg)
 
     t_scale = pulses.crossing_time()
     rows = []
@@ -455,28 +425,26 @@ def cmd_sweep(cfg, args):
     return EXIT_OK
 
 
-# name: (runner, help, the optional flags it reads)
+_SCHEDULE_KEYS = ("model", "pulses", "window", "steps")
+
+# name: (runner, help, takes --svg, allowed config keys, required config keys)
 _COMMANDS = {
     "eigentraj": (cmd_eigentraj,
-                  "instantaneous eigenvalue trajectories over the window",
-                  ("--svg", "--steps")),
+                  "instantaneous eigenvalue trajectories over the window", True,
+                  _SCHEDULE_KEYS + ("direction",), ("model", "pulses")),
     "evolve": (cmd_evolve,
-               "integrate the propagator and factor it as a phased DFT",
-               ("--steps",)),
+               "integrate the propagator and factor it as a phased DFT", False,
+               _SCHEDULE_KEYS + ("direction",), ("model", "pulses")),
     "adiabaticity": (cmd_adiabaticity,
-                     "gap vs nonadiabatic-coupling diagnostics", ("--steps",)),
-    "qpe": (cmd_qpe, "phase estimation via the simulated inverse transform",
-            ("--svg", "--steps", "--seed")),
-    "models": (cmd_models, "build and inspect the model Hamiltonians", ()),
+                     "gap vs nonadiabatic-coupling diagnostics", False,
+                     _SCHEDULE_KEYS + ("direction",), ("model", "pulses")),
+    "qpe": (cmd_qpe, "phase estimation via the simulated inverse transform", True,
+            _SCHEDULE_KEYS + ("phi", "r", "shots"), ("model", "pulses", "phi", "r")),
+    "models": (cmd_models, "build and inspect the model Hamiltonians", False,
+               ("model",), ("model",)),
     "sweep": (cmd_sweep, "factorization residual and fidelity across E*T values",
-              ("--steps",)),
-}
-_FLAGS = {
-    "--svg": dict(action="store_true", help="also write SVG plots"),
-    "--steps": dict(type=int, default=None,
-                    help="override integrator step count"),
-    "--seed": dict(type=int, default=0,
-                   help="seed for sampled measurements"),
+              False, ("pulses", "et_values", "v_over_e", "phi", "window", "steps"),
+              ("pulses", "et_values")),
 }
 
 
@@ -489,29 +457,31 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in _COMMANDS.items():
+    for name, (_, help_text, takes_svg, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+        if takes_svg:
+            p.add_argument("--svg", action="store_true", help="also write SVG plots")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    runner, _, _, allowed, required = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command][0](cfg, args)
-    except _CONFIG_ERRORS as exc:
+        _check_keys("config", cfg, allowed, required)
+        return runner(cfg, args)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except (IntegrationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _PHYSICS_ERRORS as exc:
+    except PhysicsError as exc:
         print(f"physics precondition violated: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
 

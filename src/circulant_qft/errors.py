@@ -10,23 +10,27 @@ class CirculantQftError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonHermitianError(CirculantQftError):
+class PhysicsError(CirculantQftError):
+    """Base class for violated physics preconditions (exit code 4)."""
+
+
+class NonHermitianError(PhysicsError):
     """Input matrix violates the Hermitian precondition."""
 
 
-class DegenerateSpectrumError(CirculantQftError):
+class DegenerateSpectrumError(PhysicsError):
     """An operation that needs a non-degenerate spectrum found a cluster."""
 
 
-class NotPhaseEquivalentError(CirculantQftError):
+class NotPhaseEquivalentError(PhysicsError):
     """Ring coupling moduli differ, so no gauge makes the matrix circulant."""
 
 
-class CouplingPatternError(CirculantQftError):
+class CouplingPatternError(PhysicsError):
     """Matrix has nonzero entries outside the cyclic nearest-neighbor ring."""
 
 
-class AmbiguousPermutationError(CirculantQftError):
+class AmbiguousPermutationError(PhysicsError):
     """Two column overlaps are too close to pick a basis renumbering."""
 
 
@@ -34,7 +38,7 @@ class IntegrationError(CirculantQftError):
     """Propagator integration lost unitarity or produced non-finite values."""
 
 
-class BranchTrackingError(CirculantQftError):
+class BranchTrackingError(PhysicsError):
     """Eigenvalue branch tracking hit a near-degeneracy; carries the time."""
 
     def __init__(self, message, t=None):

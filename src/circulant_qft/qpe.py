@@ -94,13 +94,14 @@ class QpeResult:
     counts: np.ndarray | None = None
 
 
-def run_qpe(s, phi, r, shots=None, seed=None):
+def run_qpe(s, phi, r, shots=None):
     """Estimate phi by evolving the register state under the schedule s.
 
     s must run in the inverse direction on a model of dimension 2^r.
     The returned distribution is read directly from amplitudes (no shot
-    noise); pass shots (with a seed) for an additional sampled
-    histogram, which exists for demonstration only.
+    noise); pass shots for an additional sampled histogram, which exists
+    for demonstration only and is drawn with the fixed seed 0, so that
+    identical inputs give identical counts.
     """
     if s.direction != INVERSE:
         raise ValueError(f"phase estimation needs an inverse schedule, "
@@ -127,7 +128,7 @@ def run_qpe(s, phi, r, shots=None, seed=None):
 
     counts = None
     if shots:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         counts = rng.multinomial(int(shots), relabeled / relabeled.sum())
 
     return QpeResult(

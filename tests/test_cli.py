@@ -135,11 +135,6 @@ class TestEvolve:
         assert not (tmp_path / "factorization.csv").exists()
         assert propagated_steps[0] == 0
 
-    def test_steps_flag_overrides(self, tmp_path):
-        cfg = write_config(tmp_path, FOUR_LEVEL)
-        assert main(["evolve", "--config", cfg, "--out", str(tmp_path),
-                     "--steps", "100"]) == 0
-
 
 class TestAdiabaticity:
     def test_csv_schema_and_summary(self, tmp_path, capsys):
@@ -188,11 +183,23 @@ class TestQpe:
 
     def test_sampled_mode_adds_counts(self, tmp_path):
         cfg = write_config(tmp_path, {**QPE_CONFIG, "steps": 400, "shots": 200})
-        assert main(["qpe", "--config", cfg, "--out", str(tmp_path),
-                     "--seed", "3"]) == 0
+        assert main(["qpe", "--config", cfg, "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "qpe_distribution.csv")
         assert header[-1] == "counts"
         assert sum(int(r[4]) for r in rows) == 200
+
+    def test_sampled_reruns_byte_identical(self, tmp_path):
+        # the config is the whole input, so its .meta.json echo pins the
+        # sampled counts too
+        cfg = write_config(tmp_path, {**QPE_CONFIG, "phi": 1 / 3, "steps": 400,
+                                      "shots": 100})
+        for run in ("a", "b"):
+            assert main(["qpe", "--config", cfg,
+                         "--out", str(tmp_path / run)]) == 0
+        for name in ("qpe_trace.csv", "qpe_distribution.csv",
+                     "qpe_trace.meta.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                   (tmp_path / "b" / name).read_bytes()
 
 
 class TestModels:
@@ -222,12 +229,21 @@ class TestModels:
         assert "unequal moduli" in err
 
     def test_rejects_flags_it_does_not_read(self, tmp_path, capsys):
+        # steps and the sampling seed are config-only, for every command
         cfg = write_config(tmp_path, {"model": FOUR_LEVEL["model"]})
-        with pytest.raises(SystemExit) as exit_:
-            main(["models", "--config", cfg, "--out", str(tmp_path), "--svg"])
-        assert exit_.value.code == 2
-        assert "unrecognized arguments: --svg" in capsys.readouterr().err
-        assert not (tmp_path / "models.meta.json").exists()
+        for command in ["eigentraj", "evolve", "adiabaticity", "qpe",
+                        "models", "sweep"]:
+            flags = [["--steps", "100"], ["--seed", "3"]]
+            if command not in ("eigentraj", "qpe"):
+                flags.append(["--svg"])
+            for flag in flags:
+                with pytest.raises(SystemExit) as exit_:
+                    main([command, "--config", cfg, "--out", str(tmp_path),
+                          *flag])
+                assert exit_.value.code == 2
+                err = capsys.readouterr().err
+                assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 class TestSweep:
@@ -267,10 +283,12 @@ class TestStepCounts:
 
     def test_sweep_rejects_register_before_integrating(self, tmp_path, capsys,
                                                       propagated_steps):
-        cfg = write_config(tmp_path, {**SWEEP_CONFIG, "r": 3})
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        # every sweep point is read by a two-qubit register; r is no key
+        for r in (2, 3):
+            cfg = write_config(tmp_path, {**SWEEP_CONFIG, "r": r})
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+            assert "unknown key(s) r" in capsys.readouterr().err
         assert propagated_steps[0] == 0
-        assert "register of 3 qubits" in capsys.readouterr().err
 
     @pytest.mark.parametrize("r", [3, 100000])
     def test_qpe_rejects_register_before_integrating(self, tmp_path, capsys,
@@ -284,17 +302,16 @@ class TestStepCounts:
         assert "Traceback" not in err
 
     # eigentraj would hold (steps + 1) * 16 complex values for these
-    @pytest.mark.parametrize("command, payload, flags", [
-        ("eigentraj", {**FOUR_LEVEL, "steps": 10**12}, []),
-        ("evolve", {**FOUR_LEVEL, "steps": 10**12}, []),
-        ("evolve", {**FOUR_LEVEL, "steps": 10**400}, []),
-        ("sweep", SWEEP_CONFIG, ["--steps", "1000000000000"]),
-    ], ids=["eigentraj", "evolve", "evolve_beyond_float", "sweep_flag"])
+    @pytest.mark.parametrize("command, payload", [
+        ("eigentraj", {**FOUR_LEVEL, "steps": 10**12}),
+        ("evolve", {**FOUR_LEVEL, "steps": 10**12}),
+        ("evolve", {**FOUR_LEVEL, "steps": 10**400}),
+        ("sweep", {**SWEEP_CONFIG, "steps": 10**12}),
+    ], ids=["eigentraj", "evolve", "evolve_beyond_float", "sweep"])
     def test_rejects_oversized_grid_before_allocating(
-            self, tmp_path, capsys, propagated_steps, command, payload, flags):
+            self, tmp_path, capsys, propagated_steps, command, payload):
         cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path),
-                     *flags]) == 2
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error: steps: at most 1048575" in capsys.readouterr().err
         assert propagated_steps[0] == 0
 
@@ -322,11 +339,12 @@ class TestConfigErrors:
         ("evolve", {**FOUR_LEVEL, "pulses": {"kind": "sech_masked",
                                              "T": True, "tau": "1"}}),
         ("qpe", {**QPE_CONFIG, "shots": True}),
+        ("adiabaticity", {**FOUR_LEVEL, "steps": 1}),
     ], ids=["qpe_steps", "qpe_window", "sweep_phi", "sweep_steps",
             "qpe_steps_bool", "sweep_phi_bool", "model_E_bool",
             "model_V_bool", "sweep_et_bool", "window_bool", "h0_diag_bool",
             "model_E_nan", "model_E_inf", "pulses_bool_and_string",
-            "qpe_shots_bool"])
+            "qpe_shots_bool", "adiabaticity_one_step"])
     def test_exits_config_code_without_traceback(self, tmp_path, capsys,
                                                  command, payload):
         cfg = write_config(tmp_path, payload)
@@ -350,6 +368,18 @@ class TestConfigErrors:
         assert main(["eigentraj", "--config", str(path),
                      "--out", str(tmp_path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_integer_literal_beyond_digit_limit(self, tmp_path, capsys):
+        # a 5001-digit integer is past Python's limit on int/str
+        # conversion, so json.dumps cannot write it and json.loads
+        # cannot read it
+        path = tmp_path / "big.json"
+        path.write_text('{"steps": 1' + "0" * 5000 + "}")
+        assert main(["evolve", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
 
     def test_bad_phi_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**QPE_CONFIG, "phi": 1.5})

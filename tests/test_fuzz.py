@@ -1,10 +1,10 @@
 """main() on mutated README configs: an exit code, never an exception.
 
-Each example takes one subcommand's README config, replaces one to three
-of its values (at any depth) with a hostile JSON value and runs the
-command, with a short --steps on every command but models, which takes
-none.  Whatever the input, main() must return one of the documented exit
-codes and no exception may escape.
+Each example takes one subcommand's README config, shortened to 20 steps
+on every command but models, which takes none, replaces one to three of
+its values (at any depth, steps included) with a hostile JSON value and
+runs the command.  Whatever the input, main() must return one of the
+documented exit codes and no exception may escape.
 """
 
 import json
@@ -18,17 +18,16 @@ from circulant_qft.cli import main
 
 PAPER_MODEL = {"kind": "four_level", "E": 10.0, "V": [10.0, 3.3333333333]}
 PAPER_PULSES = {"kind": "sech_masked", "T": 1.0, "tau": 1.0}
-FIGURE = {"model": PAPER_MODEL, "pulses": PAPER_PULSES, "steps": 4000}
+FIGURE = {"model": PAPER_MODEL, "pulses": PAPER_PULSES, "steps": 20}
 CONFIGS = {
     "eigentraj": FIGURE,
     "evolve": FIGURE,
     "adiabaticity": FIGURE,
     "qpe": {**FIGURE, "phi": 0.75, "r": 2},
     "models": {"model": PAPER_MODEL},
-    "sweep": {"pulses": PAPER_PULSES, "et_values": [5, 10, 20, 40]},
+    "sweep": {"pulses": PAPER_PULSES, "et_values": [5, 10, 20, 40], "steps": 20},
 }
 EXIT_CODES = {0, 2, 3, 4}
-STEPS = "20"
 
 
 def leaf_paths(node, prefix=()):
@@ -88,11 +87,12 @@ def mutated_configs(draw):
 @example(("adiabaticity",
           replaced(replaced(FIGURE, ("model", "V"), [10.0, 1e308]),
                    ("pulses", "tau"), 1e308)))
+@example(("adiabaticity", replaced(FIGURE, ("steps",), 1)))
+@example(("sweep", {**CONFIGS["sweep"], "r": 2}))
 def test_main_returns_an_exit_code(case):
     command, cfg = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
-        steps = [] if command == "models" else ["--steps", STEPS]
-        code = main([command, "--config", str(path), "--out", tmp, *steps])
+        code = main([command, "--config", str(path), "--out", tmp])
     assert code in EXIT_CODES

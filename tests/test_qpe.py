@@ -158,8 +158,8 @@ class TestRunQpe:
 
     def test_sampled_mode_reproducible(self, paper_model, paper_pulses):
         s = inverse(paper_model, paper_pulses, steps=400)
-        a = run_qpe(s, 0.75, 2, shots=500, seed=7)
-        b = run_qpe(s, 0.75, 2, shots=500, seed=7)
+        a = run_qpe(s, 0.75, 2, shots=500)
+        b = run_qpe(s, 0.75, 2, shots=500)
         assert a.counts is not None
         assert a.counts.sum() == 500
         assert np.array_equal(a.counts, b.counts)

@@ -1,4 +1,5 @@
-"""Every definition in the package has a caller in the package.
+"""Every definition in the package has a caller in the package, and every
+package binding the benchmark's span table wraps still exists.
 
 A top-level function or class, or a non-dunder method, counts as called
 when some Name, Attribute or import alias in src/circulant_qft refers to
@@ -7,6 +8,7 @@ only, and docstrings are not references.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "circulant_qft"
@@ -51,3 +53,17 @@ def uncalled(package):
 def test_every_definition_has_a_caller():
     # perfbench/spans.py wraps it by name; delete both together
     assert uncalled(PACKAGE) == ["propagator.py:dynamical_phase_prediction"]
+
+
+def test_span_table_names_live_bindings():
+    # the benchmark wraps these by name and reports a missing one as
+    # absent, so a deletion here would silently empty its span
+    path = PACKAGE.parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{attribute}"
+               for module, attribute, _, _ in spans.WRAP_TABLE
+               if module.startswith("circulant_qft")
+               and not hasattr(importlib.import_module(module), attribute)]
+    assert missing == []
