@@ -135,6 +135,17 @@ class TestEvolve:
         assert not (tmp_path / "factorization.csv").exists()
         assert propagated_steps[0] == 0
 
+    def test_steps_flag_overrides(self, tmp_path, propagated_steps):
+        # steps is a config key, not a flag: the config's value overrides
+        # the default step count and is echoed in .meta.json; evolve
+        # integrates it once and again at double resolution for its
+        # convergence estimate
+        cfg = write_config(tmp_path, {**FOUR_LEVEL, "steps": 100})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert propagated_steps[0] == 100 + 200
+        meta = json.loads((tmp_path / "propagator.meta.json").read_text())
+        assert meta["config"]["steps"] == 100
+
 
 class TestAdiabaticity:
     def test_csv_schema_and_summary(self, tmp_path, capsys):
