@@ -21,8 +21,14 @@ from . import __version__, svg
 from .circulant import CirculantSpec, circulant_eigenvalues, phase_equivalent_circulant
 from .errors import ConfigError, IntegrationError, PhysicsError
 from .models import build_four_level, build_six_level, solve_level_shifts
-from .propagator import adiabatic_phase_prediction, evolve, factor_phased_dft
-from .qpe import ideal_distribution, run_qpe
+from .propagator import (
+    adiabatic_phase_prediction,
+    evolve,
+    factor_phased_dft,
+    final_propagators,
+    predict_permutation,
+)
+from .qpe import ideal_distribution, register_readout, run_qpe
 from .schedule import (
     DEFAULT_STEPS,
     FORWARD,
@@ -302,8 +308,10 @@ def cmd_qpe(cfg, args):
     sched = build_schedule(cfg, INVERSE)
     phi, r = _phase_register(cfg["phi"], cfg["r"], sched.dim)
     shots = cfg.get("shots", 0)
-    if not _is_int(shots) or shots < 0:
-        raise ConfigError(f"shots: expected a nonnegative integer, got {shots!r}")
+    # the sampler draws its counts as 64-bit integers
+    if not _is_int(shots) or not 0 <= shots <= np.iinfo(np.int64).max:
+        raise ConfigError(f"shots: expected an integer in [0, 2**63 - 1], "
+                          f"got {shots!r}")
 
     result = run_qpe(sched, phi, r, shots=shots or None)
 
@@ -395,29 +403,44 @@ def _round_list(values):
             for v in np.asarray(values)]
 
 
-def cmd_sweep(cfg, args):
-    pulses = build_pulses(cfg)
-    ets = cfg["et_values"]
+def _sweep_energies(ets, t_scale):
+    """Energy scale E = E*T / T of every sweep point, each positive and finite."""
     if not (isinstance(ets, list) and ets
             and all(_is_number(v) and v > 0 for v in ets)):
         raise ConfigError("et_values: expected a list of positive numbers")
+    energies = [float(et) / t_scale for et in ets]
+    for et, energy in zip(ets, energies):
+        if not 0 < energy < float("inf"):
+            raise ConfigError(f"et_values: E*T = {et!r} over T = {t_scale!r} "
+                              f"gives the energy scale {energy!r}, not a "
+                              f"positive finite number")
+    return energies
+
+
+def cmd_sweep(cfg, args):
+    pulses = build_pulses(cfg)
+    ets = cfg["et_values"]
+    energies = _sweep_energies(ets, pulses.crossing_time())
     v_over_e = _as_complex("v_over_e", cfg.get("v_over_e", [1.0, 1.0 / 3.0]))
     # every sweep point is a four-level model, read by a two-qubit register
     phi, r = _phase_register(cfg.get("phi", 0.75), 2, 4)
     window, steps = _window_and_steps(cfg)
 
-    t_scale = pulses.crossing_time()
+    # the model at energy E is E times the E = 1 model, so one schedule
+    # integrated at every scale serves all points, in either direction
+    h0, h1 = build_four_level(1.0, v_over_e)
+    sched = _make_schedule(h0, h1, pulses, FORWARD, window, steps)
+    sigma = predict_permutation(sched)  # a degenerate spectrum stops here
+    forward = final_propagators(sched, energies)
+    inverse = final_propagators(dataclasses.replace(sched, direction=INVERSE),
+                                energies)
+    _, fidelities = register_readout(sigma, phi, r, inverse)
     rows = []
-    for et in ets:
-        energy = float(et) / t_scale
-        h0, h1 = build_four_level(energy, energy * v_over_e)
-        sched = _make_schedule(h0, h1, pulses, FORWARD, window, steps)
-        res = evolve(sched, convergence_check=False)
-        factorization = factor_phased_dft(res.u_final, FORWARD)
-        qpe_res = run_qpe(dataclasses.replace(sched, direction=INVERSE), phi, r)
-        rows.append([float(et), factorization.residual, qpe_res.final_fidelity])
-        print(f"sweep: E*T = {_fmt(et)} -> residual {_fmt(factorization.residual)}, "
-              f"fidelity {_fmt(qpe_res.final_fidelity)}")
+    for et, u, fidelity in zip(ets, forward, fidelities):
+        residual = factor_phased_dft(u, FORWARD).residual
+        rows.append([float(et), residual, fidelity])
+        print(f"sweep: E*T = {_fmt(et)} -> residual {_fmt(residual)}, "
+              f"fidelity {_fmt(fidelity)}")
 
     out = Path(args.out)
     write_csv(out / "sweep.csv", ["et", "residual", "final_fidelity"], rows)

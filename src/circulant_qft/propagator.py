@@ -5,8 +5,11 @@ midpoint stepping: each step applies exp(-i H(t + dt/2) dt) computed
 through an exact eigendecomposition, so unitarity is preserved per step
 up to solver roundoff and the global error is second order in the step.
 The stepping kernel (_kernels.propagate) checks ||U'U - I||_F at the
-recorded samples and at the end; evolve rejects a drift above
-UNITARITY_TOL or a non-finite propagator.
+recorded samples and at the end; every integration, evolve's and
+final_propagators', rejects a drift above UNITARITY_TOL or a non-finite
+propagator.  final_propagators integrates the schedule's Hamiltonian
+scaled by each of several energies at once: E*H(t) has the eigenvectors
+of H(t), so one eigendecomposition per step serves every scale.
 
 In the adiabatic regime the final forward propagator is a DFT up to a
 basis renumbering sigma and per-column phases alpha; factor_phased_dft
@@ -65,13 +68,16 @@ class EvolutionResult:
         return self.u_final.shape[0]
 
 
-def _integrate(s, steps, sample_idx):
+def _integrate(s, steps, sample_idx, scales=(1.0,)):
+    """Samples and final propagators of scale * H(t) for every scale,
+    with a leading axis over scales, and their worst unitarity drift."""
     t_min, t_max = s.window
     dt = (t_max - t_min) / steps
     t_mid = t_min + dt * (np.arange(steps) + 0.5)
     a, b = s.coefficients(t_mid)
     samples, u_final, drift = _kernels.propagate(
-        s.h0, s.h1, a, b, dt, np.asarray(sample_idx, dtype=np.int64)
+        s.h0, s.h1, a, b, dt * np.asarray(scales, dtype=float),
+        np.asarray(sample_idx, dtype=np.int64)
     )
     if not np.all(np.isfinite(u_final)):
         raise IntegrationError("propagator contains non-finite entries")
@@ -98,10 +104,11 @@ def evolve(s, convergence_check=True):
         sample_idx = np.append(sample_idx, steps)
 
     samples, u_final, drift = _integrate(s, steps, sample_idx)
+    samples, u_final = samples[0], u_final[0]
     convergence = np.nan
     if convergence_check:
         _, u_fine, _ = _integrate(s, 2 * steps, np.empty(0, dtype=np.int64))
-        convergence = frobenius(u_final - u_fine)
+        convergence = frobenius(u_final - u_fine[0])
 
     t_min, t_max = s.window
     times = t_min + (t_max - t_min) * sample_idx / steps
@@ -112,6 +119,16 @@ def evolve(s, convergence_check=True):
         unitarity_drift=float(drift),
         convergence_estimate=float(convergence),
     )
+
+
+def final_propagators(s, scales):
+    """U(t_max) of the schedule with its Hamiltonian scaled by each of scales.
+
+    One integration at the step lengths dt * scales serves every scale,
+    and every scale passes the same finite and unitarity checks as
+    evolve.  No samples are recorded and there is no convergence rerun.
+    """
+    return _integrate(s, s.steps, np.empty(0, dtype=np.int64), scales)[1]
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,23 @@ class QpeResult:
     counts: np.ndarray | None = None
 
 
+def register_readout(sigma, phi, r, u):
+    """Register states u @ psi0 and their fidelity with phi's target.
+
+    psi0 is the register state for phi and r, u holds inverse-transform
+    propagators on its last two axes (leading axes are batched) and sigma
+    is their predicted renumbering.  The target is the basis state at
+    which the nearest r-bit value of phi is read out; the fidelity is
+    |<target|U psi0>|^2.  Returns (states, fidelity).
+    """
+    target_bits, _ = to_bits(phi, r)
+    target = int("".join(map(str, target_bits)), 2)
+    # argsort inverts sigma: the basis state that reads out the target
+    target_index = int(np.argsort(sigma)[target])
+    states = u @ prepare_register_state(phi, r)
+    return states, np.abs(states[..., target_index]) ** 2
+
+
 def run_qpe(s, phi, r, shots=None):
     """Estimate phi by evolving the register state under the schedule s.
 
@@ -111,16 +128,9 @@ def run_qpe(s, phi, r, shots=None):
                          f"dimension 2**{r}, got {s.dim}")
     target_bits, exact = to_bits(phi, r)
     sigma = predict_permutation(s)
-    # argsort inverts sigma: the basis state that reads out the target
-    target = int("".join(map(str, target_bits)), 2)
-    target_index = int(np.argsort(sigma)[target])
-
-    psi0 = prepare_register_state(phi, r)
     result = evolve(s, convergence_check=False)
-    states = result.u_samples @ psi0
-    trace = np.abs(states[:, target_index]) ** 2
-
-    psi_final = result.u_final @ psi0
+    _, trace = register_readout(sigma, phi, r, result.u_samples)
+    psi_final, final_fidelity = register_readout(sigma, phi, r, result.u_final)
     distribution = np.abs(psi_final) ** 2
     relabeled = np.empty_like(distribution)
     relabeled[sigma] = distribution
@@ -142,7 +152,7 @@ def run_qpe(s, phi, r, shots=None):
         exact_expansion=exact,
         fidelity_times=result.times,
         fidelity_trace=trace,
-        final_fidelity=float(distribution[target_index]),
+        final_fidelity=float(final_fidelity),
         final_state=psi_final,
         counts=counts,
     )

@@ -12,9 +12,9 @@ def propagated_steps(monkeypatch):
     total = [0]
     original = _kernels.propagate
 
-    def counting(h0, h1, a_mid, b_mid, dt, sample_idx):
+    def counting(h0, h1, a_mid, b_mid, dts, sample_idx):
         total[0] += len(a_mid)
-        return original(h0, h1, a_mid, b_mid, dt, sample_idx)
+        return original(h0, h1, a_mid, b_mid, dts, sample_idx)
 
     monkeypatch.setattr(_kernels, "propagate", counting)
     return total

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from circulant_qft.cli import main
-from circulant_qft.models import DegenerateSpectrumWarning
+from circulant_qft.models import DegenerateSpectrumWarning, build_four_level
+from circulant_qft.propagator import evolve, factor_phased_dft
+from circulant_qft.qpe import run_qpe
+from circulant_qft.schedule import Schedule, SechMaskedPair, TanhPair
 
 FOUR_LEVEL = {
     "model": {"kind": "four_level", "E": 10.0, "V": [10.0, 10.0 / 3.0]},
@@ -271,6 +275,47 @@ class TestSweep:
         assert float(rows[1][2]) >= 0.99
 
 
+def per_point_sweep(payload):
+    """(et, residual, final_fidelity) of every sweep point, each from its
+    own four-level model, forward evolution and phase estimation."""
+    pulses = payload["pulses"]
+    pair = (SechMaskedPair(T=pulses["T"], tau=pulses["tau"])
+            if pulses["kind"] == "sech_masked" else TanhPair(T=pulses["T"]))
+    v_over_e = complex(*payload["v_over_e"])
+    window = tuple(payload["window"])
+    rows = []
+    for et in payload["et_values"]:
+        energy = et / pair.crossing_time()
+        h0, h1 = build_four_level(energy, energy * v_over_e)
+        sched = Schedule(pulses=pair, h0=h0, h1=h1, window=window,
+                         steps=payload["steps"])
+        u = evolve(sched, convergence_check=False).u_final
+        residual = factor_phased_dft(u, "forward").residual
+        qpe = run_qpe(dataclasses.replace(sched, direction="inverse"),
+                      payload["phi"], 2)
+        rows.append((et, residual, qpe.final_fidelity))
+    return np.array(rows)
+
+
+class TestSweepReference:
+    @pytest.mark.parametrize("payload", [
+        {"pulses": {"kind": "sech_masked", "T": 0.75, "tau": 0.9},
+         "et_values": [3, 6.1, 8, 10.5, 19.7, 33], "v_over_e": [0.8, -0.45],
+         "window": [-4.0, 6.5], "steps": 600, "phi": 0.25},
+        {"pulses": {"kind": "tanh", "T": 1.3},
+         "et_values": [2.5, 7, 12.2, 16, 27.3, 40], "v_over_e": [1.0, 0.33],
+         "window": [-7.8, 7.8], "steps": 500, "phi": 0.5},
+    ], ids=["sech_asymmetric_window", "tanh"])
+    def test_matches_per_point_runs(self, tmp_path, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        got = np.array(rows, dtype=float)
+        want = per_point_sweep(payload)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1, np.abs(want)))
+
+
 SWEEP_CONFIG = {"pulses": {"kind": "sech_masked", "T": 1.0, "tau": 1.0},
                 "et_values": [10, 20], "steps": 300}
 
@@ -287,10 +332,24 @@ class TestStepCounts:
         estimate = float(out.split("convergence estimate ")[1].split()[0])
         assert np.isfinite(estimate)
 
-    def test_sweep_point_integrates_twice(self, tmp_path, propagated_steps):
-        cfg = write_config(tmp_path, SWEEP_CONFIG)
+    # every point is the E = 1 model scaled by E, so one integration per
+    # direction serves all points
+    @pytest.mark.parametrize("et_values", [[10, 20], [5, 8, 10.5, 20, 40]],
+                             ids=["2_points", "5_points"])
+    def test_sweep_integrates_each_direction_once(self, tmp_path,
+                                                  propagated_steps, et_values):
+        cfg = write_config(tmp_path, {**SWEEP_CONFIG, "et_values": et_values})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert propagated_steps[0] == 4 * SWEEP_CONFIG["steps"]
+        assert propagated_steps[0] == 2 * SWEEP_CONFIG["steps"]
+
+    def test_sweep_rank_check_before_integrating(self, tmp_path, capsys,
+                                                 propagated_steps):
+        # a real v_over_e makes the circulant spectrum degenerate
+        cfg = write_config(tmp_path, {**SWEEP_CONFIG, "v_over_e": 1.0})
+        with pytest.warns(DegenerateSpectrumWarning, match=r"V = \(1\+0j\)"):
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "spectrum is degenerate" in capsys.readouterr().err
+        assert propagated_steps[0] == 0
 
     def test_sweep_rejects_register_before_integrating(self, tmp_path, capsys,
                                                       propagated_steps):
@@ -351,11 +410,21 @@ class TestConfigErrors:
                                              "T": True, "tau": "1"}}),
         ("qpe", {**QPE_CONFIG, "shots": True}),
         ("adiabaticity", {**FOUR_LEVEL, "steps": 1}),
+        # E = E*T / T underflows to 0 and overflows to inf
+        ("sweep", {"pulses": {"kind": "tanh", "T": 2.0},
+                   "et_values": [5e-324], "steps": 20}),
+        ("sweep", {"pulses": {"kind": "tanh", "T": 1e-300},
+                   "et_values": [1e300], "steps": 20}),
+        # the sampler draws 64-bit counts
+        ("qpe", {**QPE_CONFIG, "shots": 2**63}),
+        ("qpe", {**QPE_CONFIG, "shots": 10**400}),
     ], ids=["qpe_steps", "qpe_window", "sweep_phi", "sweep_steps",
             "qpe_steps_bool", "sweep_phi_bool", "model_E_bool",
             "model_V_bool", "sweep_et_bool", "window_bool", "h0_diag_bool",
             "model_E_nan", "model_E_inf", "pulses_bool_and_string",
-            "qpe_shots_bool", "adiabaticity_one_step"])
+            "qpe_shots_bool", "adiabaticity_one_step", "sweep_energy_underflow",
+            "sweep_energy_overflow", "qpe_shots_2_63", "qpe_shots_10_400"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_config_code_without_traceback(self, tmp_path, capsys,
                                                  command, payload):
         cfg = write_config(tmp_path, payload)

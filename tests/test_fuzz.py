@@ -1,10 +1,12 @@
 """main() on mutated README configs: an exit code, never an exception.
 
 Each example takes one subcommand's README config, shortened to 20 steps
-on every command but models, which takes none, replaces one to three of
-its values (at any depth, steps included) with a hostile JSON value and
-runs the command.  Whatever the input, main() must return one of the
-documented exit codes and no exception may escape.
+on every command but models, which takes none, with every optional key
+the command accepts set explicitly (window, direction, shots, v_over_e,
+phi), replaces one to three of its values (at any depth, steps included)
+with a hostile JSON value and runs the command.  Whatever the input,
+main() must return one of the documented exit codes and no exception may
+escape.
 """
 
 import json
@@ -18,14 +20,18 @@ from circulant_qft.cli import main
 
 PAPER_MODEL = {"kind": "four_level", "E": 10.0, "V": [10.0, 3.3333333333]}
 PAPER_PULSES = {"kind": "sech_masked", "T": 1.0, "tau": 1.0}
-FIGURE = {"model": PAPER_MODEL, "pulses": PAPER_PULSES, "steps": 20}
+FIGURE = {"model": PAPER_MODEL, "pulses": PAPER_PULSES, "steps": 20,
+          "window": [-6.0, 6.0]}
+DIRECTED = {**FIGURE, "direction": "forward"}
 CONFIGS = {
-    "eigentraj": FIGURE,
-    "evolve": FIGURE,
-    "adiabaticity": FIGURE,
-    "qpe": {**FIGURE, "phi": 0.75, "r": 2},
+    "eigentraj": DIRECTED,
+    "evolve": DIRECTED,
+    "adiabaticity": DIRECTED,
+    "qpe": {**FIGURE, "phi": 0.75, "r": 2, "shots": 10},
     "models": {"model": PAPER_MODEL},
-    "sweep": {"pulses": PAPER_PULSES, "et_values": [5, 10, 20, 40], "steps": 20},
+    "sweep": {"pulses": PAPER_PULSES, "et_values": [5, 10, 20, 40], "steps": 20,
+              "window": [-6.0, 6.0], "v_over_e": [1.0, 0.3333333333],
+              "phi": 0.75},
 }
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -89,6 +95,12 @@ def mutated_configs(draw):
                    ("pulses", "tau"), 1e308)))
 @example(("adiabaticity", replaced(FIGURE, ("steps",), 1)))
 @example(("sweep", {**CONFIGS["sweep"], "r": 2}))
+@example(("qpe", replaced(CONFIGS["qpe"], ("shots",), 2**63)))
+@example(("evolve", replaced(DIRECTED, ("direction",), None)))
+@example(("sweep", replaced(CONFIGS["sweep"], ("v_over_e", 1), 1e308)))
+@example(("sweep", replaced(CONFIGS["sweep"], ("phi",), float("nan"))))
+@example(("sweep", replaced(CONFIGS["sweep"], ("et_values", 0), 1e-308)))
+@example(("sweep", replaced(CONFIGS["sweep"], ("window",), [-1e308, 1e308])))
 def test_main_returns_an_exit_code(case):
     command, cfg = case
     with tempfile.TemporaryDirectory() as tmp:
