@@ -62,7 +62,8 @@ def test_propagate_matches_sequential_product(steps, sample_idx, scales):
 
 
 @pytest.mark.parametrize("points, steps", [(1, CHUNK + 5), (4, CHUNK + 5),
-                                           (2 * CHUNK + 1, 3)])
+                                           (2 * CHUNK + 1, 3)],
+                         ids=["1_point", "4_points", "2_chunks_plus_1_points"])
 def test_step_matrices_never_exceed_chunk(monkeypatch, points, steps):
     formed = []
     original = _kernels._step_matrices
