@@ -48,6 +48,11 @@ EXIT_PHYSICS = 4
 # Complex values in the largest array a command holds: eigentraj keeps
 # the (steps + 1) eigenvector matrices of its grid.
 MAX_GRID_VALUES = 2**24
+# Bound on every config number and on a schedule's phase scale
+# E (max|H0| + max|H1|) (t_max - t_min): the squares of the 2**23 entries
+# of the largest model that MAX_GRID_VALUES admits still sum to a finite
+# float.
+MAX_SCALE = 2.0**500
 
 
 def _fmt(x):
@@ -99,13 +104,13 @@ def _check_keys(section, mapping, allowed, required):
 
 
 def _is_number(value):
-    """A finite JSON number.
+    """A JSON number of magnitude below MAX_SCALE.
 
-    Booleans are ints to Python but not numbers here, and JSON's NaN,
-    Infinity and integers beyond the float range are rejected too.
+    Booleans are ints to Python but not numbers here, and JSON's NaN and
+    Infinity are rejected too.
     """
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+            and abs(value) < MAX_SCALE)
 
 
 def _is_int(value):
@@ -115,7 +120,8 @@ def _is_int(value):
 
 def _positive(section, value):
     if not _is_number(value) or value <= 0:
-        raise ConfigError(f"{section}: expected a positive number, got {value!r}")
+        raise ConfigError(f"{section}: expected a positive number below 2**500, "
+                          f"got {value!r}")
     return float(value)
 
 
@@ -125,11 +131,13 @@ def _as_complex(section, value):
     if (isinstance(value, list) and len(value) == 2
             and all(_is_number(v) for v in value)):
         return complex(value[0], value[1])
-    raise ConfigError(f"{section}: expected a number or [re, im] pair, got {value!r}")
+    raise ConfigError(f"{section}: expected a number or [re, im] pair of "
+                      f"magnitude below 2**500, got {value!r}")
 
 
 def _as_matrix(section, rows):
-    if not isinstance(rows, list) or not rows:
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) for row in rows)):
         raise ConfigError(f"{section}: expected a list of rows")
     mat = [[_as_complex(f"{section}[{i}][{j}]", v) for j, v in enumerate(row)]
            for i, row in enumerate(rows)]
@@ -158,7 +166,8 @@ def build_model(cfg):
         diag = model["h0_diag"]
         if not (isinstance(diag, list) and len(diag) == 6
                 and all(_is_number(v) for v in diag)):
-            raise ConfigError("model.h0_diag: expected 6 real numbers")
+            raise ConfigError("model.h0_diag: expected 6 real numbers of "
+                              "magnitude below 2**500")
         return np.diag(np.array(diag, dtype=np.complex128)), h1
     if kind == "custom":
         _check_keys("model", model, ["kind", "h0", "h1"], ["kind", "h0", "h1"])
@@ -183,44 +192,41 @@ def build_pulses(cfg):
     raise ConfigError(f"pulses.kind: expected tanh or sech_masked, got {kind!r}")
 
 
-def _window_and_steps(cfg):
-    """The config's (window, steps); window None selects the default."""
+def build_schedule(cfg, model, pulses, direction, energy=1.0):
+    """Schedule of model = (H0, H1) over the config's window and steps; a
+    "direction" key overrides `direction`.
+
+    Rejects a grid beyond MAX_GRID_VALUES before anything is allocated,
+    and a phase scale of `energy` times H(t) beyond MAX_SCALE.
+    """
+    h0, h1 = model
     window = cfg.get("window")
     if window is not None:
         if not (isinstance(window, list) and len(window) == 2
                 and all(_is_number(v) for v in window)):
-            raise ConfigError("window: expected [t_min, t_max]")
+            raise ConfigError("window: expected [t_min, t_max] of magnitude "
+                              "below 2**500")
         window = (float(window[0]), float(window[1]))
     steps = cfg.get("steps", DEFAULT_STEPS)
     if not _is_int(steps) or steps < 1:
         raise ConfigError(f"steps: expected a positive integer, got {steps!r}")
-    return window, steps
-
-
-def _make_schedule(h0, h1, pulses, direction, window, steps):
-    """Schedule whose rejected inputs surface as config errors.
-
-    A step count whose grid of eigenvector matrices would exceed
-    MAX_GRID_VALUES is rejected before anything is allocated.
-    """
     dim = len(h0)
     if (steps + 1) * dim**2 > MAX_GRID_VALUES:
         raise ConfigError(f"steps: at most {MAX_GRID_VALUES // dim**2 - 1} "
                           f"for a {dim}-level model, got {steps}")
     try:
-        return Schedule(pulses=pulses, h0=h0, h1=h1, direction=direction,
-                        window=window, steps=steps)
+        sched = Schedule(pulses=pulses, h0=h0, h1=h1,
+                         direction=cfg.get("direction", direction),
+                         window=window, steps=steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def build_schedule(cfg, direction):
-    """The config's Schedule; a "direction" key overrides `direction`."""
-    h0, h1 = build_model(cfg)
-    pulses = build_pulses(cfg)
-    direction = cfg.get("direction", direction)
-    window, steps = _window_and_steps(cfg)
-    return _make_schedule(h0, h1, pulses, direction, window, steps)
+    t_min, t_max = sched.window
+    scale = energy * (t_max - t_min) * (float(np.abs(sched.h0).max())
+                                        + float(np.abs(sched.h1).max()))
+    if not scale < MAX_SCALE:
+        raise ConfigError(f"phase scale (max|H0| + max|H1|) (t_max - t_min) = "
+                          f"{scale:.3g} must be below 2**500")
+    return sched
 
 
 def _phase_register(phi, r, dim):
@@ -238,7 +244,7 @@ def _phase_register(phi, r, dim):
 
 
 def cmd_eigentraj(cfg, args):
-    sched = build_schedule(cfg, FORWARD)
+    sched = build_schedule(cfg, build_model(cfg), build_pulses(cfg), FORWARD)
     traj = eigen_trajectories(sched)
     n = traj.energies.shape[1]
     out = Path(args.out)
@@ -258,7 +264,7 @@ def cmd_eigentraj(cfg, args):
 
 
 def cmd_evolve(cfg, args):
-    sched = build_schedule(cfg, FORWARD)
+    sched = build_schedule(cfg, build_model(cfg), build_pulses(cfg), FORWARD)
     predicted = adiabatic_phase_prediction(sched).alpha
     result = evolve(sched)
     factorization = factor_phased_dft(result.u_final, sched.direction)
@@ -286,7 +292,7 @@ def cmd_evolve(cfg, args):
 
 
 def cmd_adiabaticity(cfg, args):
-    sched = build_schedule(cfg, FORWARD)
+    sched = build_schedule(cfg, build_model(cfg), build_pulses(cfg), FORWARD)
     # the scan takes differences across three grid points
     if sched.steps < 2:
         raise ConfigError(f"steps: adiabaticity needs at least 2, got {sched.steps}")
@@ -305,7 +311,7 @@ def cmd_adiabaticity(cfg, args):
 
 
 def cmd_qpe(cfg, args):
-    sched = build_schedule(cfg, INVERSE)
+    sched = build_schedule(cfg, build_model(cfg), build_pulses(cfg), INVERSE)
     phi, r = _phase_register(cfg["phi"], cfg["r"], sched.dim)
     shots = cfg.get("shots", 0)
     # the sampler draws its counts as 64-bit integers
@@ -368,10 +374,10 @@ def cmd_models(cfg, args):
     h0, h1 = build_model(cfg)
     out = Path(args.out)
     write_meta(out / "models.meta.json", "models", cfg)
-    np.set_printoptions(precision=6, suppress=True, linewidth=120)
     print("H0 diagonal:", np.diag(h0).real.tolist())
     print("H1:")
-    print(h1)
+    with np.printoptions(precision=6, suppress=True, linewidth=120):
+        print(h1)
 
     kind = cfg["model"].get("kind")
     if kind == "four_level":
@@ -403,33 +409,24 @@ def _round_list(values):
             for v in np.asarray(values)]
 
 
-def _sweep_energies(ets, t_scale):
-    """Energy scale E = E*T / T of every sweep point, each positive and finite."""
-    if not (isinstance(ets, list) and ets
-            and all(_is_number(v) and v > 0 for v in ets)):
-        raise ConfigError("et_values: expected a list of positive numbers")
-    energies = [float(et) / t_scale for et in ets]
-    for et, energy in zip(ets, energies):
-        if not 0 < energy < float("inf"):
-            raise ConfigError(f"et_values: E*T = {et!r} over T = {t_scale!r} "
-                              f"gives the energy scale {energy!r}, not a "
-                              f"positive finite number")
-    return energies
-
-
 def cmd_sweep(cfg, args):
     pulses = build_pulses(cfg)
     ets = cfg["et_values"]
-    energies = _sweep_energies(ets, pulses.crossing_time())
+    if not isinstance(ets, list) or not ets:
+        raise ConfigError("et_values: expected a list of positive numbers")
+    # energy scale E = E*T / T of each point; build_schedule bounds the largest
+    energies = [_positive(f"et_values[{i}]", et) / pulses.crossing_time()
+                for i, et in enumerate(ets)]
+    if min(energies) == 0:
+        raise ConfigError(f"et_values: E*T / T underflows to 0 at T = "
+                          f"{pulses.crossing_time()!r}")
     v_over_e = _as_complex("v_over_e", cfg.get("v_over_e", [1.0, 1.0 / 3.0]))
     # every sweep point is a four-level model, read by a two-qubit register
     phi, r = _phase_register(cfg.get("phi", 0.75), 2, 4)
-    window, steps = _window_and_steps(cfg)
-
     # the model at energy E is E times the E = 1 model, so one schedule
     # integrated at every scale serves all points, in either direction
-    h0, h1 = build_four_level(1.0, v_over_e)
-    sched = _make_schedule(h0, h1, pulses, FORWARD, window, steps)
+    sched = build_schedule(cfg, build_four_level(1.0, v_over_e), pulses,
+                           FORWARD, max(energies))
     sigma = predict_permutation(sched)  # a degenerate spectrum stops here
     forward = final_propagators(sched, energies)
     inverse = final_propagators(dataclasses.replace(sched, direction=INVERSE),

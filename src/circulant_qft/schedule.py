@@ -43,7 +43,9 @@ class TanhPair:
             raise ValueError(f"crossing timescale T must be positive, got {self.T}")
 
     def values(self, t):
-        th = np.tanh(np.asarray(t, dtype=float) / self.T)
+        # t/T overflowing to +-inf gives tanh = +-1, its limit
+        with np.errstate(over="ignore"):
+            th = np.tanh(np.asarray(t, dtype=float) / self.T)
         return 0.5 * (1.0 - th), 0.5 * (1.0 + th)
 
     def crossing_time(self):
@@ -70,8 +72,10 @@ class SechMaskedPair:
 
     def values(self, t):
         t = np.asarray(t, dtype=float)
-        mask = 1.0 / np.cosh(t / self.tau)
-        th = np.tanh(t / self.T)
+        # t/tau or cosh overflowing to inf gives sech = 0, its limit
+        with np.errstate(over="ignore"):
+            mask = 1.0 / np.cosh(t / self.tau)
+            th = np.tanh(t / self.T)
         return mask * (1.0 - th), mask * (1.0 + th)
 
     def crossing_time(self):

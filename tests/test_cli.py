@@ -56,6 +56,16 @@ class TestEigentraj:
         mask = np.abs(data[:, 0]) <= 4.0
         assert np.diff(energies[mask], axis=1).min() > 0
 
+    # t/tau overflows beyond |t| ~ 1e-308 * 1.8e308 and cosh(t/tau)
+    # beyond |t/tau| = 710; both limits give the mask sech = 0
+    @pytest.mark.parametrize("tau", [1e-3, 1e-308])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_narrow_mask_warns_nothing(self, tmp_path, tau):
+        payload = {**FOUR_LEVEL,
+                   "pulses": {"kind": "sech_masked", "T": 1.0, "tau": tau}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["eigentraj", "--config", cfg, "--out", str(tmp_path)]) == 0
+
     def test_svg_written(self, tmp_path):
         cfg = write_config(tmp_path, FOUR_LEVEL)
         main(["eigentraj", "--config", cfg, "--out", str(tmp_path), "--svg"])
@@ -224,6 +234,14 @@ class TestModels:
         out = capsys.readouterr().out
         assert "E_Z" in out and "level shifts" in out
 
+    def test_leaves_print_options_alone(self, tmp_path):
+        cfg = write_config(tmp_path, {"model": FOUR_LEVEL["model"]})
+        # numpy's defaults, whatever an earlier test in this process set
+        with np.printoptions(precision=8, suppress=False, linewidth=75):
+            before = np.get_printoptions()
+            assert main(["models", "--config", cfg, "--out", str(tmp_path)]) == 0
+            assert np.get_printoptions() == before
+
     def test_six_level_equal_moduli_reports_gauge(self, tmp_path, capsys):
         payload = {"model": {"kind": "six_level", "omega1": [2.0, 0.0],
                              "omega2": [0.0, 2.0],
@@ -385,6 +403,32 @@ class TestStepCounts:
         assert "config error: steps: at most 1048575" in capsys.readouterr().err
         assert propagated_steps[0] == 0
 
+    # a config number, or the phase scale (max|H0| + max|H1|) (t_max - t_min)
+    # at the largest energy, at or beyond 2**500 ~ 3.3e150
+    @pytest.mark.parametrize("command, payload", [
+        ("qpe", {**QPE_CONFIG, "model": {**QPE_CONFIG["model"], "E": 1e308}}),
+        ("qpe", {**QPE_CONFIG, "model": {**QPE_CONFIG["model"], "E": 1e150}}),
+        ("sweep", {**SWEEP_CONFIG, "et_values": [1e308, 1e200, 20]}),
+        ("sweep", {**SWEEP_CONFIG, "et_values": [20, 1e150]}),
+        ("sweep", {"pulses": {"kind": "tanh", "T": 1e-300},
+                   "et_values": [1e150], "steps": 20}),
+        ("evolve", {**FOUR_LEVEL,
+                    "model": {**FOUR_LEVEL["model"], "V": [1e154, 3.33]}}),
+        ("adiabaticity", {**FOUR_LEVEL,
+                          "model": {**FOUR_LEVEL["model"], "V": [1e154, 3.33]}}),
+        ("evolve", {**FOUR_LEVEL, "window": [-1e150, 1e150]}),
+    ], ids=["qpe_E", "qpe_E_scale", "sweep_et", "sweep_et_scale",
+            "sweep_energy_inf", "evolve_V", "adiabaticity_V",
+            "evolve_window_scale"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_scale_before_integrating(
+            self, tmp_path, capsys, propagated_steps, command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "below 2**500" in err
+        assert propagated_steps[0] == 0
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("command, payload", [
@@ -418,12 +462,19 @@ class TestConfigErrors:
         # the sampler draws 64-bit counts
         ("qpe", {**QPE_CONFIG, "shots": 2**63}),
         ("qpe", {**QPE_CONFIG, "shots": 10**400}),
+        # custom model rows that are not lists
+        ("evolve", {**FOUR_LEVEL, "model": {"kind": "custom", "h0": [1, 2],
+                                            "h1": [[0, 1], [1, 0]]}}),
+        ("evolve", {**FOUR_LEVEL, "model": {"kind": "custom",
+                                            "h0": [[1, 2], None],
+                                            "h1": [[0, 1], [1, 0]]}}),
     ], ids=["qpe_steps", "qpe_window", "sweep_phi", "sweep_steps",
             "qpe_steps_bool", "sweep_phi_bool", "model_E_bool",
             "model_V_bool", "sweep_et_bool", "window_bool", "h0_diag_bool",
             "model_E_nan", "model_E_inf", "pulses_bool_and_string",
             "qpe_shots_bool", "adiabaticity_one_step", "sweep_energy_underflow",
-            "sweep_energy_overflow", "qpe_shots_2_63", "qpe_shots_10_400"])
+            "sweep_energy_overflow", "qpe_shots_2_63", "qpe_shots_10_400",
+            "custom_scalar_rows", "custom_null_row"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_config_code_without_traceback(self, tmp_path, capsys,
                                                  command, payload):

@@ -4,35 +4,52 @@ Each example takes one subcommand's README config, shortened to 20 steps
 on every command but models, which takes none, with every optional key
 the command accepts set explicitly (window, direction, shots, v_over_e,
 phi), replaces one to three of its values (at any depth, steps included)
-with a hostile JSON value and runs the command.  Whatever the input,
-main() must return one of the documented exit codes and no exception may
-escape.
+with a hostile JSON value and runs the command.  evolve also runs on a
+custom model and models on a six-level one, so every model kind is
+fuzzed, and every top-level key of every config is replaced in some
+example of every run.  Whatever the input, main() must return one of the
+documented exit codes, no exception may escape and no RuntimeWarning may
+be raised.
 """
 
 import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circulant_qft.cli import main
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PAPER_MODEL = {"kind": "four_level", "E": 10.0, "V": [10.0, 3.3333333333]}
 PAPER_PULSES = {"kind": "sech_masked", "T": 1.0, "tau": 1.0}
 FIGURE = {"model": PAPER_MODEL, "pulses": PAPER_PULSES, "steps": 20,
           "window": [-6.0, 6.0]}
 DIRECTED = {**FIGURE, "direction": "forward"}
+# a two-level ring, entries both as numbers and as [re, im] pairs:
+# H1 = [[0, 1], [1, 0]] is circulant with spectrum +-1
+CUSTOM_MODEL = {"kind": "custom", "h0": [[-1.0, 0], [0, [1.0, 0.0]]],
+                "h1": [[0, 1.0], [[1.0, 0.0], 0]]}
+SIX_LEVEL_MODEL = {"kind": "six_level", "omega1": [0.5, 0.2],
+                   "omega2": [0.5, 0.2], "h0_diag": [-3, -2, -1, 1, 2, 3]}
+# name: (command, config)
 CONFIGS = {
-    "eigentraj": DIRECTED,
-    "evolve": DIRECTED,
-    "adiabaticity": DIRECTED,
-    "qpe": {**FIGURE, "phi": 0.75, "r": 2, "shots": 10},
-    "models": {"model": PAPER_MODEL},
-    "sweep": {"pulses": PAPER_PULSES, "et_values": [5, 10, 20, 40], "steps": 20,
-              "window": [-6.0, 6.0], "v_over_e": [1.0, 0.3333333333],
-              "phi": 0.75},
+    "eigentraj": ("eigentraj", DIRECTED),
+    "evolve": ("evolve", DIRECTED),
+    "evolve_custom": ("evolve", {**DIRECTED, "model": CUSTOM_MODEL}),
+    "adiabaticity": ("adiabaticity", DIRECTED),
+    "qpe": ("qpe", {**FIGURE, "phi": 0.75, "r": 2, "shots": 10}),
+    "models": ("models", {"model": PAPER_MODEL}),
+    "models_six_level": ("models", {"model": SIX_LEVEL_MODEL}),
+    "sweep": ("sweep", {"pulses": PAPER_PULSES, "et_values": [5, 10, 20, 40],
+                        "steps": 20, "window": [-6.0, 6.0],
+                        "v_over_e": [1.0, 0.3333333333], "phi": 0.75}),
 }
+TOP_LEVEL_KEYS = [(name, key) for name, (_, cfg) in CONFIGS.items()
+                  for key in cfg]
 EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -64,47 +81,67 @@ def replaced(node, path, value):
 
 HOSTILE_SCALARS = st.sampled_from([
     float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e-308,
-    0, -1, 10**400, True, False, None, "", "1", "x",
+    1e154, -1e154, 0, -1, 10**12, 10**400, True, False, None, "", "1", "x",
 ])
 HOSTILE = st.recursive(HOSTILE_SCALARS,
                        lambda inner: st.lists(inner, max_size=4),
                        max_leaves=8)
 
 
-@st.composite
-def mutated_configs(draw):
-    command = draw(st.sampled_from(sorted(CONFIGS)))
-    cfg = CONFIGS[command]
+def mutate(draw, cfg, times):
+    """cfg with `times` values at drawn paths replaced by hostile ones."""
     paths = leaf_paths(cfg)
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(times):
         path = draw(st.sampled_from(paths))
         try:
             cfg = replaced(cfg, path, draw(HOSTILE))
         except (KeyError, IndexError, TypeError):
             pass  # an earlier mutation removed the path
-    return command, cfg
+    return cfg
+
+
+@st.composite
+def mutated_configs(draw):
+    command, cfg = CONFIGS[draw(st.sampled_from(sorted(CONFIGS)))]
+    return command, mutate(draw, cfg, draw(st.integers(1, 3)))
+
+
+def exit_code(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        return main([command, "--config", str(path), "--out", tmp])
 
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(mutated_configs())
 @example(("evolve", replaced(FIGURE, ("model", "E"), float("nan"))))
+@example(("evolve", replaced(FIGURE, ("model", "E"), 1e150)))
+@example(("evolve", replaced(CONFIGS["evolve_custom"][1], ("model", "h0"), [1, 2])))
 @example(("evolve", replaced(FIGURE, ("model", "E"), float("inf"))))
-@example(("qpe", replaced(CONFIGS["qpe"], ("r",), 100000)))
+@example(("qpe", replaced(CONFIGS["qpe"][1], ("r",), 100000)))
 @example(("adiabaticity",
           replaced(replaced(FIGURE, ("model", "V"), [10.0, 1e308]),
                    ("pulses", "tau"), 1e308)))
 @example(("adiabaticity", replaced(FIGURE, ("steps",), 1)))
-@example(("sweep", {**CONFIGS["sweep"], "r": 2}))
-@example(("qpe", replaced(CONFIGS["qpe"], ("shots",), 2**63)))
+@example(("sweep", {**CONFIGS["sweep"][1], "r": 2}))
+@example(("qpe", replaced(CONFIGS["qpe"][1], ("shots",), 2**63)))
 @example(("evolve", replaced(DIRECTED, ("direction",), None)))
-@example(("sweep", replaced(CONFIGS["sweep"], ("v_over_e", 1), 1e308)))
-@example(("sweep", replaced(CONFIGS["sweep"], ("phi",), float("nan"))))
-@example(("sweep", replaced(CONFIGS["sweep"], ("et_values", 0), 1e-308)))
-@example(("sweep", replaced(CONFIGS["sweep"], ("window",), [-1e308, 1e308])))
+@example(("sweep", replaced(CONFIGS["sweep"][1], ("v_over_e", 1), 1e308)))
+@example(("sweep", replaced(CONFIGS["sweep"][1], ("phi",), float("nan"))))
+@example(("sweep", replaced(CONFIGS["sweep"][1], ("et_values", 0), 1e-308)))
+@example(("sweep", replaced(CONFIGS["sweep"][1], ("window",), [-1e308, 1e308])))
 def test_main_returns_an_exit_code(case):
-    command, cfg = case
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(cfg))
-        code = main([command, "--config", str(path), "--out", tmp])
-    assert code in EXIT_CODES
+    assert exit_code(*case) in EXIT_CODES
+
+
+# a drawn path rarely lands on a given key, so each key gets its own run
+@pytest.mark.parametrize("name, key", TOP_LEVEL_KEYS,
+                         ids=[f"{name}-{key}" for name, key in TOP_LEVEL_KEYS])
+@settings(max_examples=5, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_every_top_level_key_replaced(name, key, data):
+    command, cfg = CONFIGS[name]
+    cfg = replaced(cfg, (key,), data.draw(HOSTILE))
+    cfg = mutate(data.draw, cfg, data.draw(st.integers(0, 2)))
+    assert exit_code(command, cfg) in EXIT_CODES
