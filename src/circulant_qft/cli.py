@@ -13,11 +13,13 @@ import argparse
 import dataclasses
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, svg
+from ._kernels import CHUNK
 from .circulant import CirculantSpec, circulant_eigenvalues, phase_equivalent_circulant
 from .errors import ConfigError, IntegrationError, PhysicsError
 from .models import build_four_level, build_six_level, solve_level_shifts
@@ -45,8 +47,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PHYSICS = 4
 
-# Complex values in the largest array a command holds: eigentraj keeps
-# the (steps + 1) eigenvector matrices of its grid.
+# Complex values in the largest array a command holds: the (steps + 1)
+# stacked Hamiltonians of eigentraj's grid, and the eigenvector matrices
+# of the grid in adiabaticity and in evolve's phase prediction.
 MAX_GRID_VALUES = 2**24
 # Bound on every config number and on a schedule's phase scale
 # E (max|H0| + max|H1|) (t_max - t_min): the squares of the 2**23 entries
@@ -60,11 +63,21 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
+    """Write header and rows as CSV: str cells as they are, numbers as _fmt
+    writes them.
+
+    Every row has the length and cell types of the first, so one %-format
+    built from it serves each block of CHUNK rows in one operation.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, str) else _fmt(c)
-                              for c in row) + "\n")
+        if not rows:
+            return
+        row_fmt = ",".join("%s" if isinstance(c, str) else "%.12g"
+                           for c in rows[0]) + "\n"
+        for start in range(0, len(rows), CHUNK):
+            block = rows[start:start + CHUNK]
+            fh.write(row_fmt * len(block) % tuple(chain.from_iterable(block)))
 
 
 def write_meta(path, command, config):
@@ -296,6 +309,14 @@ def cmd_adiabaticity(cfg, args):
     # the scan takes differences across three grid points
     if sched.steps < 2:
         raise ConfigError(f"steps: adiabaticity needs at least 2, got {sched.steps}")
+    # and divides eigenvector differences, at most 2 in modulus, by the
+    # central-difference width 2*dt
+    t = sched.grid()
+    width = float((t[2:] - t[:-2]).min())
+    if not width * np.finfo(float).max > 2.0:
+        raise ConfigError(f"window: central-difference width 2*dt = {width:.3g} "
+                          f"is too narrow for adiabaticity; widen the window "
+                          f"or lower steps")
     report = adiabaticity_report(sched)
     out = Path(args.out)
     rows = np.column_stack(

@@ -104,10 +104,14 @@ def write_line_plot(path, x, series, title="", xlabel="", ylabel=""):
             f'transform="rotate(-90 18 {cy:.1f})">{ylabel}</text>'
         )
 
-    x_px = px(x).tolist()
+    # one %-format per polyline, over interleaved pixel coordinates
+    points_fmt = " ".join(["%.2f,%.2f"] * len(x))
+    xy = np.empty((len(x), 2))
+    xy[:, 0] = px(x)
     for idx, (name, y) in enumerate(ys.items()):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{xv:.2f},{yv:.2f}" for xv, yv in zip(x_px, py(y).tolist()))
+        xy[:, 1] = py(y)
+        points = points_fmt % tuple(xy.ravel().tolist())
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from circulant_qft.cli import main
+from circulant_qft._kernels import CHUNK
+from circulant_qft.cli import main, write_csv
 from circulant_qft.models import DegenerateSpectrumWarning, build_four_level
 from circulant_qft.propagator import evolve, factor_phased_dft
 from circulant_qft.qpe import run_qpe
@@ -34,6 +35,41 @@ def write_config(tmp_path, payload, name="config.json"):
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def reference_csv(header, rows):
+    """write_csv's bytes, formatted one cell at a time."""
+    lines = [",".join(header)] + [
+        ",".join(c if isinstance(c, str) else f"{float(c):.12g}" for c in row)
+        for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 1e-308, 5e-324, 1e300, -1e300, float("nan"),
+               float("inf"), -float("inf"), 1 / 3, 2.5, 123456789012345.0]
+
+
+def _wide_range_table(rows):
+    rng = np.random.default_rng(5)
+    return (rng.standard_normal((rows, 3))
+            * 10.0 ** rng.integers(-300, 300, (rows, 3))).tolist()
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("header, rows", [
+        (["n", "bits", "int", "float", "float64"],
+         [[str(k), format(k, "04b"), k - 5, x, np.float64(-x)]
+          for k, x in enumerate(EDGE_FLOATS)]),
+        (["t", "a", "b"], _wide_range_table(2 * CHUNK + 3)),
+        (["t", "a", "b"], _wide_range_table(CHUNK)),
+        (["int", "float64"], [[2**70, np.float64(1e-308)], [-3, np.float64(np.nan)]]),
+        (["t", "eps"], []),
+    ], ids=["mixed_cells", "longer_than_chunk", "one_chunk", "big_int",
+            "empty"])
+    def test_matches_cell_by_cell_formatter(self, tmp_path, header, rows):
+        write_csv(tmp_path / "table.csv", header, rows)
+        assert (tmp_path / "table.csv").read_bytes() \
+            == reference_csv(header, rows).encode()
 
 
 class TestEigentraj:
@@ -170,6 +206,16 @@ class TestAdiabaticity:
         assert len(rows) == 401
         out = capsys.readouterr().out
         assert "margin" in out and "1/T" in out
+
+    # 2*dt = 1.33e-308 is just wide enough: differences of unit eigenvectors
+    # divided by it stay below the float maximum
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_narrowest_window_warns_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            **FOUR_LEVEL, "pulses": {"kind": "tanh", "T": 1e-308},
+            "window": [-1e-308, 1e-308], "steps": 3})
+        assert main(["adiabaticity", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "max coupling 5.9" in capsys.readouterr().out
 
 
 class TestQpe:
@@ -454,6 +500,9 @@ class TestConfigErrors:
                                              "T": True, "tau": "1"}}),
         ("qpe", {**QPE_CONFIG, "shots": True}),
         ("adiabaticity", {**FOUR_LEVEL, "steps": 1}),
+        # default window +-6e-308: 2*dt = 4.8e-309 has no finite reciprocal
+        ("adiabaticity", {**FOUR_LEVEL, "pulses": {"kind": "tanh", "T": 1e-308},
+                          "steps": 50}),
         # E = E*T / T underflows to 0 and overflows to inf
         ("sweep", {"pulses": {"kind": "tanh", "T": 2.0},
                    "et_values": [5e-324], "steps": 20}),
@@ -472,7 +521,8 @@ class TestConfigErrors:
             "qpe_steps_bool", "sweep_phi_bool", "model_E_bool",
             "model_V_bool", "sweep_et_bool", "window_bool", "h0_diag_bool",
             "model_E_nan", "model_E_inf", "pulses_bool_and_string",
-            "qpe_shots_bool", "adiabaticity_one_step", "sweep_energy_underflow",
+            "qpe_shots_bool", "adiabaticity_one_step",
+            "adiabaticity_narrow_window", "sweep_energy_underflow",
             "sweep_energy_overflow", "qpe_shots_2_63", "qpe_shots_10_400",
             "custom_scalar_rows", "custom_null_row"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")

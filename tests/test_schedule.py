@@ -141,6 +141,31 @@ class TestTrajectories:
         expected = np.sort(f[:, None] * np.diag(h0).real[None, :], axis=1)
         assert np.allclose(traj.energies, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("energy, steps", [(10.0, 4000), (13.7, 20000)],
+                             ids=["paper", "dense_grid"])
+    def test_eigenvalues_match_eigh(self, paper_pulses, energy, steps):
+        h0, h1 = build_four_level(energy, energy * (1 + 1j / 3))
+        s = Schedule(pulses=paper_pulses, h0=h0, h1=h1, steps=steps)
+        traj = eigen_trajectories(s)
+        a, b = s.coefficients(s.grid())
+        w, _ = np.linalg.eigh(a[:, None, None] * h0 + b[:, None, None] * h1)
+        assert np.abs(traj.energies - w).max() <= 1e-12 * np.abs(w).max()
+        gaps = np.diff(w, axis=1).min(axis=1)
+        assert traj.min_gap_time == s.grid()[np.argmin(gaps)]
+
+    def test_solves_for_no_eigenvectors(self, monkeypatch, paper_schedule):
+        calls = [0]
+        eigh = np.linalg.eigh
+
+        def counting(m):
+            calls[0] += 1
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        traj = eigen_trajectories(paper_schedule)
+        assert calls[0] == 0
+        assert traj.energies.shape == (paper_schedule.steps + 1, 4)
+
     def test_continuity_improves_with_grid_refinement(self, paper_schedule):
         jumps = []
         for m in (200, 400):
@@ -306,13 +331,17 @@ def reference_polyline_points(x, y, x_lo, x_hi, y_lo, y_hi):
 
 def test_line_plot_points_match_per_point_formatter(tmp_path):
     rng = np.random.default_rng(7)
-    x = np.sort(rng.uniform(-6, 6, 500))
-    series = {"a": rng.standard_normal(500), "b": np.cumsum(rng.uniform(-1, 1, 500))}
-    svg.write_line_plot(tmp_path / "plot.svg", x, series, title="t")
-    text = (tmp_path / "plot.svg").read_text()
-    all_y = np.concatenate(list(series.values()))
-    pad = 0.05 * (all_y.max() - all_y.min())
-    expected = [reference_polyline_points(x, y, x.min(), x.max(),
-                                          all_y.min() - pad, all_y.max() + pad)
-                for y in series.values()]
-    assert re.findall(r'<polyline points="([^"]*)"', text) == expected
+    # 20 001 points is eigentraj's dense grid
+    for points in (500, 20001):
+        x = np.sort(rng.uniform(-6, 6, points))
+        series = {"a": rng.standard_normal(points),
+                  "b": np.cumsum(rng.uniform(-1, 1, points))}
+        svg.write_line_plot(tmp_path / "plot.svg", x, series, title="t")
+        text = (tmp_path / "plot.svg").read_text()
+        all_y = np.concatenate(list(series.values()))
+        pad = 0.05 * (all_y.max() - all_y.min())
+        expected = [reference_polyline_points(x, y, x.min(), x.max(),
+                                              all_y.min() - pad,
+                                              all_y.max() + pad)
+                    for y in series.values()]
+        assert re.findall(r'<polyline points="([^"]*)"', text) == expected
