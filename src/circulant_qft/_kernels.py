@@ -49,7 +49,7 @@ def _step_matrices(h0, h1, a, b, dts):
     return (v * phases[..., None, :]) @ np.conj(np.swapaxes(v, 1, 2))
 
 
-def _accumulate(h0, h1, a_mid, b_mid, dts, sample_idx):
+def _accumulate(h0, h1, a, b, dts, sample_idx):
     """(u_samples, u_final) of propagate for at most CHUNK step lengths."""
     m, n = len(dts), h0.shape[0]
     eye = np.eye(n, dtype=np.complex128)
@@ -58,9 +58,9 @@ def _accumulate(h0, h1, a_mid, b_mid, dts, sample_idx):
     s = int(np.searchsorted(sample_idx, 0, side="right"))
     samples[:, :s] = eye
     chunk = max(1, CHUNK // m)
-    for start in range(0, len(a_mid), chunk):
-        stop = min(start + chunk, len(a_mid))
-        mats = _step_matrices(h0, h1, a_mid[start:stop], b_mid[start:stop], dts)
+    for start in range(0, len(a), chunk):
+        stop = min(start + chunk, len(a))
+        mats = _step_matrices(h0, h1, a[start:stop], b[start:stop], dts)
         last = int(np.searchsorted(sample_idx, stop, side="right"))
         ends = np.union1d(sample_idx[s:last], stop)
         pos = 0
@@ -76,19 +76,21 @@ def _accumulate(h0, h1, a_mid, b_mid, dts, sample_idx):
     return samples, u
 
 
-def propagate(h0, h1, a_mid, b_mid, dts, sample_idx):
-    """Exponential-midpoint stepping: U <- exp(-i H_k dt) U, H_k = a_k H0 + b_k H1,
-    for every step length dt in the 1-D array dts.
+def propagate(h0, h1, a, b, dts, sample_idx):
+    """Ordered product of step exponentials: U <- exp(-i dt H_k) U for
+    k = 0, 1, ..., with H_k = a_k H0 + b_k H1, for every step length dt in
+    the 1-D array dts.  The caller picks the exponents; the propagator
+    module passes the two weighted exponents of each CF4 interval.
 
     Returns (u_samples, u_final, max_unitarity_drift); u_samples and
     u_final carry a leading axis over dts.  ``sample_idx`` holds strictly
-    ascending step counts in [0, len(a_mid)] at which U is recorded (0
+    ascending step counts in [0, len(a)] at which U is recorded (0
     records the identity).  The drift is the largest ||U'U - I||_F over
     the samples and the end of every step length.  Checking there loses
     nothing: unitary steps leave U'U unchanged, so a defect made by any
     step is still present at the next sample.
     """
-    groups = [_accumulate(h0, h1, a_mid, b_mid, dts[g:g + CHUNK], sample_idx)
+    groups = [_accumulate(h0, h1, a, b, dts[g:g + CHUNK], sample_idx)
               for g in range(0, len(dts), CHUNK)]
     samples = np.concatenate([group[0] for group in groups])
     u = np.concatenate([group[1] for group in groups])

@@ -1,15 +1,19 @@
 """Time-dependent propagator integration and phased-DFT factorization.
 
-The propagator solves i dU/dt = H(t) U with U(t_min) = I by exponential
-midpoint stepping: each step applies exp(-i H(t + dt/2) dt) computed
-through an exact eigendecomposition, so unitarity is preserved per step
-up to solver roundoff and the global error is second order in the step.
-The stepping kernel (_kernels.propagate) checks ||U'U - I||_F at the
+The propagator solves i dU/dt = H(t) U with U(t_min) = I by the
+two-exponential fourth-order commutator-free Magnus scheme (CF4; Blanes
+& Moan, Appl. Numer. Math. 56, 1519, 2006).  A schedule of `steps` steps
+runs ceil(steps / 2) intervals of length h, and each interval applies two
+exponentials of weighted sums of H at its two Gauss-Legendre nodes, so
+`steps` counts exponentials.  Each exponential is computed through an
+exact eigendecomposition, so unitarity is preserved per step up to
+solver roundoff, and the global error is fourth order in h.  The
+stepping kernel (_kernels.propagate) checks ||U'U - I||_F at the
 recorded samples and at the end; every integration, evolve's and
 final_propagators', rejects a drift above UNITARITY_TOL or a non-finite
 propagator.  final_propagators integrates the schedule's Hamiltonian
 scaled by each of several energies at once: E*H(t) has the eigenvectors
-of H(t), so one eigendecomposition per step serves every scale.
+of H(t), so one eigendecomposition per exponential serves every scale.
 
 In the adiabatic regime the final forward propagator is a DFT up to a
 basis renumbering sigma and per-column phases alpha; factor_phased_dft
@@ -43,18 +47,26 @@ UNITARITY_TOL = 1e-8
 OVERLAP_AMBIGUITY = 1e-3
 # evolve records about this many intermediate propagators.
 SAMPLES = 200
+# CF4: the interval [t, t + h] has nodes t_i = t + NODES[i] * h, and its
+# exponential j is exp(-i h (WEIGHTS[j, 0] H(t_1) + WEIGHTS[j, 1] H(t_2))),
+# applied in the order j = 0, 1 (the reverse order is only second order).
+NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+_BETA = (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+_GAMMA = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0
+WEIGHTS = np.array([[_BETA, _GAMMA], [_GAMMA, _BETA]])
 
 
 @dataclass(frozen=True)
 class EvolutionResult:
     """Propagator samples and integration diagnostics.
 
-    times[k] is the grid time of u_samples[k]; u_final is the propagator
-    at the window end; unitarity_drift the worst ||U'U - I||_F over the
-    recorded samples and the end (a step's defect persists, so no step
-    escapes it); convergence_estimate the Frobenius distance between the
-    final propagators at the requested and doubled step counts, or NaN
-    when the run was made without convergence_check.
+    times[k] is the time (an interval boundary) of u_samples[k]; u_final
+    is the propagator at the window end; unitarity_drift the worst
+    ||U'U - I||_F over the recorded samples and the end (a step's defect
+    persists, so no step escapes it); convergence_estimate the Frobenius
+    distance between the final propagators at the requested and doubled
+    interval counts, or NaN when the run was made without
+    convergence_check.
     """
 
     times: np.ndarray
@@ -68,16 +80,26 @@ class EvolutionResult:
         return self.u_final.shape[0]
 
 
-def _integrate(s, steps, sample_idx, scales=(1.0,)):
+def _intervals(steps):
+    """CF4 intervals for a step count: two exponentials per interval."""
+    return -(-steps // 2)
+
+
+def _integrate(s, intervals, sample_idx, scales=(1.0,)):
     """Samples and final propagators of scale * H(t) for every scale,
-    with a leading axis over scales, and their worst unitarity drift."""
+    with a leading axis over scales, and their worst unitarity drift.
+
+    The window is cut into `intervals` CF4 intervals; sample_idx holds
+    interval boundaries (0 is t_min, intervals is t_max).
+    """
     t_min, t_max = s.window
-    dt = (t_max - t_min) / steps
-    t_mid = t_min + dt * (np.arange(steps) + 0.5)
-    a, b = s.coefficients(t_mid)
+    h = (t_max - t_min) / intervals
+    a, b = s.coefficients(t_min + h * (np.arange(intervals)[:, None] + NODES))
+    # row k holds interval k's two exponents, in their order of application
+    a, b = (a @ WEIGHTS.T).ravel(), (b @ WEIGHTS.T).ravel()
     samples, u_final, drift = _kernels.propagate(
-        s.h0, s.h1, a, b, dt * np.asarray(scales, dtype=float),
-        np.asarray(sample_idx, dtype=np.int64)
+        s.h0, s.h1, a, b, h * np.asarray(scales, dtype=float),
+        2 * np.asarray(sample_idx, dtype=np.int64)
     )
     if not np.all(np.isfinite(u_final)):
         raise IntegrationError("propagator contains non-finite entries")
@@ -91,27 +113,29 @@ def _integrate(s, steps, sample_idx, scales=(1.0,)):
 def evolve(s, convergence_check=True):
     """Integrate the schedule's propagator over its window.
 
-    About SAMPLES intermediate propagators are recorded at a fixed
-    stride; the first and final grid points are always included.  When
-    convergence_check is set, the integration is repeated at double
-    resolution and the difference of the final propagators is reported
-    (the extra run is discarded); callers that do not read
-    convergence_estimate turn it off, which saves two thirds of the steps.
+    The window is cut into ceil(s.steps / 2) CF4 intervals of two
+    exponentials each.  About SAMPLES intermediate propagators are
+    recorded at interval boundaries, at a fixed stride; t_min and t_max
+    are always included.  When convergence_check is set, the integration
+    is repeated with twice the intervals and the difference of the final
+    propagators is reported (the extra run is discarded); callers that
+    do not read convergence_estimate turn it off, which saves two thirds
+    of the exponentials.
     """
-    steps = s.steps
-    sample_idx = np.arange(0, steps + 1, max(1, steps // SAMPLES))
-    if sample_idx[-1] != steps:
-        sample_idx = np.append(sample_idx, steps)
+    intervals = _intervals(s.steps)
+    sample_idx = np.arange(0, intervals + 1, max(1, intervals // SAMPLES))
+    if sample_idx[-1] != intervals:
+        sample_idx = np.append(sample_idx, intervals)
 
-    samples, u_final, drift = _integrate(s, steps, sample_idx)
+    samples, u_final, drift = _integrate(s, intervals, sample_idx)
     samples, u_final = samples[0], u_final[0]
     convergence = np.nan
     if convergence_check:
-        _, u_fine, _ = _integrate(s, 2 * steps, np.empty(0, dtype=np.int64))
+        _, u_fine, _ = _integrate(s, 2 * intervals, np.empty(0, dtype=np.int64))
         convergence = frobenius(u_final - u_fine[0])
 
     t_min, t_max = s.window
-    times = t_min + (t_max - t_min) * sample_idx / steps
+    times = t_min + (t_max - t_min) * sample_idx / intervals
     return EvolutionResult(
         times=times,
         u_samples=samples,
@@ -124,11 +148,13 @@ def evolve(s, convergence_check=True):
 def final_propagators(s, scales):
     """U(t_max) of the schedule with its Hamiltonian scaled by each of scales.
 
-    One integration at the step lengths dt * scales serves every scale,
-    and every scale passes the same finite and unitarity checks as
-    evolve.  No samples are recorded and there is no convergence rerun.
+    One integration at the interval lengths h * scales serves every
+    scale, over the same ceil(s.steps / 2) CF4 intervals as evolve, and
+    every scale passes the same finite and unitarity checks.  No samples
+    are recorded and there is no convergence rerun.
     """
-    return _integrate(s, s.steps, np.empty(0, dtype=np.int64), scales)[1]
+    return _integrate(s, _intervals(s.steps), np.empty(0, dtype=np.int64),
+                      scales)[1]
 
 
 @dataclass(frozen=True)

@@ -287,7 +287,11 @@ def adiabaticity_report(s):
         coupling_trace[start:stop] = np.where(coupled, coupling, 0.0).max(axis=(1, 2))
         coupled &= coupling > 0
         if coupled.any():
-            margin = min(margin, float((gap[coupled] / coupling[coupled]).min()))
+            # a subnormal coupling can overflow its ratio to inf, which is
+            # never below margin's start value, so the overflow is harmless
+            with np.errstate(over="ignore"):
+                ratios = gap[coupled] / coupling[coupled]
+            margin = min(margin, float(ratios.min()))
 
     return AdiabaticityReport(
         min_gap=min_gap,

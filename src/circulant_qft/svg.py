@@ -21,7 +21,12 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 def _ticks(lo, hi):
     if hi == lo:
         hi = lo + 1.0
-    return np.linspace(lo, hi, TICKS)
+    ticks = np.linspace(lo, hi, TICKS)
+    # a range symmetric up to rounding leaves linspace noise where 0
+    # belongs; the end ticks are lo and hi exactly
+    inner = ticks[1:-1]
+    inner[np.abs(inner) <= 4 * np.spacing(max(abs(lo), abs(hi)))] = 0.0
+    return ticks
 
 
 def _fmt(x):

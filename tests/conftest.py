@@ -8,13 +8,13 @@ from circulant_qft.schedule import Schedule, SechMaskedPair
 
 @pytest.fixture()
 def propagated_steps(monkeypatch):
-    """Steps integrated by _kernels.propagate during the test, as [total]."""
+    """Exponentials applied by _kernels.propagate during the test, as [total]."""
     total = [0]
     original = _kernels.propagate
 
-    def counting(h0, h1, a_mid, b_mid, dts, sample_idx):
-        total[0] += len(a_mid)
-        return original(h0, h1, a_mid, b_mid, dts, sample_idx)
+    def counting(h0, h1, a, b, dts, sample_idx):
+        total[0] += len(a)
+        return original(h0, h1, a, b, dts, sample_idx)
 
     monkeypatch.setattr(_kernels, "propagate", counting)
     return total

@@ -218,6 +218,19 @@ class TestAdiabaticity:
         assert "max coupling 5.9" in capsys.readouterr().out
 
 
+    # the margin's gap/coupling ratios overflow to inf at a subnormal
+    # coupling; inf is never the minimum, so the margin is unchanged
+    def test_subnormal_coupling_warns_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "model": {"kind": "four_level", "E": 10.0, "V": [1e-308, 1e-308]},
+            "pulses": {"kind": "tanh", "T": 1.0}, "steps": 400})
+        with pytest.warns(DegenerateSpectrumWarning) as record:
+            assert main(["adiabaticity", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+        assert all(w.category is DegenerateSpectrumWarning for w in record)
+        assert "margin 11870938847 " in capsys.readouterr().out
+
+
 class TestQpe:
     def test_paper_figure_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QPE_CONFIG)
@@ -395,6 +408,24 @@ class TestStepCounts:
         out = capsys.readouterr().out
         estimate = float(out.split("convergence estimate ")[1].split()[0])
         assert np.isfinite(estimate)
+
+    # an odd step count rounds up to whole CF4 intervals of two
+    # exponentials; the samples still span the window
+    @pytest.mark.parametrize("steps", [1, 3, 401])
+    def test_odd_and_tiny_step_counts(self, tmp_path, steps):
+        for command, config, meta in (
+                ("evolve", FOUR_LEVEL, "propagator.meta.json"),
+                ("qpe", QPE_CONFIG, "qpe_trace.meta.json")):
+            cfg = write_config(tmp_path, {**config, "steps": steps})
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+            echoed = json.loads((tmp_path / meta).read_text())
+            assert echoed["config"]["steps"] == steps
+        _, rows = read_csv(tmp_path / "qpe_trace.csv")
+        assert [float(rows[0][0]), float(rows[-1][0])] == [-6.0, 6.0]
+        h0, h1 = build_four_level(10.0, 10.0 * (1 + 1j / 3))
+        result = evolve(Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0),
+                                 h0=h0, h1=h1, steps=steps))
+        assert [result.times[0], result.times[-1]] == [-6.0, 6.0]
 
     # every point is the E = 1 model scaled by E, so one integration per
     # direction serves all points

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from circulant_qft import _kernels
 from circulant_qft.errors import IntegrationError
 from circulant_qft.models import build_four_level
-from circulant_qft.propagator import UNITARITY_TOL, evolve, final_propagators
-from circulant_qft.schedule import SechMaskedPair
+from circulant_qft.propagator import (
+    UNITARITY_TOL,
+    _integrate,
+    evolve,
+    final_propagators,
+)
+from circulant_qft.schedule import FORWARD, INVERSE, Schedule, SechMaskedPair
 
 CHUNK = _kernels.CHUNK
 NO_SAMPLES = np.empty(0, dtype=np.int64)
@@ -104,3 +110,39 @@ def test_drift_gate_fires_with_sampled_checks(monkeypatch, paper_schedule):
         _, _, drift = _kernels.propagate(h0, h1, a, b, dt * np.array(scales),
                                          NO_SAMPLES)
         assert drift > UNITARITY_TOL
+
+
+def _cf4_loop(s, intervals, scale):
+    """U at every interval boundary, from the plain per-interval CF4 loop
+    (Blanes & Moan 2006): nodes t + (1/2 -+ sqrt(3)/6) h, the
+    beta-weighted exponential first."""
+    beta, gamma = (3 + 2 * np.sqrt(3)) / 12, (3 - 2 * np.sqrt(3)) / 12
+    t_min, t_max = s.window
+    h = (t_max - t_min) / intervals
+    u = [np.eye(s.dim, dtype=np.complex128)]
+    for k in range(intervals):
+        t = t_min + k * h
+        a1, b1 = s.coefficients(np.array([t + (0.5 - np.sqrt(3) / 6) * h]))
+        a2, b2 = s.coefficients(np.array([t + (0.5 + np.sqrt(3) / 6) * h]))
+        h_1 = a1[0] * s.h0 + b1[0] * s.h1
+        h_2 = a2[0] * s.h0 + b2[0] * s.h1
+        step = u[-1]
+        for first, second in ((beta, gamma), (gamma, beta)):
+            step = expm(-1j * scale * h * (first * h_1 + second * h_2)) @ step
+        u.append(step)
+    return np.array(u)
+
+
+@pytest.mark.parametrize("direction", [FORWARD, INVERSE])
+@pytest.mark.parametrize("intervals, sample_idx", [(1, [0, 1]),
+                                                   (257, [0, 100, 101, 257])])
+def test_integrate_matches_plain_cf4_loop(direction, intervals, sample_idx):
+    h0, h1 = build_four_level(10.0, 10.0 * (1 + 1j / 3))
+    s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+                 direction=direction)
+    scales = [1.0, 0.5, 3.7]
+    samples, u_final, _ = _integrate(s, intervals, sample_idx, scales)
+    for m, scale in enumerate(scales):
+        ref = _cf4_loop(s, intervals, scale)
+        assert np.abs(samples[m] - ref[sample_idx]).max() <= 1e-12
+        assert np.abs(u_final[m] - ref[-1]).max() <= 1e-12

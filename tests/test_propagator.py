@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from circulant_qft import propagator
 from circulant_qft.circulant import dft_matrix
 from circulant_qft.errors import (
     AmbiguousPermutationError,
@@ -71,13 +72,25 @@ class TestEvolve:
         res = evolve(paper_schedule, convergence_check=False)
         assert res.unitarity_drift <= 1e-8
 
-    def test_convergence_is_second_order(self, paper_model, paper_pulses):
+    @staticmethod
+    def halving_ratio(paper_model, paper_pulses):
         h0, h1 = paper_model
         estimates = []
         for steps in (1000, 2000):
             s = Schedule(pulses=paper_pulses, h0=h0, h1=h1, steps=steps)
             estimates.append(evolve(s).convergence_estimate)
-        assert estimates[0] / estimates[1] >= 3.5
+        return estimates[0] / estimates[1]
+
+    def test_convergence_is_fourth_order(self, paper_model, paper_pulses):
+        # fourth order gives 16 per halving of the interval, second order 4
+        assert self.halving_ratio(paper_model, paper_pulses) >= 12
+
+    def test_reversed_exponent_order_is_second_order(
+            self, monkeypatch, paper_model, paper_pulses):
+        # applying gamma-first, beta-second is only second order, so the
+        # order of the two exponentials of an interval is pinned
+        monkeypatch.setattr(propagator, "WEIGHTS", propagator.WEIGHTS[::-1])
+        assert self.halving_ratio(paper_model, paper_pulses) < 12
 
     def test_samples_cover_window(self, paper_schedule):
         res = evolve(paper_schedule, convergence_check=False)

@@ -345,3 +345,15 @@ def test_line_plot_points_match_per_point_formatter(tmp_path):
                                               all_y.max() + pad)
                     for y in series.values()]
         assert re.findall(r'<polyline points="([^"]*)"', text) == expected
+
+
+@pytest.mark.parametrize("x", [3.7, 52.5, 100.0, 1e-300])
+def test_ticks_snap_rounding_noise_to_zero(x):
+    # a padded axis range symmetric up to an ulp put its middle tick at
+    # linspace noise such as 1.42109e-14, not at 0
+    lo, hi = -x, x * (1 + np.finfo(float).eps)
+    ticks = svg._ticks(lo, hi)
+    assert svg._fmt(ticks[len(ticks) // 2]) == "0"
+    assert ticks[0] == lo and ticks[-1] == hi
+    # a tick that is really off 0 keeps its value
+    assert svg._ticks(-x, 2 * x)[2] == pytest.approx(x / 2, rel=1e-15)
