@@ -13,6 +13,8 @@ from .errors import NonHermitianError
 HERMITIAN_RTOL = 1e-12
 # Eigenvalues closer than this (relative to ||M||) form a degenerate cluster.
 CLUSTER_GAP_RTOL = 1e-9
+# Accepted propagators must keep ||U'U - I||_F below this.
+UNITARITY_TOL = 1e-8
 
 
 def frobenius(m):

@@ -5,15 +5,17 @@ two-exponential fourth-order commutator-free Magnus scheme (CF4; Blanes
 & Moan, Appl. Numer. Math. 56, 1519, 2006).  A schedule of `steps` steps
 runs ceil(steps / 2) intervals of length h, and each interval applies two
 exponentials of weighted sums of H at its two Gauss-Legendre nodes, so
-`steps` counts exponentials.  Each exponential is computed through an
-exact eigendecomposition, so unitarity is preserved per step up to
-solver roundoff, and the global error is fourth order in h.  The
-stepping kernel (_kernels.propagate) checks ||U'U - I||_F at the
-recorded samples and at the end; every integration, evolve's and
-final_propagators', rejects a drift above UNITARITY_TOL or a non-finite
-propagator.  final_propagators integrates the schedule's Hamiltonian
-scaled by each of several energies at once: E*H(t) has the eigenvectors
-of H(t), so one eigendecomposition per exponential serves every scale.
+`steps` counts exponentials, and the global error is fourth order in h.
+Each exponential is a truncated Taylor series with scaling and squaring
+(_kernels), so it loses unitarity per step by a Taylor remainder below
+eps/2 plus roundoff.  The stepping kernel (_kernels.propagate) checks
+||U'U - I||_F at the recorded samples and at the end; every
+integration, evolve's and final_propagators', rejects a drift above
+UNITARITY_TOL or a non-finite propagator, and a step too long for
+squaring to stay inside UNITARITY_TOL.  final_propagators integrates
+the schedule's Hamiltonian scaled by each of several energies at once:
+E*H(t) only rescales each exponent, so one set of series terms serves
+every scale.
 
 In the adiabatic regime the final forward propagator is a DFT up to a
 basis renumbering sigma and per-column phases alpha; factor_phased_dft
@@ -38,11 +40,15 @@ from .errors import (
     DegenerateSpectrumError,
     IntegrationError,
 )
-from .linalg import CLUSTER_GAP_RTOL, dagger, frobenius, unitarity_defect
+from .linalg import (
+    CLUSTER_GAP_RTOL,
+    UNITARITY_TOL,
+    dagger,
+    frobenius,
+    unitarity_defect,
+)
 from .schedule import FORWARD, INVERSE
 
-# Accepted runs must keep ||U'U - I||_F below this.
-UNITARITY_TOL = 1e-8
 # Two column overlaps closer than this make the renumbering ambiguous.
 OVERLAP_AMBIGUITY = 1e-3
 # evolve records about this many intermediate propagators.

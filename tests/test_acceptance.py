@@ -141,7 +141,7 @@ def test_criterion_5_integrator_quality(pulses):
         drifts.append(res.unitarity_drift)
         estimates.append(res.convergence_estimate)
     ratio = estimates[0] / estimates[1]
-    ok = max(drifts) <= 1e-8 and ratio >= 3.5
+    ok = max(drifts) <= 1e-8 and ratio >= 12
     assert report(
         5, ok,
         f"max drift {max(drifts):.2e}, step-halving ratio {ratio:.2f}",

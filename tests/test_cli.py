@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from circulant_qft import _kernels
 from circulant_qft._kernels import CHUNK
 from circulant_qft.cli import main, write_csv
 from circulant_qft.models import DegenerateSpectrumWarning, build_four_level
@@ -505,6 +506,31 @@ class TestStepCounts:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "below 2**500" in err
         assert propagated_steps[0] == 0
+
+    # below the scale bound, but one step spans ~1e100 radians: no number
+    # of squarings keeps a step matrix unitary to 1e-8, so the run stops
+    # before forming one
+    @pytest.mark.parametrize("command, payload", [
+        ("sweep", {"pulses": {"kind": "sech_masked", "T": 1.0, "tau": 1.0},
+                   "et_values": [1e100, 20], "steps": 20}),
+        ("qpe", {**QPE_CONFIG, "model": {"kind": "four_level", "E": 1e100,
+                                         "V": [1e100, 3.3e99]},
+                 "steps": 20}),
+    ], ids=["sweep_et", "qpe_E"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unresolved_steps_exit_numerical_code(self, tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  payload):
+        formed = []
+        monkeypatch.setattr(_kernels, "_step_matrices",
+                            lambda *args: formed.append(args))
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: step exponent norm theta = ")
+        assert "needs s = 334 halvings" in err
+        assert "Traceback" not in err
+        assert formed == []
 
 
 class TestConfigErrors:

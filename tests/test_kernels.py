@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from circulant_qft import _kernels
 from circulant_qft.errors import IntegrationError
+from circulant_qft.linalg import unitarity_defect
 from circulant_qft.models import build_four_level
 from circulant_qft.propagator import (
     UNITARITY_TOL,
@@ -12,6 +13,8 @@ from circulant_qft.propagator import (
     final_propagators,
 )
 from circulant_qft.schedule import FORWARD, INVERSE, Schedule, SechMaskedPair
+
+from conftest import random_hermitian
 
 CHUNK = _kernels.CHUNK
 NO_SAMPLES = np.empty(0, dtype=np.int64)
@@ -92,15 +95,14 @@ def test_step_matrices_never_exceed_chunk(monkeypatch, points, steps):
 
 
 def test_drift_gate_fires_with_sampled_checks(monkeypatch, paper_schedule):
-    # eigenvectors scaled by 1 + 1e-6 make every step slightly non-unitary;
+    # step matrices scaled by 1 + 1e-6 make every step slightly non-unitary;
     # checking at the samples and the end must still see it
-    eigh = np.linalg.eigh
+    step_matrices = _kernels._step_matrices
 
-    def skewed(m):
-        w, v = eigh(m)
-        return w, v * (1 + 1e-6)
+    def skewed(*args):
+        return step_matrices(*args) * (1 + 1e-6)
 
-    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    monkeypatch.setattr(_kernels, "_step_matrices", skewed)
     with pytest.raises(IntegrationError, match="unitarity drift"):
         evolve(paper_schedule, convergence_check=False)
     with pytest.raises(IntegrationError, match="unitarity drift"):
@@ -146,3 +148,88 @@ def test_integrate_matches_plain_cf4_loop(direction, intervals, sample_idx):
         ref = _cf4_loop(s, intervals, scale)
         assert np.abs(samples[m] - ref[sample_idx]).max() <= 1e-12
         assert np.abs(u_final[m] - ref[-1]).max() <= 1e-12
+
+
+def _theta(h0, h1, a, b, dts):
+    """max |dt| * max_k (|a_k| ||H0||_2 + |b_k| ||H1||_2)."""
+    rho0, rho1 = (np.abs(np.linalg.eigvalsh(h)).max() for h in (h0, h1))
+    return np.abs(dts).max() * (np.abs(a) * rho0 + np.abs(b) * rho1).max()
+
+
+def _assert_matches_expm(h0, h1, a, b, dts):
+    mats = _kernels._step_matrices(*_kernels._taylor(h0, h1, a, b, dts))
+    assert mats.shape == (len(dts), len(a)) + h0.shape
+    for m, dt in enumerate(dts):
+        for k in range(len(a)):
+            ref = expm(-1j * dt * (a[k] * h0 + b[k] * h1))
+            assert np.abs(mats[m, k] - ref).max() <= 1e-13
+            assert unitarity_defect(mats[m, k]) <= 1e-13
+
+
+# theta from 1e-3 to 50 takes 0 to 6 halvings
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("theta, halvings", [(1e-3, 0), (0.7, 0), (1.5, 1),
+                                             (3.0, 2), (12.0, 4), (50.0, 6)])
+@pytest.mark.parametrize("lengths", [1, 3])
+def test_step_matrices_match_expm(n, theta, halvings, lengths):
+    rng = np.random.default_rng(10 * n + lengths)
+    h0, h1 = random_hermitian(rng, n), random_hermitian(rng, n)
+    a, b = rng.uniform(-1.0, 1.0, (2, 5))
+    dts = rng.uniform(0.2, 1.0, lengths)
+    dts *= theta / _theta(h0, h1, a, b, dts)
+    assert _kernels._taylor(h0, h1, a, b, dts)[-1] == halvings
+    _assert_matches_expm(h0, h1, a, b, dts)
+
+
+@pytest.mark.parametrize("zero", [[0], [1], [0, 1]],
+                         ids=["h0_zero", "h1_zero", "both_zero"])
+def test_vanishing_term_gives_exact_exponential(zero):
+    # a zero spectral norm must not be divided by
+    rng = np.random.default_rng(3)
+    hs = [random_hermitian(rng, 4), random_hermitian(rng, 4)]
+    for j in zero:
+        hs[j] = np.zeros((4, 4), dtype=complex)
+    a, b = rng.uniform(-1.0, 1.0, (2, 5))
+    _assert_matches_expm(*hs, a, b, np.array([0.3, 2.0, 9.0]))
+
+
+def test_halving_bound_follows_unitarity_tolerance(monkeypatch):
+    # s squarings amplify a step's error of eps/2 up to 2**s-fold
+    roundoff = np.finfo(float).eps / 2
+    s_max = _kernels.MAX_HALVINGS
+    assert 2.0**s_max * roundoff <= UNITARITY_TOL < 2.0**(s_max + 1) * roundoff
+    assert s_max == 26
+
+    formed = []
+    monkeypatch.setattr(_kernels, "_step_matrices",
+                        lambda *args: formed.append(args))
+    h0, h1, a, b, dt = _case(20)
+    dts = np.array([0.5, 1.0]) * dt / _theta(h0, h1, a, b, [dt])
+    assert _kernels._taylor(h0, h1, a, b, 0.75 * 2.0**s_max * dts)[-1] == s_max
+    with pytest.raises(IntegrationError,
+                       match=r"theta = 1\.007e\+08 needs s = 27 halvings"):
+        _kernels.propagate(h0, h1, a, b, 1.5 * 2.0**s_max * dts, NO_SAMPLES)
+    assert formed == []
+
+
+def test_stepping_never_decomposes(monkeypatch, paper_schedule):
+    # the step exponentials are Taylor series; an eigh anywhere in
+    # evolve (with its convergence rerun) or final_propagators fails here
+    def refuse(m):
+        raise AssertionError("np.linalg.eigh called while stepping")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    result = evolve(paper_schedule)
+    assert np.isfinite(result.convergence_estimate)
+    assert result.unitarity_drift <= UNITARITY_TOL
+    assert final_propagators(paper_schedule, [0.5, 1.0, 3.7]).shape == (3, 4, 4)
+
+
+def test_zero_step_length_gives_identity():
+    # a window narrower than the float resolution of its intervals
+    h0, h1, a, b, _ = _case(10)
+    samples, u_final, drift = _kernels.propagate(
+        h0, h1, a, b, np.zeros(2), np.array([0, 5, 10]))
+    assert np.array_equal(samples, np.broadcast_to(np.eye(4), (2, 3, 4, 4)))
+    assert np.array_equal(u_final, np.broadcast_to(np.eye(4), (2, 4, 4)))
+    assert drift == 0.0

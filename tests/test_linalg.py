@@ -29,8 +29,8 @@ def eigh_one(m):
 def step_exp(h, dt):
     """exp(-i H dt) as the propagator's step exponential computes it."""
     h = np.asarray(h, dtype=complex)
-    return _kernels._step_matrices(h, np.zeros_like(h), ONE, ZERO,
-                                   np.array([dt]))[0, 0]
+    taylor = _kernels._taylor(h, np.zeros_like(h), ONE, ZERO, np.array([dt]))
+    return _kernels._step_matrices(*taylor)[0, 0]
 
 
 def test_identity_eigenvalues():
