@@ -6,12 +6,13 @@ or H(t) = g(t) H0 + f(t) H1 (inverse direction), where the pulse pair
 the diagonal part precedes the circulant part in time.  Two pulse
 families are provided: the plain tanh crossing pair and the
 experimentally friendlier sech-masked variant.  A pulse pair is any
-object with values(t) -> (f, g) and crossing_time() -> T, the timescale
-of the f/g crossing that sets the 1/T coupling scale.
+object with values(t) -> (f, g), derivatives(t) -> (f', g') (inf or nan
+where a rate such as 1/T is beyond float range) and crossing_time() -> T,
+the timescale of the f/g crossing that sets the 1/T coupling scale.
 
 Also here: instantaneous eigenvalue trajectories over the time window
-and the adiabaticity diagnostic comparing eigenvalue gaps to
-finite-difference nonadiabatic couplings.
+and the adiabaticity diagnostic comparing eigenvalue gaps to the exact
+nonadiabatic couplings, which dH/dt = a' H0 + b' H1 gives.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +49,12 @@ class TanhPair:
             th = np.tanh(np.asarray(t, dtype=float) / self.T)
         return 0.5 * (1.0 - th), 0.5 * (1.0 + th)
 
+    def derivatives(self, t):
+        # cosh overflow gives the limit 0, 1/T beyond float range inf
+        with np.errstate(over="ignore"):
+            rate = 0.5 / np.cosh(np.asarray(t, dtype=float) / self.T)**2 / self.T
+        return -rate, rate
+
     def crossing_time(self):
         return self.T
 
@@ -77,6 +84,16 @@ class SechMaskedPair:
             mask = 1.0 / np.cosh(t / self.tau)
             th = np.tanh(t / self.T)
         return mask * (1.0 - th), mask * (1.0 + th)
+
+    def derivatives(self, t):
+        t = np.asarray(t, dtype=float)
+        # as in values; rates beyond float range may give inf - inf, inf * 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            mask = 1.0 / np.cosh(t / self.tau)
+            th = np.tanh(t / self.T)
+            dmask = -mask * np.tanh(t / self.tau) / self.tau
+            dth = mask / np.cosh(t / self.T)**2 / self.T  # mask * dtanh/dt
+            return dmask * (1.0 - th) - dth, dmask * (1.0 + th) + dth
 
     def crossing_time(self):
         return self.T
@@ -154,12 +171,17 @@ class Schedule:
     def dim(self):
         return self.h0.shape[0]
 
+    def _by_direction(self, pair):
+        f, g = pair
+        return (f, g) if self.direction == FORWARD else (g, f)
+
     def coefficients(self, t):
         """(a, b) with H(t) = a*H0 + b*H1 for this direction."""
-        f, g = self.pulses.values(t)
-        if self.direction == FORWARD:
-            return f, g
-        return g, f
+        return self._by_direction(self.pulses.values(t))
+
+    def rates(self, t):
+        """(a', b'), the time derivatives of coefficients(t)."""
+        return self._by_direction(self.pulses.derivatives(t))
 
     def grid(self):
         return np.linspace(self.window[0], self.window[1], self.steps + 1)
@@ -202,8 +224,8 @@ def eigen_trajectories(s):
 class AdiabaticityReport:
     """Gap vs nonadiabatic-coupling diagnostic over the window.
 
-    margin = min over interior times and state pairs of
-    |eps_m - eps_n| / |<dchi_m/dt | chi_n>|; values well above 1 signal
+    margin = min over all grid times and state pairs of
+    |eps_m - eps_n| / |<chi_m | dchi_n/dt>|; values well above 1 signal
     the adiabatic regime.  rate_scale = 1/T is the heuristic magnitude
     of the couplings for pulse-shaped schedules.  degeneracy_warnings
     lists (time, message) where eigenvalues clustered and couplings
@@ -220,61 +242,41 @@ class AdiabaticityReport:
     degeneracy_warnings: list
 
 
-def _fix_gauge(vectors):
-    """Phase-fix eigenvector columns in place: largest-modulus component
-    real positive, ties broken by lowest index (needed for smooth finite
-    differences).  Leading axes are batched."""
-    # argmax returns the first (lowest-index) maximum, which is the tie rule
-    anchor = np.abs(vectors).argmax(axis=-2)
-    phases = np.take_along_axis(vectors, anchor[..., None, :], axis=-2)
-    phases /= np.abs(phases)
-    vectors /= phases
-
-
 def adiabaticity_report(s):
-    """Estimate nonadiabatic couplings by central differences.
+    """Exact nonadiabatic couplings at every grid point.
 
-    Eigenvectors are gauge-fixed at every grid point, then
-    <dchi_m/dt | chi_n> is approximated by
-    <chi_m(t+d) - chi_m(t-d) | chi_n(t)> / (2d) at interior points.
-    Pairs inside a degenerate cluster (gap below the cluster threshold
-    relative to ||H||) are skipped and reported as warnings, ordered by
-    time and then by state pair.  The gauge fix and the interior scan run
-    in batches of _kernels.CHUNK grid points, which bounds the memory
-    they hold on long grids.
+    <chi_m | dchi_n/dt> = <chi_m | dH/dt | chi_n> / (eps_n - eps_m) with
+    dH/dt = a' H0 + b' H1 needs no eigenvector gauge.  It is unchanged by
+    H -> cH, so H0, H1 and the gaps are divided by c = max |entry|, which
+    keeps large energies and fast pulses from overflowing the projection;
+    a rate beyond float range still leaves max_coupling inf or nan.  Pairs
+    inside a degenerate cluster (gap below the cluster threshold relative
+    to ||H||) are skipped and reported as warnings, ordered by time and
+    then by state pair.  The scan runs in batches of _kernels.CHUNK grid
+    points, which bounds the memory it holds on long grids.
     """
     t = s.grid()
-    if len(t) < 3:
-        raise ValueError("adiabaticity scan needs at least 3 grid points")
     a, b = s.coefficients(t)
+    da, db = s.rates(t)
     w, v = _kernels.eigh_grid(s.h0, s.h1, a, b)
     m_pts, n = w.shape
-    for start in range(0, m_pts, _kernels.CHUNK):
-        _fix_gauge(v[start:start + _kernels.CHUNK])
+    c = max(float(np.abs(s.h0).max()), float(np.abs(s.h1).max()))
+    h0, h1 = s.h0 / c, s.h1 / c
 
     gap_trace = np.diff(w, axis=1).min(axis=1)
-    min_gap = float(gap_trace.min())
-
     off_diagonal = ~np.eye(n, dtype=bool)
     upper = np.triu(off_diagonal)
     margin = np.inf
     coupling_trace = np.zeros(m_pts)
     warnings_list = []
-    for start in range(1, m_pts - 1, _kernels.CHUNK):
-        stop = min(start + _kernels.CHUNK, m_pts - 1)
+    for start in range(0, m_pts, _kernels.CHUNK):
+        stop = min(start + _kernels.CHUNK, m_pts)
         hs = a[start:stop, None, None] * s.h0 + b[start:stop, None, None] * s.h1
         # ||H||_F by the dot products frobenius() takes, so bit for bit
         flat = hs.reshape(stop - start, n * n)
         scales = np.sqrt(np.vecdot(flat.real, flat.real)
                          + np.vecdot(flat.imag, flat.imag))
         threshold = CLUSTER_GAP_RTOL * np.maximum(scales, np.finfo(float).tiny)
-        delta = 0.5 * (t[start + 1:stop + 1] - t[start - 1:stop - 1])
-        dv = (v[start + 1:stop + 1] - v[start - 1:stop - 1]) \
-            / (2.0 * delta)[:, None, None]
-        # coupling[i, m, n] = |<dchi_m/dt | chi_n>| at time t[start + i];
-        # hypot is the scalar complex abs, which np.abs can miss by an ulp
-        coupling = np.conj(np.swapaxes(dv, 1, 2)) @ v[start:stop]
-        coupling = np.hypot(coupling.real, coupling.imag)
         w_k = w[start:stop]
         gap = np.abs(w_k[:, :, None] - w_k[:, None, :])
         degenerate = gap <= threshold[:, None, None]
@@ -284,17 +286,23 @@ def adiabaticity_report(s):
                                       f"(gap {gap[i, mm, nn]:.3e})")
             )
         coupled = off_diagonal & ~degenerate
-        coupling_trace[start:stop] = np.where(coupled, coupling, 0.0).max(axis=(1, 2))
-        coupled &= coupling > 0
-        if coupled.any():
-            # a subnormal coupling can overflow its ratio to inf, which is
-            # never below margin's start value, so the overflow is harmless
-            with np.errstate(over="ignore"):
-                ratios = gap[coupled] / coupling[coupled]
-            margin = min(margin, float(ratios.min()))
+        v_k = v[start:stop]
+        # a rate beyond float range makes a coupling inf or nan; a subnormal
+        # one overflows its gap ratio to inf, never below margin's start
+        with np.errstate(over="ignore", invalid="ignore"):
+            dh = da[start:stop, None, None] * h0 + db[start:stop, None, None] * h1
+            # coupling[i, m, n] = |<chi_m | dchi_n/dt>| at time t[start + i];
+            # hypot is the scalar complex abs, which np.abs can miss by an ulp
+            coupling = np.conj(np.swapaxes(v_k, 1, 2)) @ dh @ v_k
+            coupling = np.divide(np.hypot(coupling.real, coupling.imag), gap / c,
+                                 out=np.zeros(gap.shape), where=coupled)
+            coupled &= coupling > 0
+            ratios = gap[coupled] / coupling[coupled]
+        coupling_trace[start:stop] = coupling.max(axis=(1, 2))
+        margin = min(margin, float(ratios.min(initial=np.inf)))
 
     return AdiabaticityReport(
-        min_gap=min_gap,
+        min_gap=float(gap_trace.min()),
         max_coupling=float(coupling_trace.max()),
         margin=float(margin),
         rate_scale=1.0 / s.pulses.crossing_time(),

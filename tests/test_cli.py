@@ -208,19 +208,41 @@ class TestAdiabaticity:
         out = capsys.readouterr().out
         assert "margin" in out and "1/T" in out
 
-    # 2*dt = 1.33e-308 is just wide enough: differences of unit eigenvectors
-    # divided by it stay below the float maximum
+    # the rate 1/T = 1e308 leaves the largest coupling within a factor 2
+    # of the float maximum
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_narrowest_window_warns_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             **FOUR_LEVEL, "pulses": {"kind": "tanh", "T": 1e-308},
             "window": [-1e-308, 1e-308], "steps": 3})
         assert main(["adiabaticity", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert "max coupling 5.9" in capsys.readouterr().out
+        assert "max coupling 9.19" in capsys.readouterr().out
+
+    # the coupling is defined at every grid point, so one step is a scan;
+    # 2 and 20 steps on the default +-6 window once overflowed a guard
+    # that multiplied 2*dt by the float maximum
+    @pytest.mark.parametrize("steps", [1, 2, 20])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_coarse_default_window_warns_nothing(self, tmp_path, steps):
+        cfg = write_config(tmp_path, {**FOUR_LEVEL, "steps": steps})
+        assert main(["adiabaticity", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "adiabaticity.csv")
+        assert len(rows) == steps + 1
+        assert all(float(row[2]) > 0 for row in rows)
+
+    # tanh T = 1e-308 on its default window: 2*dt = 4.8e-309 once had
+    # no finite reciprocal and exited 2
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_step_warns_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            **FOUR_LEVEL, "pulses": {"kind": "tanh", "T": 1e-308}, "steps": 50})
+        assert main(["adiabaticity", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "max coupling 8.99" in capsys.readouterr().out
 
 
     # the margin's gap/coupling ratios overflow to inf at a subnormal
-    # coupling; inf is never the minimum, so the margin is unchanged
+    # coupling; inf is never the minimum, so the margin is unchanged.  The
+    # model is uncoupled to roundoff, so the margin is roundoff's.
     def test_subnormal_coupling_warns_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "model": {"kind": "four_level", "E": 10.0, "V": [1e-308, 1e-308]},
@@ -229,7 +251,7 @@ class TestAdiabaticity:
             assert main(["adiabaticity", "--config", cfg,
                          "--out", str(tmp_path)]) == 0
         assert all(w.category is DegenerateSpectrumWarning for w in record)
-        assert "margin 11870938847 " in capsys.readouterr().out
+        assert "margin 86568017134.1 " in capsys.readouterr().out
 
 
 class TestQpe:
@@ -556,10 +578,9 @@ class TestConfigErrors:
         ("evolve", {**FOUR_LEVEL, "pulses": {"kind": "sech_masked",
                                              "T": True, "tau": "1"}}),
         ("qpe", {**QPE_CONFIG, "shots": True}),
-        ("adiabaticity", {**FOUR_LEVEL, "steps": 1}),
-        # default window +-6e-308: 2*dt = 4.8e-309 has no finite reciprocal
-        ("adiabaticity", {**FOUR_LEVEL, "pulses": {"kind": "tanh", "T": 1e-308},
-                          "steps": 50}),
+        # the rate 1/T has no finite value, so neither has the coupling
+        ("adiabaticity", {**FOUR_LEVEL, "pulses": {"kind": "tanh", "T": 5e-324},
+                          "steps": 20}),
         # E = E*T / T underflows to 0 and overflows to inf
         ("sweep", {"pulses": {"kind": "tanh", "T": 2.0},
                    "et_values": [5e-324], "steps": 20}),
@@ -578,8 +599,8 @@ class TestConfigErrors:
             "qpe_steps_bool", "sweep_phi_bool", "model_E_bool",
             "model_V_bool", "sweep_et_bool", "window_bool", "h0_diag_bool",
             "model_E_nan", "model_E_inf", "pulses_bool_and_string",
-            "qpe_shots_bool", "adiabaticity_one_step",
-            "adiabaticity_narrow_window", "sweep_energy_underflow",
+            "qpe_shots_bool", "adiabaticity_rate_overflow",
+            "sweep_energy_underflow",
             "sweep_energy_overflow", "qpe_shots_2_63", "qpe_shots_10_400",
             "custom_scalar_rows", "custom_null_row"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -124,6 +124,9 @@ def exit_code(command, cfg):
           replaced(replaced(FIGURE, ("model", "V"), [10.0, 1e308]),
                    ("pulses", "tau"), 1e308)))
 @example(("adiabaticity", replaced(FIGURE, ("steps",), 1)))
+@example(("adiabaticity", replaced(FIGURE, ("pulses",),
+                                   {"kind": "tanh", "T": 5e-324})))
+@example(("adiabaticity", replaced(FIGURE, ("pulses", "tau"), 5e-324)))
 @example(("sweep", {**CONFIGS["sweep"][1], "r": 2}))
 @example(("qpe", replaced(CONFIGS["qpe"][1], ("shots",), 2**63)))
 @example(("evolve", replaced(DIRECTED, ("direction",), None)))
@@ -133,6 +136,12 @@ def exit_code(command, cfg):
 @example(("sweep", replaced(CONFIGS["sweep"][1], ("window",), [-1e308, 1e308])))
 def test_main_returns_an_exit_code(case):
     assert exit_code(*case) in EXIT_CODES
+
+
+# every mutation starts from these, so each must run clean by itself
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_base_config_runs(name):
+    assert exit_code(*CONFIGS[name]) == 0
 
 
 # a drawn path rarely lands on a given key, so each key gets its own run

@@ -15,7 +15,6 @@ from circulant_qft.schedule import (
     Schedule,
     SechMaskedPair,
     TanhPair,
-    _fix_gauge,
     adiabaticity_report,
     eigen_trajectories,
 )
@@ -49,6 +48,18 @@ class TestPulses:
         ratio = g / f
         assert np.allclose(ratio, np.exp(2 * t / 1.2), rtol=1e-10)
         assert np.all(np.diff(ratio) > 0)
+
+    @pytest.mark.parametrize("pair", [TanhPair(T=0.7),
+                                      SechMaskedPair(T=0.7, tau=1.3)])
+    @pytest.mark.parametrize("x", [-6.0, -0.3, 0.0, 0.3, 6.0])
+    def test_derivatives_match_central_difference(self, pair, x):
+        # five-point stencil: its truncation and roundoff both stay near
+        # 1e-8 relative here, the tanh tails at 6 T included
+        t, h = x * pair.T, 1e-3 * pair.T
+        f = [np.array(pair.values(t + k * h)) for k in (-2, -1, 1, 2)]
+        difference = (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
+        assert np.array(pair.derivatives(t)) == pytest.approx(difference,
+                                                              rel=1e-7, abs=0)
 
     def test_nonpositive_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -207,26 +218,64 @@ class TestAdiabaticity:
         assert s.window[0] <= t_stamp <= s.window[1]
         assert "degenerate" in message
 
+    def test_exact_where_the_gauge_anchor_switches(self):
+        # README model with tanh pulses.  At these rows an eigenvector's
+        # largest-modulus component changes, and central differences of
+        # eigenvectors gauge-fixed on it read 0.8314 and 0.8288
+        h0, h1 = build_four_level(10.0, complex(10.0, 3.3333333333))
+        report = adiabaticity_report(Schedule(pulses=TanhPair(T=1.0), h0=h0,
+                                              h1=h1, steps=4000))
+        rows = [1914, 1915]
+        assert report.times[rows] == pytest.approx([-0.258, -0.255], rel=1e-12)
+        assert report.coupling_trace[rows] == pytest.approx([0.8781, 0.8758],
+                                                            rel=1e-3)
+
+    @pytest.mark.parametrize("direction", [FORWARD, INVERSE])
+    def test_matches_dense_finite_difference(self, paper_schedule, direction):
+        # central differences at spacing h around every grid point, of
+        # eigenvectors gauge-fixed on their largest-modulus component;
+        # points where that anchor changes within the stencil are skipped.
+        # The sech mask makes f' != -g', so a rate paired with the wrong
+        # matrix changes the coupling.
+        s = replace(paper_schedule, direction=direction, steps=400)
+        h0, h1 = s.h0, s.h1
+        report = adiabaticity_report(s)
+        h = 1e-4
+        a, b = s.coefficients(s.grid()[:, None] + np.array([-h, 0.0, h]))
+        _, v = np.linalg.eigh(a[..., None, None] * h0 + b[..., None, None] * h1)
+        anchor = np.abs(v).argmax(axis=-2)
+        pivots = np.take_along_axis(v, anchor[..., None, :], axis=-2)
+        v = v / (pivots / np.abs(pivots))
+        dv = (v[:, 2] - v[:, 0]) / (2 * h)
+        coupling = np.abs(np.conj(np.swapaxes(v[:, 1], 1, 2)) @ dv)
+        coupling[:, np.eye(len(h0), dtype=bool)] = 0.0
+        smooth = (anchor == anchor[:, 1:2]).all(axis=(1, 2))
+        assert smooth.sum() > 0.9 * len(smooth)
+        assert report.coupling_trace[smooth] == pytest.approx(
+            coupling.max(axis=(1, 2))[smooth], rel=1e-6, abs=0)
+
 
 def reference_report(s):
     """(gap_trace, coupling_trace, margin, warnings) computed one grid point
-    and one state pair at a time: the scan before it was batched."""
+    and one state pair at a time from |<m|dH/dt|n>| / |eps_n - eps_m|.
+
+    As in the scan, H0, H1 and the gaps are divided by the largest entry
+    c first: the projection's roundoff is absolute, so the small couplings
+    at the window's ends would otherwise differ by up to ~4e-11 relative.
+    """
     t = s.grid()
     a, b = s.coefficients(t)
+    da, db = s.rates(t)
     w, v = np.linalg.eigh(a[:, None, None] * s.h0 + b[:, None, None] * s.h1)
+    c = max(np.abs(s.h0).max(), np.abs(s.h1).max())
     m_pts, n = w.shape
     gap_trace = np.array([np.diff(w[k]).min() for k in range(m_pts)])
-    for k in range(m_pts):
-        anchor = np.abs(v[k]).argmax(axis=0)
-        pivots = v[k][anchor, np.arange(n)]
-        v[k] = v[k] / (pivots / np.abs(pivots))[None, :]
     margin = np.inf
     coupling_trace = np.zeros(m_pts)
     warnings_list = []
-    for k in range(1, m_pts - 1):
-        delta = 0.5 * (t[k + 1] - t[k - 1])
-        dv = (v[k + 1] - v[k - 1]) / (2.0 * delta)
-        coupling = np.conj(dv).T @ v[k]
+    for k in range(m_pts):
+        projected = np.conj(v[k]).T @ (da[k] * (s.h0 / c)
+                                       + db[k] * (s.h1 / c)) @ v[k]
         scale = frobenius(a[k] * s.h0 + b[k] * s.h1)
         threshold = CLUSTER_GAP_RTOL * max(scale, np.finfo(float).tiny)
         worst = 0.0
@@ -241,10 +290,10 @@ def reference_report(s):
                             (float(t[k]), f"eigenvalues {mm} and {nn} degenerate "
                                           f"(gap {gap:.3e})"))
                     continue
-                c = abs(coupling[mm, nn])
-                worst = max(worst, c)
-                if c > 0:
-                    margin = min(margin, gap / c)
+                coupling = abs(projected[mm, nn]) / (gap / c)
+                worst = max(worst, coupling)
+                if coupling > 0:
+                    margin = min(margin, gap / coupling)
         coupling_trace[k] = worst
     return gap_trace, coupling_trace, margin, warnings_list
 
@@ -276,7 +325,7 @@ def _paper_schedule(paper_model, steps):
 class TestBatchedScan:
     """The chunked, batched scan against the per-point reference loop."""
 
-    @pytest.mark.parametrize("points", [2 * _kernels.CHUNK + 37, 3])
+    @pytest.mark.parametrize("points", [2 * _kernels.CHUNK + 37, 3, 2])
     @pytest.mark.parametrize("make", [_paper_schedule, _weak_schedule,
                                       _uncoupled_schedule, _clustered_schedule],
                              ids=["paper", "weak", "uncoupled", "clustered"])
@@ -294,27 +343,14 @@ class TestBatchedScan:
         assert report.max_coupling == pytest.approx(coupling_trace.max(), **close)
         assert report.margin == pytest.approx(margin, **close)
 
-    def test_gauge_fix_breaks_ties_by_lowest_index(self):
-        # every entry has modulus exactly 1/2, so each column's anchor is a
-        # tie that the lowest row index must win, in every batch entry
-        entries = np.array([0.5, 0.5j, -0.5, -0.5j])
-        cyclic = np.stack([np.roll(entries, j) for j in range(4)], axis=1)
-        batch = np.stack([cyclic * 1j**p for p in range(4)])
-        _fix_gauge(batch)
-        assert np.allclose(batch[:, 0, :], 0.5, rtol=0, atol=1e-15)
-        assert np.allclose(np.abs(batch), 0.5, rtol=0, atol=1e-15)
-        # a unique anchor is rotated onto the positive real axis
-        column = np.array([[0.1j], [-0.9], [0.3 + 0.2j], [0.1]])
-        _fix_gauge(column)
-        assert column[1, 0] == 0.9 and column[0, 0] == -0.1j
-
     def test_edge_cases_are_exercised(self, paper_model):
         steps = 2 * _kernels.CHUNK + 36
         uncoupled = adiabaticity_report(_uncoupled_schedule(paper_model, steps))
         assert uncoupled.margin == np.inf and uncoupled.max_coupling == 0.0
         clustered = adiabaticity_report(_clustered_schedule(paper_model, steps))
-        # one warning per interior point, across both chunk boundaries
-        assert len(clustered.degeneracy_warnings) == steps - 1
+        # one warning per grid point, endpoints and both chunk
+        # boundaries included
+        assert len(clustered.degeneracy_warnings) == steps + 1
         weak = adiabaticity_report(_weak_schedule(paper_model, steps))
         assert 0 < weak.margin < 1
 
