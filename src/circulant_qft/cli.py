@@ -49,7 +49,8 @@ EXIT_PHYSICS = 4
 
 # Complex values in the largest array a command holds: the (steps + 1)
 # stacked Hamiltonians of eigentraj's grid, and the eigenvector matrices
-# of the grid in adiabaticity and in evolve's phase prediction.
+# of adiabaticity's.  evolve's phase prediction holds eigenvectors at only
+# 2 ceil(steps / 8) + 1 points, about a quarter of that.
 MAX_GRID_VALUES = 2**24
 # Bound on every config number and on a schedule's phase scale
 # E (max|H0| + max|H1|) (t_max - t_min): the squares of the 2**23 entries

@@ -24,7 +24,10 @@ predict_permutation derives sigma from eigenvalue rank matching alone,
 and adiabatic_phase_prediction predicts alpha from the instantaneous
 eigensystem: the quasienergy integral (dynamical part, also available
 alone as dynamical_phase_prediction) plus the open-path geometric phase
-of parallel transport along each eigenvalue branch.
+of parallel transport along each eigenvalue branch.  Both parts are taken
+on the phase grid of 2 ceil(steps / 8) + 1 points, a quarter of the
+schedule's grid, by Simpson's rule and by a Richardson step on the
+wrapped transport phase, so both are fourth order in its spacing.
 """
 
 from dataclasses import dataclass
@@ -289,17 +292,27 @@ class AdiabaticPhases:
 _ENDS = {FORWARD: ("H0", "H1", 1.0), INVERSE: ("H1", "H0", -1.0)}
 
 
+def _phase_grid(s):
+    """The grid of the phase prediction: 2m + 1 uniform points over the
+    window, m = ceil(steps / 8).  The even number of links makes every
+    other point a grid of twice the spacing for the Richardson step."""
+    return np.linspace(*s.window, 2 * -(-s.steps // 8) + 1)
+
+
 def _branches(s):
     """Start states, dynamical phases and eigenvectors of the branches.
 
     Returns (label, dynamical, v): label[k] is the start state of the
-    branch of rank k, dynamical the quasienergy integral of each branch,
+    branch of rank k, dynamical the quasienergy integral of each branch
+    by Simpson's rule on the phase grid (the trapezoid rule plus a third
+    of its difference from the trapezoid rule on every other point),
     indexed by its start state, signed as in the factorization and
-    wrapped, and v the eigenvectors of H(t) on the grid in ascending
-    eigenvalue order.  Tracking by rank is invalid where two
-    branches collide; a vanishing Hamiltonian has nothing to track.
+    wrapped, and v the eigenvectors of H(t) on the phase grid in
+    ascending eigenvalue order.  Tracking by rank is invalid where two
+    branches collide, which is checked at the phase grid's points; a
+    vanishing Hamiltonian has nothing to track.
     """
-    t = s.grid()
+    t = _phase_grid(s)
     a, b = s.coefficients(t)
     w, v = _kernels.eigh_grid(s.h0, s.h1, a, b)
 
@@ -316,21 +329,37 @@ def _branches(s):
 
     start, _, sign = _ENDS[s.direction]
     label = _by_rank(s, start)
+    fine, coarse = (np.trapezoid(w[::k], t[::k], axis=0) for k in (1, 2))
     dynamical = np.empty(s.dim)
-    dynamical[label] = -sign * np.trapezoid(w, t, axis=0)
+    dynamical[label] = -sign * (fine + (fine - coarse) / 3)
     return label, _wrap(dynamical), v
+
+
+def _transport(v, enter_states, leave_states):
+    """Wrapped open-path phase along each branch of the eigenvectors v:
+    the phase of the end state on the last eigenvector, less the summed
+    link angles arg<v_k|v_k+1> and the phase of the start state on the
+    first.  Each link angle is defined only modulo 2 pi (eigenvector
+    phases are arbitrary), so only this wrapped total is meaningful."""
+    links = np.angle(np.sum(v[:-1].conj() * v[1:], axis=1)).sum(axis=0)
+    enter = np.angle(np.sum(enter_states.conj() * v[0], axis=0))
+    leave = np.angle(np.sum(leave_states.conj() * v[-1], axis=0))
+    return _wrap(leave - links - enter)
 
 
 def adiabatic_phase_prediction(s):
     """Predicted factorization phases from the instantaneous eigensystem.
 
-    Tracks each eigenvalue branch by rank across the grid (valid while
-    there are no crossings).  The state following the branch of rank r
-    picks up the dynamical phase -int eps_r dt (trapezoidal rule) and a
-    geometric phase from discrete parallel transport: the phase of the
-    start state on the branch eigenvector, the summed link angles
+    Tracks each eigenvalue branch by rank across the phase grid (valid
+    while there are no crossings).  The state following the branch of
+    rank r picks up the dynamical phase -int eps_r dt (Simpson's rule)
+    and a geometric phase from discrete parallel transport: the phase of
+    the start state on the branch eigenvector, the summed link angles
     arg<v_k|v_k+1> and the phase of the end state on the last
-    eigenvector.  Start and end states are matched by the rank rule of
+    eigenvector.  That wrapped transport phase G is taken on the phase
+    grid (G_h) and on every other point (G_2h) and extrapolated to
+    G_h + wrap(G_h - G_2h) / 3, so both parts are fourth order in the
+    grid spacing.  Start and end states are matched by the rank rule of
     predict_permutation: a forward branch runs from the basis state of
     rank r in H0 to the DFT column of rank r in the circulant spectrum,
     an inverse branch the other way round, and a degenerate spectrum
@@ -342,12 +371,10 @@ def adiabatic_phase_prediction(s):
     label, dynamical, v = _branches(s)
     start, end, sign = _ENDS[s.direction]
     states = {"H0": np.eye(s.dim), "H1": dft_matrix(s.dim)}
-    links = np.angle(np.sum(v[:-1].conj() * v[1:], axis=1)).sum(axis=0)
-    enter = np.angle(np.sum(states[start][:, label].conj() * v[0], axis=0))
-    leave = np.angle(np.sum(states[end][:, _by_rank(s, end)].conj() * v[-1],
-                            axis=0))
+    ends = (states[start][:, label], states[end][:, _by_rank(s, end)])
+    fine, coarse = _transport(v, *ends), _transport(v[::2], *ends)
     geometric = np.empty(s.dim)
-    geometric[label] = sign * (leave - links - enter)
+    geometric[label] = sign * (fine + _wrap(fine - coarse) / 3)
     return AdiabaticPhases(dynamical=dynamical, geometric=_wrap(geometric))
 
 

@@ -13,6 +13,7 @@ be raised.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -142,6 +143,18 @@ def test_main_returns_an_exit_code(case):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_base_config_runs(name):
     assert exit_code(*CONFIGS[name]) == 0
+
+
+# the fewest steps give the phase prediction its smallest grid, 3 points
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_coarsest_phase_grid_predicts_finite_alpha(steps, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**FIGURE, "steps": steps}))
+    assert main(["evolve", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "factorization.csv").read_text().splitlines()
+    assert rows[0].split(",")[-1] == "alpha_predicted"
+    predicted = [float(row.split(",")[-1]) for row in rows[1:]]
+    assert len(predicted) == 4 and all(map(math.isfinite, predicted))
 
 
 # a drawn path rarely lands on a given key, so each key gets its own run

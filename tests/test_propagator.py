@@ -244,6 +244,63 @@ class TestDynamicalPhases:
         assert err.value.t is not None
 
 
+class TestPhaseGrid:
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 8, 9, 4000, 4001])
+    def test_uniform_odd_and_spans_window(self, paper_model, steps,
+                                          monkeypatch):
+        h0, h1 = paper_model
+        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1, steps=steps,
+                     window=(-6.0, 5.0))
+        t = propagator._phase_grid(s)
+        assert len(t) == 2 * -(-steps // 8) + 1
+        assert len(t) >= 3 and len(t) % 2 == 1
+        assert t[0] == -6.0 and t[-1] == 5.0
+        assert np.allclose(np.diff(t), 11.0 / (len(t) - 1), rtol=1e-12,
+                           atol=0.0)
+        # the prediction decomposes exactly this grid
+        points = []
+        original = propagator._kernels.eigh_grid
+
+        def counting(h0, h1, a, b):
+            points.append(len(a))
+            return original(h0, h1, a, b)
+
+        monkeypatch.setattr(propagator._kernels, "eigh_grid", counting)
+        adiabatic_phase_prediction(s)
+        assert points == [len(t)]
+
+
+class TestPredictionOrder:
+    """The prediction converges at fourth order in the grid spacing."""
+
+    @staticmethod
+    def moves(model, direction, steps):
+        """Largest wrapped change of the dynamical and the geometric part
+        between each pair of consecutive step counts."""
+        h0, h1 = model
+        parts = [adiabatic_phase_prediction(Schedule(
+            pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+            direction=direction, steps=n)) for n in steps]
+        return [(np.abs(wrap(b.dynamical - a.dynamical)).max(),
+                 np.abs(wrap(b.geometric - a.geometric)).max())
+                for a, b in zip(parts, parts[1:])]
+
+    @pytest.mark.parametrize("direction", [FORWARD, INVERSE])
+    def test_moves_shrink_sixteenfold_per_doubling(self, paper_model,
+                                                   direction):
+        # second order would shrink them 4x; fourth order 16x
+        coarse, fine = self.moves(paper_model, direction, (1000, 2000, 4000))
+        for part, before, after in zip(("dynamical", "geometric"),
+                                       coarse, fine):
+            assert before >= 12.0 * after, (part, before, after)
+
+    def test_default_steps_are_converged(self, paper_model):
+        # doubling the default 4000 steps moves each part by at most
+        # ~3e-10 rad; a second-order rule moves the geometric part ~1e-6
+        [moved] = self.moves(paper_model, FORWARD, (4000, 8000))
+        assert max(moved) <= 1e-7, moved
+
+
 class TestAdiabaticLimit:
     def test_residual_monotone_in_et(self, paper_pulses):
         residuals = []
