@@ -3,9 +3,10 @@
 A circulant matrix is fixed by its first column c: entry (j, k) equals
 c[(j - k) mod N].  Its eigenvectors are the discrete Fourier transform
 columns independent of c, with eigenvalues the phased sums
-lambda_n = sum_k c_k exp(-2 pi i k n / N).  This module materializes
-circulants, evaluates that spectrum, builds the DFT matrix and
-gauge-reduces ring-coupled Hamiltonians to circulant form.
+lambda_n = sum_k c_k exp(-2 pi i k n / N), numpy's FFT of c.  This
+module materializes circulants, evaluates that spectrum, builds the DFT
+matrix and gauge-reduces Hermitian ring Hamiltonians to circulant form,
+checking their ring pattern and moduli but not Hermiticity or N >= 2.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CouplingPatternError, NotPhaseEquivalentError
-from .linalg import frobenius, require_hermitian
+from .linalg import frobenius
 
 # Unitarity / structural tolerance for the DFT and materialized circulants.
 STRUCTURE_TOL = 1e-12
@@ -23,15 +24,13 @@ RING_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class CirculantSpec:
-    """First column c_0..c_{N-1} defining an N x N circulant matrix."""
+    """First column c_0..c_{N-1}, N >= 2 by the caller, of an N x N circulant."""
 
     first_column: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.first_column, dtype=np.complex128)
-        if c.ndim != 1 or c.size < 2:
-            raise ValueError("first column must be 1-D with at least 2 entries")
-        object.__setattr__(self, "first_column", c)
+        object.__setattr__(self, "first_column",
+                           np.asarray(self.first_column, dtype=np.complex128))
 
     @property
     def dim(self):
@@ -54,22 +53,16 @@ def materialize(spec):
 
 
 def circulant_eigenvalues(spec):
-    """Analytic spectrum lambda_n = sum_k c_k exp(-2 pi i k n / N).
+    """Analytic spectrum lambda_n = sum_k c_k exp(-2 pi i k n / N), numpy's FFT.
 
     Index n labels the DFT column that is the matching eigenvector; the
     values are returned in that index order, not sorted.
     """
-    c = spec.first_column
-    n = spec.dim
-    k = np.arange(n)
-    phases = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return phases @ c
+    return np.fft.fft(spec.first_column)
 
 
 def dft_matrix(n):
-    """Unitary DFT matrix F[k, m] = exp(2 pi i k m / N) / sqrt(N)."""
-    if n < 2:
-        raise ValueError(f"DFT dimension must be >= 2, got {n}")
+    """Unitary DFT matrix F[k, m] = exp(2 pi i k m / N) / sqrt(N), N >= 2."""
     k = np.arange(n)
     return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
@@ -84,13 +77,13 @@ def _ring_pattern_mask(n):
 def phase_equivalent_circulant(h):
     """Gauge phases making a cyclic nearest-neighbor Hamiltonian circulant.
 
-    For Hermitian H with nonzeros only on the cyclic sub/superdiagonal
-    (plus an equal diagonal), finds beta_0..beta_{N-1} (beta_0 = 0) such
-    that D H D† is circulant, with D = diag(exp(i beta_k)).  Gauge
-    transformations preserve moduli, so all cyclic-subdiagonal entries
-    must share one modulus; the loop product P = prod_k H[(k+1) % N, k]
-    is gauge invariant and the circulant coupling c_1 is fixed as its
-    principal N-th root.
+    For Hermitian H (the caller's duty, not checked here) with nonzeros
+    only on the cyclic sub/superdiagonal (plus an equal diagonal), finds
+    beta_0..beta_{N-1} (beta_0 = 0) such that D H D† is circulant, with
+    D = diag(exp(i beta_k)).  Gauge transformations preserve moduli, so
+    all cyclic-subdiagonal entries must share one modulus; the loop
+    product P = prod_k H[(k+1) % N, k] is gauge invariant and the
+    circulant coupling c_1 is fixed as its principal N-th root.
 
     Returns (beta, spec, residual) where residual is the Frobenius
     distance between D H D† and the materialized spec.
@@ -100,7 +93,6 @@ def phase_equivalent_circulant(h):
     diagonal.
     """
     h = np.asarray(h, dtype=np.complex128)
-    require_hermitian(h, what="ring Hamiltonian")
     n = h.shape[0]
     if n < 3:
         raise CouplingPatternError(

@@ -34,9 +34,8 @@ def build_four_level(energy, coupling):
     column (0, V*, 0, V), so its spectrum is 2*Re(V * i**n).  Warns when
     that spectrum is degenerate (V = 0, or V real/imaginary collapsing a
     pair), since degenerate eigenvalues break the adiabatic protocol.
+    The caller passes E > 0.
     """
-    if not energy > 0:
-        raise ValueError(f"energy scale must be positive, got {energy}")
     e = float(energy)
     v = complex(coupling)
     spec = CirculantSpec(np.array([0, np.conj(v), 0, v], dtype=np.complex128))
@@ -102,14 +101,10 @@ def solve_level_shifts(energy):
 
     Solves the linear system pinning the four sublevel energies via a
     common Zeeman splitting E_Z and per-level Stark shifts: the unique
-    solution is E_Z = 2E/3, E_gS = -2E/3, E_eS = 2E/3.
+    solution is E_Z = 2E/3, E_gS = -2E/3, E_eS = 2E/3.  The caller passes
+    a finite int or float E, which Fraction holds exactly.
     """
-    if not np.isfinite(float(energy)):
-        raise ValueError(f"energy must be finite, got {energy}")
-    try:
-        e = Fraction(energy)
-    except (TypeError, ValueError):
-        e = Fraction(float(energy))
+    e = Fraction(energy)
     two_thirds = Fraction(2, 3)
     return ShiftSolution(
         e_zeeman=two_thirds * e,

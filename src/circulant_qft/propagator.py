@@ -203,7 +203,8 @@ def factor_phased_dft(u, direction=FORWARD):
 
     The renumbering is chosen by maximal column overlap, the phase of
     each dominant overlap gives alpha, and the Frobenius distance to the
-    fitted matrix is reported as the residual.
+    fitted matrix is reported as the residual.  Any direction but
+    FORWARD fits the inverse DFT.
     """
     u = np.asarray(u, dtype=np.complex128)
     defect = unitarity_defect(u)
@@ -218,14 +219,12 @@ def factor_phased_dft(u, direction=FORWARD):
         sigma = _assign_columns(np.abs(overlaps))
         alpha = np.angle(overlaps[sigma, np.arange(n)])
         fit = np.exp(1j * alpha)[None, :] * f[:, sigma]
-    elif direction == INVERSE:
+    else:
         images = u @ f  # images[:, n] = U applied to DFT column n
         sigma = _assign_columns(np.abs(images))
         alpha = -np.angle(images[sigma, np.arange(n)])
         fit = np.zeros_like(u)
         fit[sigma, :] = np.exp(-1j * alpha)[:, None] * np.conj(f).T
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     residual = frobenius(u - fit)
     return PhasedDftFactorization(sigma=sigma, alpha=alpha, residual=float(residual))
 

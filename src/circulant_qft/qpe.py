@@ -16,7 +16,6 @@ import numpy as np
 from .circulant import dft_matrix
 from .linalg import dagger
 from .propagator import evolve, predict_permutation
-from .schedule import INVERSE
 
 
 def to_bits(phi, r):
@@ -24,12 +23,9 @@ def to_bits(phi, r):
 
     Returns (bits, exact): the exact expansion when phi * 2^r is an
     integer, otherwise the nearest r-bit value under the cyclic metric
-    (phases identify 1 with 0) and exact=False.
+    (phases identify 1 with 0) and exact=False.  The caller passes phi
+    in [0, 1) and r >= 1.
     """
-    if not 0 <= phi < 1:
-        raise ValueError(f"phi must lie in [0, 1), got {phi}")
-    if r < 1:
-        raise ValueError(f"register size r must be >= 1, got {r}")
     scaled = phi * 2**r
     k = int(round(scaled)) % 2**r
     exact = scaled == round(scaled)
@@ -43,7 +39,6 @@ def prepare_register_state(phi, r):
     For phi with an exact r-bit expansion m / 2^r this is exactly DFT
     column m, which the inverse transform maps to one basis state.
     """
-    to_bits(phi, r)  # validates phi and r
     k = np.arange(2**r)
     return np.exp(2j * np.pi * k * phi) / np.sqrt(2**r)
 
@@ -53,14 +48,9 @@ def ideal_phased_inverse_qft(alpha, sigma, n):
 
     Maps DFT column m to exp(-i alpha_m) |sigma(m)>; with sigma the
     identity and alpha zero this is the plain inverse DFT matrix.  Serves
-    as the brute-force oracle for run_qpe.
+    as the brute-force oracle for run_qpe.  The caller passes n phases
+    alpha and a permutation sigma of 0..n-1.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    sigma = np.asarray(sigma, dtype=np.intp)
-    if alpha.shape != (n,):
-        raise ValueError(f"alpha must have length {n}")
-    if sorted(sigma.tolist()) != list(range(n)):
-        raise ValueError(f"sigma must be a permutation of 0..{n - 1}")
     f = dft_matrix(n)
     u = np.zeros((n, n), dtype=np.complex128)
     u[sigma, :] = np.exp(-1j * alpha)[:, None] * dagger(f)
@@ -79,8 +69,6 @@ class QpeResult:
     unless a sampled measurement was requested.
     """
 
-    phi: float
-    r: int
     distribution: np.ndarray
     relabeled_distribution: np.ndarray
     sigma: np.ndarray
@@ -114,18 +102,13 @@ def register_readout(sigma, phi, r, u):
 def run_qpe(s, phi, r, shots=None):
     """Estimate phi by evolving the register state under the schedule s.
 
-    s must run in the inverse direction on a model of dimension 2^r.
-    The returned distribution is read directly from amplitudes (no shot
+    The caller passes an inverse-direction s on a model of dimension
+    2^r, phi in [0, 1) and r >= 1; none of this is checked here.  The
+    returned distribution is read directly from amplitudes (no shot
     noise); pass shots for an additional sampled histogram, which exists
     for demonstration only and is drawn with the fixed seed 0, so that
     identical inputs give identical counts.
     """
-    if s.direction != INVERSE:
-        raise ValueError(f"phase estimation needs an inverse schedule, "
-                         f"got {s.direction!r}")
-    if 2**r != s.dim:
-        raise ValueError(f"register of {r} qubits needs a model of "
-                         f"dimension 2**{r}, got {s.dim}")
     target_bits, exact = to_bits(phi, r)
     sigma = predict_permutation(s)
     result = evolve(s, convergence_check=False)
@@ -142,8 +125,6 @@ def run_qpe(s, phi, r, shots=None):
         counts = rng.multinomial(int(shots), relabeled / relabeled.sum())
 
     return QpeResult(
-        phi=float(phi),
-        r=int(r),
         distribution=distribution,
         relabeled_distribution=relabeled,
         sigma=sigma,

@@ -5,10 +5,11 @@ or H(t) = g(t) H0 + f(t) H1 (inverse direction), where the pulse pair
 (f, g) satisfies g/f -> 0 as t -> -inf and g/f -> inf as t -> +inf, so
 the diagonal part precedes the circulant part in time.  Two pulse
 families are provided: the plain tanh crossing pair and the
-experimentally friendlier sech-masked variant.  A pulse pair is any
-object with values(t) -> (f, g), derivatives(t) -> (f', g') (inf or nan
-where a rate such as 1/T is beyond float range) and crossing_time() -> T,
-the timescale of the f/g crossing that sets the 1/T coupling scale.
+experimentally friendlier sech-masked variant.  The caller passes their
+T and tau positive.  A pulse pair is any object with values(t) -> (f, g),
+derivatives(t) -> (f', g') (inf or nan where a rate such as 1/T is
+beyond float range) and crossing_time() -> T, the timescale of the f/g
+crossing that sets the 1/T coupling scale.
 
 Also here: instantaneous eigenvalue trajectories over the time window
 and the adiabaticity diagnostic comparing eigenvalue gaps to the exact
@@ -39,10 +40,6 @@ class TanhPair:
 
     T: float
 
-    def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"crossing timescale T must be positive, got {self.T}")
-
     def values(self, t):
         # t/T overflowing to +-inf gives tanh = +-1, its limit
         with np.errstate(over="ignore"):
@@ -71,12 +68,6 @@ class SechMaskedPair:
     T: float
     tau: float
 
-    def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"crossing timescale T must be positive, got {self.T}")
-        if not self.tau > 0:
-            raise ValueError(f"mask width tau must be positive, got {self.tau}")
-
     def values(self, t):
         t = np.asarray(t, dtype=float)
         # t/tau or cosh overflowing to inf gives sech = 0, its limit
@@ -100,24 +91,19 @@ class SechMaskedPair:
 
 
 def _check_h0(h0):
-    h0 = np.asarray(h0, dtype=np.complex128)
     scale = max(float(np.abs(h0).max()), np.finfo(float).tiny)
-    off = h0 - np.diag(np.diag(h0))
-    if np.abs(off).max() > 1e-14 * scale:
-        raise ValueError("H0 must be strictly diagonal")
     diag = np.diag(h0)
+    if np.abs(h0 - np.diag(diag)).max() > 1e-14 * scale:
+        raise ValueError("H0 must be strictly diagonal")
     if np.abs(diag.imag).max() > 1e-14 * scale:
         raise ValueError("H0 diagonal must be real")
-    energies = np.sort(diag.real)
-    if np.diff(energies).min() <= 0:
+    if np.diff(np.sort(diag.real)).min() <= 0:
         raise DegenerateSpectrumError(
             "H0 diagonal entries must be pairwise distinct (non-degenerate)"
         )
-    return h0
 
 
 def _check_h1(h1):
-    h1 = np.asarray(h1, dtype=np.complex128)
     require_hermitian(h1, what="H1")
     spec = CirculantSpec(h1[:, 0].copy())
     defect = frobenius(h1 - materialize(spec))
@@ -127,7 +113,7 @@ def _check_h1(h1):
         )
     if not spec.is_hermitian():
         raise ValueError("H1 first column violates the Hermitian-circulant symmetry")
-    return h1, spec
+    return spec
 
 
 @dataclass(frozen=True)
@@ -137,7 +123,8 @@ class Schedule:
     direction "forward" assembles f*H0 + g*H1 (diagonal first), "inverse"
     assembles g*H0 + f*H1 (circulant first).  window defaults to
     +-6 crossing times; steps is the number of uniform integrator
-    intervals.
+    intervals.  The caller passes a finite window and an int steps >= 1;
+    the matrices, the direction and t_min < t_max are checked here.
     """
 
     pulses: object
@@ -149,23 +136,24 @@ class Schedule:
     h1_spec: CirculantSpec = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h0", _check_h0(self.h0))
-        h1, spec = _check_h1(self.h1)
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h1_spec", spec)
-        if self.h0.shape != self.h1.shape:
+        h0 = np.asarray(self.h0, dtype=np.complex128)
+        h1 = np.asarray(self.h1, dtype=np.complex128)
+        if h0.shape != h1.shape:
             raise ValueError("H0 and H1 dimensions differ")
+        if len(h0) < 2:
+            raise ValueError(f"a model needs at least 2 levels, got {len(h0)}")
+        _check_h0(h0)
+        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h1_spec", _check_h1(h1))
         if self.direction not in (FORWARD, INVERSE):
             raise ValueError(f"direction must be 'forward' or 'inverse', got {self.direction!r}")
         if self.window is None:
             half = DEFAULT_WINDOW_HALFWIDTH * self.pulses.crossing_time()
             object.__setattr__(self, "window", (-half, half))
         t_min, t_max = self.window
-        if not (np.isfinite(t_min) and np.isfinite(t_max) and t_min < t_max):
+        if not t_min < t_max:
             raise ValueError(f"invalid time window {self.window}")
-        if int(self.steps) < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        object.__setattr__(self, "steps", int(self.steps))
 
     @property
     def dim(self):

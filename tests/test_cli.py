@@ -595,6 +595,14 @@ class TestConfigErrors:
         ("evolve", {**FOUR_LEVEL, "model": {"kind": "custom",
                                             "h0": [[1, 2], None],
                                             "h1": [[0, 1], [1, 0]]}}),
+        # rules the config layer alone checks
+        ("evolve", {**FOUR_LEVEL, "model": {**FOUR_LEVEL["model"], "E": 0}}),
+        ("evolve", {**FOUR_LEVEL, "model": {**FOUR_LEVEL["model"], "E": -1}}),
+        ("evolve", {**FOUR_LEVEL, "pulses": {"kind": "tanh", "T": 0}}),
+        ("evolve", {**FOUR_LEVEL, "pulses": {"kind": "sech_masked",
+                                             "T": 1.0, "tau": -1}}),
+        ("qpe", {**QPE_CONFIG, "r": 0}),
+        ("evolve", {**FOUR_LEVEL, "steps": 0}),
     ], ids=["qpe_steps", "qpe_window", "sweep_phi", "sweep_steps",
             "qpe_steps_bool", "sweep_phi_bool", "model_E_bool",
             "model_V_bool", "sweep_et_bool", "window_bool", "h0_diag_bool",
@@ -602,7 +610,9 @@ class TestConfigErrors:
             "qpe_shots_bool", "adiabaticity_rate_overflow",
             "sweep_energy_underflow",
             "sweep_energy_overflow", "qpe_shots_2_63", "qpe_shots_10_400",
-            "custom_scalar_rows", "custom_null_row"])
+            "custom_scalar_rows", "custom_null_row", "model_E_zero",
+            "model_E_negative", "tanh_T_zero", "sech_tau_negative",
+            "qpe_r_zero", "evolve_steps_zero"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_config_code_without_traceback(self, tmp_path, capsys,
                                                  command, payload):
@@ -644,6 +654,14 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, {**QPE_CONFIG, "phi": 1.5})
         assert main(["qpe", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "phi" in capsys.readouterr().err
+
+    def test_one_level_model_names_the_rule(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**FOUR_LEVEL, "model": {
+            "kind": "custom", "h0": [[1]], "h1": [[1]]}})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: a model needs at least 2 levels" in err
+        assert "Traceback" not in err
 
     def test_wrong_model_kind(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**FOUR_LEVEL,

@@ -7,9 +7,10 @@ phi), replaces one to three of its values (at any depth, steps included)
 with a hostile JSON value and runs the command.  evolve also runs on a
 custom model and models on a six-level one, so every model kind is
 fuzzed, and every top-level key of every config is replaced in some
-example of every run.  Whatever the input, main() must return one of the
-documented exit codes, no exception may escape and no RuntimeWarning may
-be raised.
+example of every run, as are model.E, pulses.T and pulses.tau, which
+only the config layer checks.  Whatever the input, main() must return
+one of the documented exit codes, no exception may escape and no
+RuntimeWarning may be raised.
 """
 
 import json
@@ -51,6 +52,11 @@ CONFIGS = {
 }
 TOP_LEVEL_KEYS = [(name, key) for name, (_, cfg) in CONFIGS.items()
                   for key in cfg]
+# nested values that only the config layer checks, on every config with them
+NESTED_PATHS = [(name, (section, key)) for name, (_, cfg) in CONFIGS.items()
+                for section, key in [("model", "E"), ("pulses", "T"),
+                                     ("pulses", "tau")]
+                if key in cfg.get(section, {})]
 EXIT_CODES = {0, 2, 3, 4}
 
 
@@ -165,5 +171,17 @@ def test_coarsest_phase_grid_predicts_finite_alpha(steps, tmp_path):
 def test_every_top_level_key_replaced(name, key, data):
     command, cfg = CONFIGS[name]
     cfg = replaced(cfg, (key,), data.draw(HOSTILE))
+    cfg = mutate(data.draw, cfg, data.draw(st.integers(0, 2)))
+    assert exit_code(command, cfg) in EXIT_CODES
+
+
+@pytest.mark.parametrize("name, path", NESTED_PATHS,
+                         ids=[f"{name}-{'.'.join(path)}"
+                              for name, path in NESTED_PATHS])
+@settings(max_examples=5, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_every_config_checked_nested_key_replaced(name, path, data):
+    command, cfg = CONFIGS[name]
+    cfg = replaced(cfg, path, data.draw(HOSTILE))
     cfg = mutate(data.draw, cfg, data.draw(st.integers(0, 2)))
     assert exit_code(command, cfg) in EXIT_CODES

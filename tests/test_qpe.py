@@ -30,12 +30,6 @@ class TestBits:
         assert bits == (0, 0)
         assert not exact
 
-    def test_range_checks(self):
-        with pytest.raises(ValueError):
-            to_bits(1.0, 2)
-        with pytest.raises(ValueError):
-            to_bits(0.5, 0)
-
 
 class TestRegisterState:
     def test_zero_phase_uniform(self):
@@ -86,10 +80,6 @@ class TestIdealOracle:
         forward = np.exp(1j * alpha)[None, :] * f
         inverse = ideal_phased_inverse_qft(alpha, np.arange(4), 4)
         assert np.abs(inverse @ forward - np.eye(4)).max() <= 1e-14
-
-    def test_bad_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            ideal_phased_inverse_qft(np.zeros(4), np.array([0, 0, 1, 2]), 4)
 
     def test_distribution_independent_of_alpha(self):
         rng = np.random.default_rng(3)
@@ -151,10 +141,6 @@ class TestRunQpe:
         # run_qpe never reads the convergence estimate, so no rerun
         run_qpe(inverse(paper_model, paper_pulses, steps=600), 0.75, 2)
         assert propagated_steps[0] == 600
-
-    def test_dimension_mismatch_rejected(self, paper_model, paper_pulses):
-        with pytest.raises(ValueError):
-            run_qpe(inverse(paper_model, paper_pulses), 0.5, 3)
 
     def test_sampled_mode_reproducible(self, paper_model, paper_pulses):
         s = inverse(paper_model, paper_pulses, steps=400)

@@ -61,12 +61,6 @@ class TestPulses:
         assert np.array(pair.derivatives(t)) == pytest.approx(difference,
                                                               rel=1e-7, abs=0)
 
-    def test_nonpositive_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            TanhPair(T=0.0)
-        with pytest.raises(ValueError):
-            SechMaskedPair(T=1.0, tau=-1.0)
-
 
 class TestSchedule:
     def test_degenerate_h0_rejected(self, paper_model):
