@@ -122,13 +122,16 @@ def phase_equivalent_circulant(h):
             "cannot change moduli, so no circulant form exists"
         )
 
-    loop = np.prod(sub)
-    ang = float(np.angle(loop))
+    # the loop product's argument and modulus from unit phases and moduli
+    # relative to the first: the product of the couplings themselves
+    # overflows for moduli above ~1e51 at N = 6
+    ang = float(np.angle(np.prod(sub / moduli)))
     # pin the branch cut: arguments within roundoff of -pi belong to +pi,
     # so negative-real loop products give the principal root deterministically
     if np.pi - abs(ang) < 1e-12:
         ang = np.pi
-    c1 = np.abs(loop) ** (1.0 / n) * np.exp(1j * ang / n)
+    modulus = moduli[0] * np.prod(moduli / moduli[0]) ** (1.0 / n)
+    c1 = modulus * np.exp(1j * ang / n)
 
     beta = np.zeros(n)
     for k in range(n - 1):

@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +348,22 @@ class TestModels:
         err = capsys.readouterr().err
         assert "unequal moduli" in err
 
+    def test_six_level_huge_rabi_frequencies_stay_finite(self, tmp_path,
+                                                         capsys):
+        # six ring entries of modulus 5e149 multiply to ~1.6e897
+        payload = {"model": {"kind": "six_level", "omega1": [1e150, 0.0],
+                             "omega2": [1e150, 0.0],
+                             "h0_diag": [-3, -2, -1, 1, 2, 3]}}
+        cfg = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["models", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out and "inf" not in out
+        # c_1 = 5e149 exp(i pi / 6), and the pairs of the spectrum found
+        assert "(4.330127018922194e+149+2.49999999999999" in out
+        assert "degenerate for every choice" in out
+
     def test_rejects_flags_it_does_not_read(self, tmp_path, capsys):
         # steps and the sampling seed are config-only, for every command
         cfg = write_config(tmp_path, {"model": FOUR_LEVEL["model"]})
@@ -668,3 +689,57 @@ class TestConfigErrors:
                                       "model": {"kind": "five_level"}})
         assert main(["eigentraj", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "five_level" in capsys.readouterr().err
+
+
+# A fresh interpreter per case: this test process has scipy loaded already.
+SRC = Path(__file__).resolve().parents[1] / "src"
+README_TRAJ = {k: v for k, v in QPE_CONFIG.items() if k not in ("phi", "r")}
+
+
+def run_fresh(script, tmp_path, payload=None):
+    """Run script in a new interpreter that imports the package from src/;
+    return its stdout.  CONFIG and OUT name a config written from payload
+    and an output directory."""
+    cfg = write_config(tmp_path, payload or {})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    prelude = f"CONFIG, OUT = {cfg!r}, {str(tmp_path / 'out')!r}\n"
+    proc = subprocess.run([sys.executable, "-c", prelude + script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportSplit:
+    """Only the commands that integrate import the propagator, and with it
+    scipy."""
+
+    def test_import_loads_neither_scipy_nor_propagator(self, tmp_path):
+        out = run_fresh(
+            "import sys\n"
+            "import circulant_qft.cli\n"
+            "print('scipy' in sys.modules,\n"
+            "      'circulant_qft.propagator' in sys.modules)\n", tmp_path)
+        assert out.strip() == "False False"
+
+    @pytest.mark.parametrize("command, payload", [
+        ("eigentraj", README_TRAJ),
+        ("adiabaticity", README_TRAJ),
+        ("models", {"model": QPE_CONFIG["model"]}),
+    ])
+    def test_command_runs_without_scipy(self, tmp_path, command, payload):
+        out = run_fresh(
+            "import sys\n"
+            "from circulant_qft.cli import main\n"
+            f"code = main([{command!r}, '--config', CONFIG, '--out', OUT])\n"
+            "print('exit', code, 'scipy' in sys.modules)\n", tmp_path, payload)
+        assert out.splitlines()[-1] == "exit 0 False"
+
+    def test_evolve_still_integrates(self, tmp_path):
+        out = run_fresh(
+            "import sys\n"
+            "from circulant_qft.cli import main\n"
+            "code = main(['evolve', '--config', CONFIG, '--out', OUT])\n"
+            "print('exit', code, 'scipy' in sys.modules)\n", tmp_path,
+            {**README_TRAJ, "steps": 400})
+        assert out.splitlines()[-1] == "exit 0 True"

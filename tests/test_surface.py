@@ -1,9 +1,9 @@
 """Every definition in the package has a caller in the package, and every
 package binding the benchmark's span table wraps still exists.
 
-A top-level function or class, or a non-dunder method, counts as called
-when some Name, Attribute or import alias in src/circulant_qft refers to
-its name outside its own definition.  Names are matched by spelling
+A non-dunder function, class or method counts as called when some Name,
+Attribute or import alias in src/circulant_qft refers to its name
+outside its own definition.  Names are matched by spelling
 only, and docstrings are not references.
 """
 
@@ -16,8 +16,9 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(tree):
+    # dunders, a module's __getattr__ among them, are called by Python
     for node in tree.body:
-        if isinstance(node, DEFS):
+        if isinstance(node, DEFS) and not node.name.startswith("__"):
             yield node
         if isinstance(node, ast.ClassDef):
             yield from (item for item in node.body if isinstance(item, DEFS)
