@@ -43,10 +43,6 @@ CHUNK = 1024  # step matrices (or adiabaticity scan points) held at once
 # halvings the amplified remainder could exceed UNITARITY_TOL (26).
 ROUNDOFF = np.finfo(float).eps / 2
 MAX_HALVINGS = int(math.log2(UNITARITY_TOL / ROUNDOFF))
-# Rows of each BLAS call that forms step matrices: a product this small
-# is never split across OpenBLAS threads, whose hand-offs stalled the
-# whole 1024-row product for milliseconds.
-ROW_BLOCK = 128
 # Series weights below this are dropped: far below the roundoff, they
 # would only carry products into the slow subnormal range.
 NEGLIGIBLE = 2.0**-200
@@ -130,17 +126,8 @@ def _step_matrices(sums, x, y, ratios, halvings):
         powers[p] = powers[p - 1] * base
         powers[p][np.abs(powers[p]) < NEGLIGIBLE] = 0.0
     weights = powers[degree - q, 0] * powers[q, 1]
-    # weights.T @ flat as one batched product over blocks of ROW_BLOCK rows
-    # and one product of the short rest, all views of weights
-    flat = sums.reshape(len(sums), -1)
-    blocks = m * k // ROW_BLOCK
-    full = blocks * ROW_BLOCK
-    mats = np.empty((m * k, flat.shape[1]))
-    np.matmul(weights[:, :full].reshape(len(flat), blocks, ROW_BLOCK)
-              .transpose(1, 2, 0),
-              flat, out=mats[:full].reshape(blocks, ROW_BLOCK, flat.shape[1]))
-    np.matmul(weights[:, full:].T, flat, out=mats[full:])
-    mats = mats.view(np.complex128).reshape(m, k, n, n)
+    mats = (weights.T @ sums.reshape(len(sums), -1)).view(np.complex128)
+    mats = mats.reshape(m, k, n, n)
     for _ in range(halvings):
         mats = mats @ mats
     return mats

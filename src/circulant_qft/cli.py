@@ -53,9 +53,7 @@ MAX_SCALE = 2.0**500
 
 
 def __getattr__(name):
-    """cli.evolve, which the benchmark's tracer test reads, imported on
-    first access (PEP 562) as cmd_evolve imports it: importing cli alone
-    loads no scipy."""
+    """Serve cli.evolve for perfbench's tracer test, its one reader."""
     if name != "evolve":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .propagator import evolve

@@ -1,9 +1,9 @@
 """Every definition in the package has a caller in the package, and every
 package binding the benchmark's span table wraps still exists.
 
-A non-dunder function, class or method counts as called when some Name,
-Attribute or import alias in src/circulant_qft refers to its name
-outside its own definition.  Names are matched by spelling
+A top-level function or class, or a non-dunder method, counts as called
+when some Name, Attribute or import alias in src/circulant_qft refers to
+its name outside its own definition.  Names are matched by spelling
 only, and docstrings are not references.
 """
 
@@ -16,9 +16,8 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(tree):
-    # dunders, a module's __getattr__ among them, are called by Python
     for node in tree.body:
-        if isinstance(node, DEFS) and not node.name.startswith("__"):
+        if isinstance(node, DEFS):
             yield node
         if isinstance(node, ast.ClassDef):
             yield from (item for item in node.body if isinstance(item, DEFS)
@@ -52,8 +51,11 @@ def uncalled(package):
 
 
 def test_every_definition_has_a_caller():
-    # perfbench/spans.py wraps it by name; delete both together
-    assert uncalled(PACKAGE) == ["propagator.py:dynamical_phase_prediction"]
+    # perfbench's tracer test reads cli.evolve through cli's __getattr__;
+    # perfbench/spans.py wraps dynamical_phase_prediction by name.  Delete
+    # each together with its reader.
+    assert uncalled(PACKAGE) == ["cli.py:__getattr__",
+                                 "propagator.py:dynamical_phase_prediction"]
 
 
 def test_span_table_names_live_bindings():
