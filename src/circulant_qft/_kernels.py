@@ -20,7 +20,9 @@ caller's drift gate checks like any other.  Scaling a Hamiltonian by E
 only scales the weights, so one set of sums serves every step length
 dt_m of a batch.  A chunk holds CHUNK // m steps of m step lengths (one
 step of up to CHUNK step lengths, for large batches), so at most CHUNK
-step matrices are held at once however many there are.  Within a chunk
+step matrices are held at once however many there are; every chunk
+forms them in the same buffers (_Scratch), which a thread keeps between
+calls.  Within a chunk
 it multiplies the step matrices between consecutive samples (and the
 chunk end) by balanced pairwise (tree) products, the segment products
 of a parallel-prefix scan (Blelloch, "Prefix Sums and Their
@@ -31,6 +33,7 @@ its grid in chunks of the same size.
 """
 
 import math
+import threading
 
 import numpy as np
 
@@ -46,17 +49,59 @@ MAX_HALVINGS = int(math.log2(UNITARITY_TOL / ROUNDOFF))
 # Series weights below this are dropped: far below the roundoff, they
 # would only carry products into the slow subnormal range.
 NEGLIGIBLE = 2.0**-200
+# Bytes of chunk buffers a thread keeps between propagate calls (a few MiB
+# at n = 8); larger sets are freed when their call ends.
+SCRATCH_KEEP = 32 * 2**20
+
+_kept = threading.local()  # .scratch: this thread's _Scratch, if kept
 
 
-def _tree_product(mats):
+class _Scratch:
+    """Flat buffers for a chunk's temporaries, reused by every chunk and
+    kept per thread between propagate calls.
+
+    A chunk's temporaries are hundreds of KiB each.  Allocated and freed
+    chunk after chunk, they leave it to the C allocator whether the memory
+    stays in the process or goes back to the system and is faulted in
+    again, and that choice differs from one process to the next: the same
+    sweep took from about 500 to about 8000 page faults, and up to 40 %
+    longer, in fresh processes.  Reused buffers take the same steps in
+    every process, and kept ones fault in no fresh pages after the first
+    call.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    @property
+    def nbytes(self):
+        return sum(buffer.nbytes for buffer in self._buffers.values())
+
+    def view(self, name, shape, dtype=np.float64):
+        """A C-contiguous array of shape at the start of buffer `name`,
+        which grows when it is too small; its contents are undefined."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
+def _tree_product(mats, scratch):
     """mats[-1] @ ... @ mats[0] over the leading axis, by pairwise products
-    (a balanced tree); further leading axes are batched."""
+    (a balanced tree); further leading axes are batched.  The levels
+    alternate between two of scratch's buffers, so the result is a view
+    that the next call may overwrite."""
+    level = 0
     while len(mats) > 1:
-        odd = len(mats) % 2
-        paired = mats[1::2] @ mats[0:len(mats) - odd:2]
+        half, odd = divmod(len(mats), 2)
+        paired = scratch.view(f"tree{level % 2}",
+                              (half + odd,) + mats.shape[1:], mats.dtype)
+        np.matmul(mats[1::2], mats[0:2 * half:2], out=paired[:half])
         if odd:
-            paired = np.concatenate([paired, mats[-1:]])
+            paired[half] = mats[-1]
         mats = paired
+        level += 1
     return mats[0]
 
 
@@ -112,28 +157,36 @@ def _taylor(h0, h1, a, b, dts):
     return sums, a * (step * rho0), b * (step * rho1), ratios, halvings
 
 
-def _step_matrices(sums, x, y, ratios, halvings):
+def _step_matrices(sums, x, y, ratios, halvings, scratch):
     """exp(-i dt_m (a_k H0 + b_k H1)) at [m, k] for every step length
     dt_m and every k, from the Taylor parts of _taylor (x and y cut to
-    the steps wanted)."""
+    the steps wanted).  The result is a view into scratch's buffers."""
     m, k, n = len(ratios), len(x), sums.shape[1]
     degree, q = (i[::-1] for i in np.tril_indices(math.isqrt(2 * len(sums))))
     # powers[p] holds (r_m x_k)^p and (r_m y_k)^p, flattened over (m, k)
     base = np.stack([np.outer(ratios, x).ravel(), np.outer(ratios, y).ravel()])
-    powers = np.empty((degree[0] + 1,) + base.shape)
+    powers = scratch.view("powers", (degree[0] + 1,) + base.shape)
     powers[0] = 1.0
     for p in range(1, len(powers)):
-        powers[p] = powers[p - 1] * base
+        np.multiply(powers[p - 1], base, out=powers[p])
         powers[p][np.abs(powers[p]) < NEGLIGIBLE] = 0.0
-    weights = powers[degree - q, 0] * powers[q, 1]
-    mats = (weights.T @ sums.reshape(len(sums), -1)).view(np.complex128)
-    mats = mats.reshape(m, k, n, n)
-    for _ in range(halvings):
-        mats = mats @ mats
+    # take in a mode other than "raise" writes straight into out; the
+    # indices are in range, so the mode changes nothing else
+    weights = scratch.view("weights", (len(sums), m * k))
+    np.take(powers[:, 0], degree - q, axis=0, out=weights, mode="clip")
+    weights *= np.take(powers[:, 1], q, axis=0, mode="clip",
+                       out=scratch.view("weights_q", weights.shape))
+    mats = scratch.view("mats0", (m, k, n, n), np.complex128)
+    np.matmul(weights.T, sums.reshape(len(sums), -1),
+              out=mats.reshape(m * k, n * n).view(np.float64))
+    for i in range(halvings):
+        squared = scratch.view(f"mats{(i + 1) % 2}", mats.shape, mats.dtype)
+        np.matmul(mats, mats, out=squared)
+        mats = squared
     return mats
 
 
-def _accumulate(sums, x, y, ratios, halvings, sample_idx):
+def _accumulate(sums, x, y, ratios, halvings, sample_idx, scratch):
     """(u_samples, u_final) of propagate for at most CHUNK step lengths."""
     m, n = len(ratios), sums.shape[1]
     eye = np.eye(n, dtype=np.complex128)
@@ -145,14 +198,14 @@ def _accumulate(sums, x, y, ratios, halvings, sample_idx):
     for start in range(0, len(x), chunk):
         stop = min(start + chunk, len(x))
         mats = _step_matrices(sums, x[start:stop], y[start:stop], ratios,
-                              halvings)
+                              halvings, scratch)
         last = int(np.searchsorted(sample_idx, stop, side="right"))
         ends = np.union1d(sample_idx[s:last], stop)
         pos = 0
         for length, count in _runs(np.diff(ends, prepend=start)):
             block = mats[:, pos:pos + length * count].reshape(m, count, length, n, n)
             pos += length * count
-            segments = _tree_product(np.moveaxis(block, 2, 0))
+            segments = _tree_product(np.moveaxis(block, 2, 0), scratch)
             for segment in np.swapaxes(segments, 0, 1):
                 u = segment @ u
                 if s < last:
@@ -178,9 +231,11 @@ def propagate(h0, h1, a, b, dts, sample_idx):
     more than MAX_HALVINGS halvings.
     """
     sums, x, y, ratios, halvings = _taylor(h0, h1, a, b, dts)
+    scratch = getattr(_kept, "scratch", None) or _Scratch()
     groups = [_accumulate(sums, x, y, ratios[g:g + CHUNK], halvings,
-                          sample_idx)
+                          sample_idx, scratch)
               for g in range(0, len(dts), CHUNK)]
+    _kept.scratch = scratch if scratch.nbytes <= SCRATCH_KEEP else None
     samples = np.concatenate([group[0] for group in groups])
     u = np.concatenate([group[1] for group in groups])
     checked = np.concatenate([samples, u[:, None]], axis=1)

@@ -94,6 +94,48 @@ def test_step_matrices_never_exceed_chunk(monkeypatch, points, steps):
         assert np.abs(u_final[m] - alone[0]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("scales", [[1.0], [1.0, 0.5, 3.7]])
+def test_chunks_reuse_one_set_of_buffers(monkeypatch, scales):
+    # every chunk's step matrices (the last, shorter one too) land in the
+    # same memory, so the chunk loop hands no large temporaries back to
+    # the allocator
+    formed = []
+    original = _kernels._step_matrices
+
+    def recording(*args):
+        mats = original(*args)
+        formed.append(mats)
+        return mats
+
+    monkeypatch.setattr(_kernels, "_step_matrices", recording)
+    h0, h1, a, b, dt = _case(3 * CHUNK + 5)
+    _kernels.propagate(h0, h1, a, b, dt * np.array(scales), NO_SAMPLES)
+    assert len(formed) > 3
+    assert all(np.shares_memory(formed[0], mats) for mats in formed[1:])
+
+
+def test_calls_keep_their_buffers_below_the_cap(monkeypatch):
+    # a warm process forms the next call's step matrices in the same
+    # memory; a set of buffers above SCRATCH_KEEP is freed with its call
+    formed = []
+    original = _kernels._step_matrices
+
+    def recording(*args):
+        formed.append(original(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(_kernels, "_step_matrices", recording)
+    h0, h1, a, b, dt = _case(CHUNK + 5)
+    dts = np.array([dt])
+    _kernels.propagate(h0, h1, a, b, dts, NO_SAMPLES)
+    _kernels.propagate(h0, h1, a, b, dts, NO_SAMPLES)
+    assert np.shares_memory(formed[0], formed[-1])
+    monkeypatch.setattr(_kernels, "SCRATCH_KEEP", 0)
+    _kernels.propagate(h0, h1, a, b, dts, NO_SAMPLES)
+    _kernels.propagate(h0, h1, a, b, dts, NO_SAMPLES)
+    assert not np.shares_memory(formed[0], formed[-1])
+
+
 def test_drift_gate_fires_with_sampled_checks(monkeypatch, paper_schedule):
     # step matrices scaled by 1 + 1e-6 make every step slightly non-unitary;
     # checking at the samples and the end must still see it
@@ -157,7 +199,8 @@ def _theta(h0, h1, a, b, dts):
 
 
 def _assert_matches_expm(h0, h1, a, b, dts):
-    mats = _kernels._step_matrices(*_kernels._taylor(h0, h1, a, b, dts))
+    mats = _kernels._step_matrices(*_kernels._taylor(h0, h1, a, b, dts),
+                                   _kernels._Scratch())
     assert mats.shape == (len(dts), len(a)) + h0.shape
     for m, dt in enumerate(dts):
         for k in range(len(a)):

@@ -30,7 +30,7 @@ def step_exp(h, dt):
     """exp(-i H dt) as the propagator's step exponential computes it."""
     h = np.asarray(h, dtype=complex)
     taylor = _kernels._taylor(h, np.zeros_like(h), ONE, ZERO, np.array([dt]))
-    return _kernels._step_matrices(*taylor)[0, 0]
+    return _kernels._step_matrices(*taylor, _kernels._Scratch())[0, 0]
 
 
 def test_identity_eigenvalues():
