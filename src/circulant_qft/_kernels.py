@@ -11,10 +11,16 @@ H0^ = H0 / ||H0||_2 and H1^ = H1 / ||H1||_2,
     S[p, q] = H0^ S[p-1, q] + H1^ S[p, q-1],  S[0, 0] = I,
 
 so a step matrix is one weighted sum of the S[p, q], and a chunk of step
-matrices is one real matrix product of their weights with the sums.  The
-degree is the smallest d with theta^(d+1)/(d+1)! <= eps/2, where theta
-bounds ||dt_m (a_k H0 + b_k H1)||_2 over every step; above theta = 1 the
-exponent is halved s times and the matrix squared s times.  The
+matrices is one real matrix product of their weights with the sums.
+Where theta bounds ||dt_m (a_k H0 + b_k H1)||_2 over every step, and
+theta > 1, every exponent is halved s times and its matrix squared s
+times.  The sums are formed up to the degree that the largest halved
+exponent needs, but each chunk takes only the terms its own exponents
+need: the smallest d with theta_c^(d+1)/(d+1)! <= eps/2, for theta_c the
+chunk's largest halved exponent norm (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488, 2011, choose the degree from the norm in the same way).
+A pulse envelope that switches the coupling on and off leaves most
+chunks far below the peak, and their degree with it.  Either way the
 remainder is a loss of unitarity below eps/2 per step, which the
 caller's drift gate checks like any other.  Scaling a Hamiltonian by E
 only scales the weights, so one set of sums serves every step length
@@ -112,6 +118,16 @@ def _runs(values):
     return zip(values[starts].tolist(), counts.tolist())
 
 
+def _degree(theta):
+    """The smallest d with theta^(d+1) / (d+1)! <= ROUNDOFF: the Taylor
+    degree that an exponent of norm at most theta <= 1 needs."""
+    degree, remainder = 0, theta  # remainder = theta^(d+1) / (d+1)!
+    while remainder > ROUNDOFF:
+        degree += 1
+        remainder *= theta / (degree + 1)
+    return degree
+
+
 def _taylor(h0, h1, a, b, dts):
     """What every step matrix exp(-i dt_m (a_k H0 + b_k H1)) shares.
 
@@ -120,9 +136,12 @@ def _taylor(h0, h1, a, b, dts):
     and H1 count q of the l-th entry of np.tril_indices(d + 1) counted
     from the end: the highest degree comes first, so every entry of a
     step matrix adds its smallest terms first, which keeps its roundoff,
-    and so its loss of unitarity, near that of a Horner evaluation.  Step
-    (m, k) is the series in ratios[m] * (x[k] H0^ + y[k] H1^), whose
-    norm is at most 1, squared `halvings` times.
+    and so its loss of unitarity, near that of a Horner evaluation.  The
+    degree d is the one the largest step needs; the last
+    (c + 1)(c + 2)/2 entries are the series of a lower degree c, so a
+    chunk of smaller steps takes that tail (_accumulate).  Step (m, k) is
+    the series in ratios[m] * (x[k] H0^ + y[k] H1^), whose norm is at
+    most |ratios[m]| (|x[k]| + |y[k]|) <= 1, squared `halvings` times.
     """
     rho0, rho1 = (float(np.abs(np.linalg.eigvalsh(h)).max()) for h in (h0, h1))
     dt_max = float(np.abs(dts).max())
@@ -134,11 +153,7 @@ def _taylor(h0, h1, a, b, dts):
             f"{MAX_HALVINGS} times would carry roundoff past the unitarity "
             f"tolerance {UNITARITY_TOL:.1e}")
     halvings = math.ceil(math.log2(theta)) if theta > 1 else 0
-    theta /= 2**halvings
-    degree, remainder = 0, theta  # remainder = theta^(d+1) / (d+1)!
-    while remainder > ROUNDOFF:
-        degree += 1
-        remainder *= theta / (degree + 1)
+    degree = _degree(theta / 2**halvings)
 
     units = [h / rho if rho > 0 else np.zeros_like(h)
              for h, rho in ((h0, rho0), (h1, rho1))]
@@ -160,7 +175,9 @@ def _taylor(h0, h1, a, b, dts):
 def _step_matrices(sums, x, y, ratios, halvings, scratch):
     """exp(-i dt_m (a_k H0 + b_k H1)) at [m, k] for every step length
     dt_m and every k, from the Taylor parts of _taylor (x and y cut to
-    the steps wanted).  The result is a view into scratch's buffers."""
+    the steps wanted, sums to the tail of the degree they need; the
+    degree is read from len(sums)).  The result is a view into scratch's
+    buffers."""
     m, k, n = len(ratios), len(x), sums.shape[1]
     degree, q = (i[::-1] for i in np.tril_indices(math.isqrt(2 * len(sums))))
     # powers[p] holds (r_m x_k)^p and (r_m y_k)^p, flattened over (m, k)
@@ -187,8 +204,11 @@ def _step_matrices(sums, x, y, ratios, halvings, scratch):
 
 
 def _accumulate(sums, x, y, ratios, halvings, sample_idx, scratch):
-    """(u_samples, u_final) of propagate for at most CHUNK step lengths."""
+    """(u_samples, u_final) of propagate for at most CHUNK step lengths.
+
+    Each chunk's series stops at the degree its largest exponent needs."""
     m, n = len(ratios), sums.shape[1]
+    norms, r_max = np.abs(x) + np.abs(y), float(np.abs(ratios).max())
     eye = np.eye(n, dtype=np.complex128)
     u = np.repeat(eye[None], m, axis=0)
     samples = np.empty((m, len(sample_idx), n, n), dtype=np.complex128)
@@ -197,8 +217,11 @@ def _accumulate(sums, x, y, ratios, halvings, sample_idx, scratch):
     chunk = max(1, CHUNK // m)
     for start in range(0, len(x), chunk):
         stop = min(start + chunk, len(x))
-        mats = _step_matrices(sums, x[start:stop], y[start:stop], ratios,
-                              halvings, scratch)
+        # sums ends with the terms of degree <= d, smallest first; a d
+        # above the degree of sums (by roundoff) takes all of it
+        d = _degree(float(norms[start:stop].max()) * r_max)
+        mats = _step_matrices(sums[-(d + 1) * (d + 2) // 2:], x[start:stop],
+                              y[start:stop], ratios, halvings, scratch)
         last = int(np.searchsorted(sample_idx, stop, side="right"))
         ends = np.union1d(sample_idx[s:last], stop)
         pos = 0

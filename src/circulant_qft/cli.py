@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__, svg
 from ._kernels import CHUNK
-from .circulant import CirculantSpec, circulant_eigenvalues, phase_equivalent_circulant
+from .circulant import (RING_RTOL, CirculantSpec, circulant_eigenvalues,
+                        materialize, phase_equivalent_circulant)
 from .errors import ConfigError, IntegrationError, PhysicsError
 from .models import build_four_level, build_six_level, solve_level_shifts
 from .schedule import (
@@ -192,6 +193,21 @@ def build_model(cfg):
     )
 
 
+def _schedule_model(cfg):
+    """build_model's (H0, H1), with a six-level ring's H1 in its circulant
+    gauge D H1 D†.
+
+    D is diagonal, so it commutes with H0, and D H(t) D† = f H0 + g D H1 D†
+    at every t: eigenvalues, gaps and |<m|dH/dt|n>| are unchanged, and a
+    propagator changes only by D on each side.  A ring without couplings
+    is already circulant.
+    """
+    h0, h1 = build_model(cfg)
+    if cfg["model"]["kind"] == "six_level" and h1.any():
+        h1 = materialize(phase_equivalent_circulant(h1)[1])
+    return h0, h1
+
+
 def build_pulses(cfg):
     pulses = cfg.get("pulses")
     if not isinstance(pulses, dict):
@@ -259,7 +275,8 @@ def _phase_register(phi, r, dim):
 
 
 def cmd_eigentraj(cfg, args):
-    sched = build_schedule(cfg, build_model(cfg), build_pulses(cfg), FORWARD)
+    sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
+                           FORWARD)
     traj = eigen_trajectories(sched)
     n = traj.energies.shape[1]
     out = Path(args.out)
@@ -284,7 +301,8 @@ def cmd_evolve(cfg, args):
     from .propagator import (adiabatic_phase_prediction, evolve,
                              factor_phased_dft)
 
-    sched = build_schedule(cfg, build_model(cfg), build_pulses(cfg), FORWARD)
+    sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
+                           FORWARD)
     predicted = adiabatic_phase_prediction(sched).alpha
     result = evolve(sched)
     factorization = factor_phased_dft(result.u_final, sched.direction)
@@ -312,7 +330,8 @@ def cmd_evolve(cfg, args):
 
 
 def cmd_adiabaticity(cfg, args):
-    sched = build_schedule(cfg, build_model(cfg), build_pulses(cfg), FORWARD)
+    sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
+                           FORWARD)
     report = adiabaticity_report(sched)
     if not np.isfinite(report.max_coupling):  # a pulse rate beyond float range
         raise ConfigError(f"pulses: a nonadiabatic coupling at 1/T = "
@@ -333,7 +352,8 @@ def cmd_adiabaticity(cfg, args):
 def cmd_qpe(cfg, args):
     from .qpe import ideal_distribution, run_qpe
 
-    sched = build_schedule(cfg, build_model(cfg), build_pulses(cfg), INVERSE)
+    sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
+                           INVERSE)
     phi, r = _phase_register(cfg["phi"], cfg["r"], sched.dim)
     shots = cfg.get("shots", 0)
     # the sampler draws its counts as 64-bit integers
@@ -416,7 +436,13 @@ def cmd_models(cfg, args):
         beta, spec, residual = phase_equivalent_circulant(h1)
         print(f"gauge phases beta: {_round_list(beta)}")
         print(f"circulant first column: {_round_list(spec.first_column)}")
-        print(f"gauge residual: {residual:.3e}")
+        # the residual is roundoff of the coupling's size; its digits move
+        # with any equivalent arithmetic, so only a larger one is printed
+        bound = RING_RTOL * float(np.abs(h1).max())
+        print(f"gauge residual: below {RING_RTOL:.0e} of the coupling"
+              if residual <= bound else
+              f"gauge residual: {residual:.3e}, above {RING_RTOL:.0e} of "
+              f"the coupling")
         lam = np.sort(circulant_eigenvalues(spec).real)
         print(f"circulant spectrum (sorted): {_round_list(lam)}")
         gaps = np.diff(lam)
@@ -427,8 +453,10 @@ def cmd_models(cfg, args):
 
 
 def _round_list(values):
-    return [complex(np.round(v, 9)) if np.iscomplexobj(values) else round(float(v), 9)
-            for v in np.asarray(values)]
+    """values rounded to 9 decimals; adding 0 makes a zero of either sign
+    +0.0, which roundoff would otherwise print as 0.0 or -0.0."""
+    return [complex(np.round(v, 9)) + 0j if np.iscomplexobj(values)
+            else round(float(v), 9) + 0.0 for v in np.asarray(values)]
 
 
 def cmd_sweep(cfg, args):

@@ -12,7 +12,8 @@ import pytest
 from circulant_qft import _kernels
 from circulant_qft._kernels import CHUNK
 from circulant_qft.cli import main, write_csv
-from circulant_qft.models import DegenerateSpectrumWarning, build_four_level
+from circulant_qft.models import (DegenerateSpectrumWarning, build_four_level,
+                                  build_six_level)
 from circulant_qft.propagator import evolve, factor_phased_dft
 from circulant_qft.qpe import run_qpe
 from circulant_qft.schedule import Schedule, SechMaskedPair, TanhPair
@@ -22,6 +23,9 @@ FOUR_LEVEL = {
     "pulses": {"kind": "sech_masked", "T": 1.0, "tau": 1.0},
     "steps": 400,
 }
+
+SIX_LEVEL_MODEL = {"kind": "six_level", "omega1": 1.0, "omega2": 1.0,
+                   "h0_diag": [-3, -2, -1, 1, 2, 3]}
 
 QPE_CONFIG = {
     "model": {"kind": "four_level", "E": 10.0, "V": [10.0, 10.0 / 3.0]},
@@ -364,6 +368,16 @@ class TestModels:
         assert "(4.330127018922194e+149+2.49999999999999" in out
         assert "degenerate for every choice" in out
 
+    def test_six_level_prints_no_roundoff_digits(self, tmp_path, capsys):
+        # the residual is ~5e-16 and two spectrum zeros come out as -0.0
+        # and 0.0; neither is a fact about the model
+        cfg = write_config(tmp_path, {"model": SIX_LEVEL_MODEL})
+        assert main(["models", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "gauge residual: below 1e-10 of the coupling" in lines
+        assert ("circulant spectrum (sorted): [-0.866025404, -0.866025404, "
+                "0.0, 0.0, 0.866025404, 0.866025404]") in lines
+
     def test_rejects_flags_it_does_not_read(self, tmp_path, capsys):
         # steps and the sampling seed are config-only, for every command
         cfg = write_config(tmp_path, {"model": FOUR_LEVEL["model"]})
@@ -380,6 +394,47 @@ class TestModels:
                 err = capsys.readouterr().err
                 assert f"unrecognized arguments: {' '.join(flag)}" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+class TestSixLevelSchedules:
+    """The ring enters every schedule command in its circulant gauge."""
+
+    CONFIG = {"model": SIX_LEVEL_MODEL, "pulses": {"kind": "tanh", "T": 1.0},
+              "steps": 400}
+
+    # a ring without couplings is circulant already, in every gauge
+    @pytest.mark.parametrize("omega, gap", [(1.0, "8.192"), (0.0, "6.144")])
+    def test_eigentraj_matches_the_raw_ring(self, tmp_path, capsys, omega, gap):
+        # the gauge commutes with H0, so the spectrum is the raw ring's
+        model = {**SIX_LEVEL_MODEL, "omega1": omega, "omega2": omega}
+        cfg = write_config(tmp_path, {**self.CONFIG, "model": model})
+        assert main(["eigentraj", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert f"min gap {gap}" in capsys.readouterr().out
+        table = np.loadtxt(tmp_path / "eigentraj.csv", delimiter=",", skiprows=1)
+        f, g = TanhPair(T=1.0).values(table[:, 0])
+        h0 = np.diag(SIX_LEVEL_MODEL["h0_diag"]).astype(complex)
+        h1 = build_six_level(omega, omega)
+        raw = np.linalg.eigvalsh(f[:, None, None] * h0 + g[:, None, None] * h1)
+        assert np.abs(table[:, 1:] - raw).max() <= 1e-10
+
+    def test_adiabaticity_runs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert main(["adiabaticity", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        assert "margin 0.1053" in capsys.readouterr().out
+
+    def test_evolve_names_the_degenerate_spectrum(self, tmp_path, capsys):
+        # every Rabi phase gives a doubly degenerate circulant spectrum
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "H1 spectrum is degenerate" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_unequal_moduli_have_no_circulant_gauge(self, tmp_path, capsys):
+        model = {**SIX_LEVEL_MODEL, "omega2": 2.0}
+        cfg = write_config(tmp_path, {**self.CONFIG, "model": model})
+        assert main(["eigentraj", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "unequal moduli" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -276,3 +279,104 @@ def test_zero_step_length_gives_identity():
     assert np.array_equal(samples, np.broadcast_to(np.eye(4), (2, 3, 4, 4)))
     assert np.array_equal(u_final, np.broadcast_to(np.eye(4), (2, 4, 4)))
     assert drift == 0.0
+
+
+def _exact_steps(h0, h1, a, b, dt):
+    """exp(-i dt (a_k H0 + b_k H1)) for every k, by eigendecomposition."""
+    w, v = np.linalg.eigh(a[:, None, None] * h0 + b[:, None, None] * h1)
+    return (v * np.exp(-1j * dt * w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+
+
+def _record_terms(monkeypatch):
+    """(terms, copy of the step matrices) of every _step_matrices call."""
+    formed = []
+    original = _kernels._step_matrices
+
+    def recording(sums, *args):
+        mats = original(sums, *args)
+        formed.append((len(sums), mats.copy()))
+        return mats
+
+    monkeypatch.setattr(_kernels, "_step_matrices", recording)
+    return formed
+
+
+def test_degree_is_the_smallest_that_meets_the_remainder_rule():
+    # theta^(d+1) / (d+1)! <= eps/2, in exact arithmetic, for theta in [0, 1]
+    roundoff = Fraction(_kernels.ROUNDOFF)
+    thetas = np.concatenate([np.linspace(0.0, 1.0, 201),
+                             np.geomspace(1e-20, 1.0, 41)]).tolist()
+
+    def remainder(theta, d):
+        return Fraction(theta) ** (d + 1) / math.factorial(d + 1)
+
+    for theta in thetas:
+        d = _kernels._degree(theta)
+        assert remainder(theta, d) <= roundoff
+        assert d == 0 or remainder(theta, d - 1) > roundoff
+    assert _kernels._degree(0.0) == 0
+    assert _kernels._degree(1.0) == 18
+
+
+def test_mask_edges_take_fewer_terms_than_its_peak(monkeypatch, paper_schedule):
+    # the README schedule: the sech mask switches the coupling on and off,
+    # so the window's first and last chunks have the smallest exponents
+    formed = _record_terms(monkeypatch)
+    evolve(paper_schedule, convergence_check=False)
+    terms = [count for count, _ in formed]
+    assert len(terms) == 4
+    assert max(terms[0], terms[-1]) < min(terms[1:-1])
+
+
+def test_low_degree_chunk_is_exact_to_roundoff(monkeypatch):
+    formed = _record_terms(monkeypatch)
+    h0, h1, a, b, dt = _case(4 * CHUNK)
+    _kernels.propagate(h0, h1, a, b, np.array([dt]), NO_SAMPLES)
+    terms, mats = formed[0]
+    degree = math.isqrt(2 * terms) - 1
+    assert degree < math.isqrt(2 * max(count for count, _ in formed)) - 1
+    assert degree <= 7
+    ref = _exact_steps(h0, h1, a[:CHUNK], b[:CHUNK], dt)
+    assert np.abs(mats[0] - ref).max() <= 1e-14
+    assert max(unitarity_defect(u) for u in mats[0]) <= 1e-14
+
+
+def test_chunk_without_exponents_is_exactly_the_identity(monkeypatch):
+    # one term, S[0, 0] = I, however many the other chunks need
+    formed = _record_terms(monkeypatch)
+    h0, h1, a, b, dt = _case(2 * CHUNK)
+    a[:CHUNK] = b[:CHUNK] = 0.0
+    samples, _, _ = _kernels.propagate(h0, h1, a, b, np.array([dt, 2 * dt]),
+                                       np.array([CHUNK]))
+    assert formed[0][0] == 1 < formed[-1][0]
+    assert np.array_equal(formed[0][1],
+                          np.broadcast_to(np.eye(4), (2, CHUNK // 2, 4, 4)))
+    assert np.array_equal(samples[:, 0], np.broadcast_to(np.eye(4), (2, 4, 4)))
+
+
+@pytest.mark.parametrize("direction", [FORWARD, INVERSE])
+def test_sweep_forms_about_half_the_terms_of_one_global_degree(monkeypatch,
+                                                               direction):
+    # terms x step matrices over the README sweep (et_values 10, 20, 40);
+    # one degree for every chunk, the one the pulse peak needs, would form
+    # the whole series at every step
+    work, series = [], []
+    step_matrices, taylor = _kernels._step_matrices, _kernels._taylor
+
+    def counting(sums, x, y, ratios, *args):
+        work.append(len(sums) * len(x) * len(ratios))
+        return step_matrices(sums, x, y, ratios, *args)
+
+    def recording(*args):
+        parts = taylor(*args)
+        series.append(len(parts[0]))
+        return parts
+
+    monkeypatch.setattr(_kernels, "_step_matrices", counting)
+    monkeypatch.setattr(_kernels, "_taylor", recording)
+    h0, h1 = build_four_level(1.0, 1 + 1j / 3)
+    s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+                 direction=direction)
+    final_propagators(s, [10.0, 20.0, 40.0])
+    assert series == [105]  # degree 13
+    assert sum(work) <= 0.6 * series[0] * 3 * s.steps
