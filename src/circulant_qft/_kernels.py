@@ -27,9 +27,9 @@ only scales the weights, so one set of sums serves every step length
 dt_m of a batch.  A chunk holds CHUNK // m steps of m step lengths (one
 step of up to CHUNK step lengths, for large batches), so at most CHUNK
 step matrices are held at once however many there are; every chunk
-forms them in the same buffers (_Scratch), which a thread keeps between
-calls.  Within a chunk
-it multiplies the step matrices between consecutive samples (and the
+forms them in the same buffers (_Scratch), sized once per call for the
+global degree, which a thread keeps between calls.  Within a chunk it
+multiplies the step matrices between consecutive samples (and the
 chunk end) by balanced pairwise (tree) products, the segment products
 of a parallel-prefix scan (Blelloch, "Prefix Sums and Their
 Applications", CMU-CS-90-190, 1990).  Segments of equal length are
@@ -87,10 +87,14 @@ class _Scratch:
         """A C-contiguous array of shape at the start of buffer `name`,
         which grows when it is too small; its contents are undefined."""
         size = math.prod(shape)
+        self.reserve(name, size, dtype)
+        return self._buffers[name][:size].reshape(shape)
+
+    def reserve(self, name, size, dtype=np.float64):
+        """Grow buffer `name` to at least size elements."""
         buffer = self._buffers.get(name)
         if buffer is None or buffer.size < size:
-            buffer = self._buffers[name] = np.empty(size, dtype)
-        return buffer[:size].reshape(shape)
+            self._buffers[name] = np.empty(size, dtype)
 
 
 def _tree_product(mats, scratch):
@@ -203,6 +207,22 @@ def _step_matrices(sums, x, y, ratios, halvings, scratch):
     return mats
 
 
+def _chunk_steps(m):
+    """Steps per chunk for a group of m step lengths."""
+    return max(1, CHUNK // m)
+
+
+def _reserve_series(scratch, terms, width):
+    """Size the series buffers of _step_matrices once for a whole call:
+    for `terms` power sums (the global degree) and `width` step matrices
+    (the widest chunk).  Chunk degrees rise and fall along a pulse, so
+    buffers grown on demand would be allocated again at each higher degree
+    met, every growth freeing the smaller buffer."""
+    scratch.reserve("powers", math.isqrt(2 * terms) * 2 * width)
+    scratch.reserve("weights", terms * width)
+    scratch.reserve("weights_q", terms * width)
+
+
 def _accumulate(sums, x, y, ratios, halvings, sample_idx, scratch):
     """(u_samples, u_final) of propagate for at most CHUNK step lengths.
 
@@ -214,7 +234,7 @@ def _accumulate(sums, x, y, ratios, halvings, sample_idx, scratch):
     samples = np.empty((m, len(sample_idx), n, n), dtype=np.complex128)
     s = int(np.searchsorted(sample_idx, 0, side="right"))
     samples[:, :s] = eye
-    chunk = max(1, CHUNK // m)
+    chunk = _chunk_steps(m)
     for start in range(0, len(x), chunk):
         stop = min(start + chunk, len(x))
         # sums ends with the terms of degree <= d, smallest first; a d
@@ -255,9 +275,11 @@ def propagate(h0, h1, a, b, dts, sample_idx):
     """
     sums, x, y, ratios, halvings = _taylor(h0, h1, a, b, dts)
     scratch = getattr(_kept, "scratch", None) or _Scratch()
-    groups = [_accumulate(sums, x, y, ratios[g:g + CHUNK], halvings,
-                          sample_idx, scratch)
-              for g in range(0, len(dts), CHUNK)]
+    batches = [ratios[g:g + CHUNK] for g in range(0, len(dts), CHUNK)]
+    _reserve_series(scratch, len(sums), max(
+        len(r) * min(len(a), _chunk_steps(len(r))) for r in batches))
+    groups = [_accumulate(sums, x, y, r, halvings, sample_idx, scratch)
+              for r in batches]
     _kept.scratch = scratch if scratch.nbytes <= SCRATCH_KEEP else None
     samples = np.concatenate([group[0] for group in groups])
     u = np.concatenate([group[1] for group in groups])

@@ -365,8 +365,24 @@ class TestModels:
         out = capsys.readouterr().out
         assert "nan" not in out and "inf" not in out
         # c_1 = 5e149 exp(i pi / 6), and the pairs of the spectrum found
-        assert "(4.330127018922194e+149+2.49999999999999" in out
+        assert "(4.3301270189e+149+2.5e+149j)" in out
         assert "degenerate for every choice" in out
+
+    def test_six_level_huge_rabi_frequencies_print_no_roundoff(self, tmp_path,
+                                                              capsys):
+        # rounded to 9 decimals, the spectrum's two zeros came out as
+        # -1.8e+134 and 9.1e+133 and each degenerate pair as two numbers
+        payload = {"model": {"kind": "six_level", "omega1": [1e150, 0.0],
+                             "omega2": [1e150, 0.0],
+                             "h0_diag": [-3, -2, -1, 1, 2, 3]}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["models", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ("circulant spectrum (sorted): [-8.6602540378e+149, "
+                "-8.6602540378e+149, 0.0, 0.0, 8.6602540378e+149, "
+                "8.6602540378e+149]") in lines
+        assert ("gauge phases beta: [0.0, -2.617993878, -2.094395102, "
+                "-1.570796327, -4.188790205, -3.665191429]") in lines
 
     def test_six_level_prints_no_roundoff_digits(self, tmp_path, capsys):
         # the residual is ~5e-16 and two spectrum zeros come out as -0.0
@@ -767,7 +783,8 @@ def run_fresh(script, tmp_path, payload=None):
 
 class TestImportSplit:
     """Only the commands that integrate import the propagator, and with it
-    scipy."""
+    scipy.sparse.csgraph, which finds the renumbering; no command imports
+    scipy.optimize."""
 
     def test_import_loads_neither_scipy_nor_propagator(self, tmp_path):
         out = run_fresh(
@@ -788,6 +805,22 @@ class TestImportSplit:
             "from circulant_qft.cli import main\n"
             f"code = main([{command!r}, '--config', CONFIG, '--out', OUT])\n"
             "print('exit', code, 'scipy' in sys.modules)\n", tmp_path, payload)
+        assert out.splitlines()[-1] == "exit 0 False"
+
+    @pytest.mark.parametrize("command, payload", [
+        ("evolve", {**README_TRAJ, "steps": 400}),
+        ("qpe", {**QPE_CONFIG, "steps": 400}),
+        ("sweep", {"pulses": QPE_CONFIG["pulses"], "et_values": [10, 20],
+                   "steps": 400}),
+    ])
+    def test_integrating_command_runs_without_scipy_optimize(
+            self, tmp_path, command, payload):
+        out = run_fresh(
+            "import sys\n"
+            "from circulant_qft.cli import main\n"
+            f"code = main([{command!r}, '--config', CONFIG, '--out', OUT])\n"
+            "print('exit', code, 'scipy.optimize' in sys.modules)\n",
+            tmp_path, payload)
         assert out.splitlines()[-1] == "exit 0 False"
 
     def test_evolve_still_integrates(self, tmp_path):

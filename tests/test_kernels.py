@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -326,6 +327,30 @@ def test_mask_edges_take_fewer_terms_than_its_peak(monkeypatch, paper_schedule):
     terms = [count for count, _ in formed]
     assert len(terms) == 4
     assert max(terms[0], terms[-1]) < min(terms[1:-1])
+
+
+@pytest.mark.parametrize("scales", [[10.0], [10.0, 20.0, 40.0]])
+def test_series_buffers_are_allocated_once_per_call(monkeypatch, scales):
+    # the E = 1 schedule scaled to the README's E = 10 and to the README
+    # sweep: chunk degrees rise from the mask edges to the pulse peak,
+    # yet a call from a fresh thread allocates each series buffer once
+    allocated = {}
+    reserve = _kernels._Scratch.reserve
+
+    def recording(self, name, size, dtype=np.float64):
+        reserve(self, name, size, dtype)
+        buffer = self._buffers[name]
+        allocated.setdefault(name, {})[id(buffer)] = buffer
+
+    monkeypatch.setattr(_kernels._Scratch, "reserve", recording)
+    monkeypatch.setattr(_kernels, "_kept", threading.local())
+    formed = _record_terms(monkeypatch)
+    h0, h1 = build_four_level(1.0, 1 + 1j / 3)
+    s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1)
+    final_propagators(s, scales)
+    assert len({terms for terms, _ in formed}) >= 3
+    for name in ("powers", "weights", "weights_q"):
+        assert len(allocated[name]) == 1, name
 
 
 def test_low_degree_chunk_is_exact_to_roundoff(monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,33 @@ class TestFactorization:
         res = evolve(paper_schedule, convergence_check=False)
         fac = factor_phased_dft(res.u_final, FORWARD)
         assert fac.sigma.tolist() == [2, 1, 3, 0]
+
+    @pytest.mark.parametrize("direction", [FORWARD, INVERSE])
+    def test_renumbering_is_the_best_bijection_not_the_argmax(self,
+                                                              direction):
+        # three real rotations of the DFT basis give overlaps |m| whose
+        # columns 0 and 1 both peak in row 0; the one bijection of largest
+        # total sends column 0 to row 1 and column 1 to row 0, while taking
+        # the largest entry first would fix both
+        m = np.eye(4)
+        for i, j, angle in [(0, 1, 0.7), (0, 2, 0.4), (1, 2, 0.6)]:
+            c, s = np.cos(angle), np.sin(angle)
+            g = np.eye(4)
+            g[[i, i, j, j], [i, j, i, j]] = [c, -s, s, c]
+            m = m @ g
+        w = np.abs(m)
+        assert w.argmax(axis=0).tolist() == [0, 0, 2, 3]
+        top = np.sort(w, axis=0)
+        assert (top[-1] - top[-2]).min() >= 100 * propagator.OVERLAP_AMBIGUITY
+        totals = {p: w[list(p), range(4)].sum()
+                  for p in itertools.permutations(range(4))}
+        best, runner_up = sorted(totals, key=totals.get, reverse=True)[:2]
+        assert best == (1, 0, 2, 3)
+        assert totals[best] - totals[runner_up] > 0.09
+        f = dft_matrix(4)
+        # forward fits the overlaps F'U, inverse the images UF
+        u = f @ m if direction == FORWARD else m @ np.conj(f).T
+        assert factor_phased_dft(u, direction).sigma.tolist() == [1, 0, 2, 3]
 
     def test_equal_overlaps_are_ambiguous(self):
         f = dft_matrix(4)
