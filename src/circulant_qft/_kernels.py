@@ -36,6 +36,19 @@ Applications", CMU-CS-90-190, 1990).  Segments of equal length are
 reduced together, so no Python loop runs per step; only the short chain
 of segment products is sequential.  schedule.adiabaticity_report scans
 its grid in chunks of the same size.
+
+Stepping runs in real arithmetic.  Every power sum, step matrix,
+squaring, tree product and accumulated propagator is held as the real
+form [[A, -B], [B, A]] of its complex n x n matrix A + iB, a real
+(2n, 2n) array; the real form of a product is the product of the real
+forms.  Most stepping time goes into numpy's batched matmul, whose
+per-product cost is far higher for complex operands than for real ones:
+with numpy 2.4.6 and OpenBLAS 0.3.31 on one CPU, in batches of 128-512,
+a 4 x 4 complex product costs about five times the real product of its
+8 x 8 real form, and an 8 x 8 one two to two and a half times that of
+its 16 x 16 form.  The one product of weights with sums writes the step
+matrices of a chunk in real form straight into its buffer, and U is read
+back as complex only at the samples and the end.
 """
 
 import math
@@ -83,18 +96,19 @@ class _Scratch:
     def nbytes(self):
         return sum(buffer.nbytes for buffer in self._buffers.values())
 
-    def view(self, name, shape, dtype=np.float64):
-        """A C-contiguous array of shape at the start of buffer `name`,
-        which grows when it is too small; its contents are undefined."""
+    def view(self, name, shape):
+        """A C-contiguous float array of shape at the start of buffer
+        `name`, which grows when it is too small; its contents are
+        undefined."""
         size = math.prod(shape)
-        self.reserve(name, size, dtype)
+        self.reserve(name, size)
         return self._buffers[name][:size].reshape(shape)
 
-    def reserve(self, name, size, dtype=np.float64):
+    def reserve(self, name, size):
         """Grow buffer `name` to at least size elements."""
         buffer = self._buffers.get(name)
         if buffer is None or buffer.size < size:
-            self._buffers[name] = np.empty(size, dtype)
+            self._buffers[name] = np.empty(size)
 
 
 def _tree_product(mats, scratch):
@@ -106,7 +120,7 @@ def _tree_product(mats, scratch):
     while len(mats) > 1:
         half, odd = divmod(len(mats), 2)
         paired = scratch.view(f"tree{level % 2}",
-                              (half + odd,) + mats.shape[1:], mats.dtype)
+                              (half + odd,) + mats.shape[1:])
         np.matmul(mats[1::2], mats[0:2 * half:2], out=paired[:half])
         if odd:
             paired[half] = mats[-1]
@@ -132,16 +146,32 @@ def _degree(theta):
     return degree
 
 
+def _real_form(c):
+    """[[A, -B], [B, A]] for C = A + iB over the last two axes: the real
+    form, whose products are the real forms of the complex products."""
+    return np.block([[c.real, -c.imag], [c.imag, c.real]])
+
+
+def _complex_form(r):
+    """The complex matrix of a real form, each part the mean of the two
+    blocks that hold it: (R11 + R22)/2 + i(R21 - R12)/2."""
+    n = r.shape[-1] // 2
+    c = np.empty(r.shape[:-2] + (n, n), dtype=np.complex128)
+    c.real = (r[..., :n, :n] + r[..., n:, n:]) / 2
+    c.imag = (r[..., n:, :n] - r[..., :n, n:]) / 2
+    return c
+
+
 def _taylor(h0, h1, a, b, dts):
     """What every step matrix exp(-i dt_m (a_k H0 + b_k H1)) shares.
 
-    Returns (sums, x, y, ratios, halvings).  sums[l] is the power sum
-    S[j - q, q] * (-i)^j / j! as a real (n, 2n) view, for the degree j
-    and H1 count q of the l-th entry of np.tril_indices(d + 1) counted
-    from the end: the highest degree comes first, so every entry of a
-    step matrix adds its smallest terms first, which keeps its roundoff,
-    and so its loss of unitarity, near that of a Horner evaluation.  The
-    degree d is the one the largest step needs; the last
+    Returns (sums, x, y, ratios, halvings).  sums[l] is the real form, a
+    (2n, 2n) array, of the power sum S[j - q, q] * (-i)^j / j! for the
+    degree j and H1 count q of the l-th entry of np.tril_indices(d + 1)
+    counted from the end: the highest degree comes first, so every entry
+    of a step matrix adds its smallest terms first, which keeps its
+    roundoff, and so its loss of unitarity, near that of a Horner
+    evaluation.  The degree d is the one the largest step needs; the last
     (c + 1)(c + 2)/2 entries are the series of a lower degree c, so a
     chunk of smaller steps takes that tail (_accumulate).  Step (m, k) is
     the series in ratios[m] * (x[k] H0^ + y[k] H1^), whose norm is at
@@ -170,7 +200,7 @@ def _taylor(h0, h1, a, b, dts):
         nxt[1:] += units[1] @ level
         level = nxt * (-1j / j)
         levels.append(level)
-    sums = np.concatenate(levels)[::-1].copy().view(np.float64)
+    sums = _real_form(np.concatenate(levels)[::-1])
     step = dt_max / 2**halvings
     ratios = dts / dt_max if dt_max else dts  # dts all 0: every step is I
     return sums, a * (step * rho0), b * (step * rho1), ratios, halvings
@@ -181,8 +211,8 @@ def _step_matrices(sums, x, y, ratios, halvings, scratch):
     dt_m and every k, from the Taylor parts of _taylor (x and y cut to
     the steps wanted, sums to the tail of the degree they need; the
     degree is read from len(sums)).  The result is a view into scratch's
-    buffers."""
-    m, k, n = len(ratios), len(x), sums.shape[1]
+    buffers, in real form."""
+    m, k, w = len(ratios), len(x), sums.shape[1]
     degree, q = (i[::-1] for i in np.tril_indices(math.isqrt(2 * len(sums))))
     # powers[p] holds (r_m x_k)^p and (r_m y_k)^p, flattened over (m, k)
     base = np.stack([np.outer(ratios, x).ravel(), np.outer(ratios, y).ravel()])
@@ -197,11 +227,11 @@ def _step_matrices(sums, x, y, ratios, halvings, scratch):
     np.take(powers[:, 0], degree - q, axis=0, out=weights, mode="clip")
     weights *= np.take(powers[:, 1], q, axis=0, mode="clip",
                        out=scratch.view("weights_q", weights.shape))
-    mats = scratch.view("mats0", (m, k, n, n), np.complex128)
+    mats = scratch.view("mats0", (m, k, w, w))
     np.matmul(weights.T, sums.reshape(len(sums), -1),
-              out=mats.reshape(m * k, n * n).view(np.float64))
+              out=mats.reshape(m * k, w * w))
     for i in range(halvings):
-        squared = scratch.view(f"mats{(i + 1) % 2}", mats.shape, mats.dtype)
+        squared = scratch.view(f"mats{(i + 1) % 2}", mats.shape)
         np.matmul(mats, mats, out=squared)
         mats = squared
     return mats
@@ -226,12 +256,13 @@ def _reserve_series(scratch, terms, width):
 def _accumulate(sums, x, y, ratios, halvings, sample_idx, scratch):
     """(u_samples, u_final) of propagate for at most CHUNK step lengths.
 
-    Each chunk's series stops at the degree its largest exponent needs."""
-    m, n = len(ratios), sums.shape[1]
+    Each chunk's series stops at the degree its largest exponent needs.
+    U is held in real form and read back as complex at the end."""
+    m, w = len(ratios), sums.shape[1]
     norms, r_max = np.abs(x) + np.abs(y), float(np.abs(ratios).max())
-    eye = np.eye(n, dtype=np.complex128)
+    eye = np.eye(w)
     u = np.repeat(eye[None], m, axis=0)
-    samples = np.empty((m, len(sample_idx), n, n), dtype=np.complex128)
+    samples = np.empty((m, len(sample_idx), w, w))
     s = int(np.searchsorted(sample_idx, 0, side="right"))
     samples[:, :s] = eye
     chunk = _chunk_steps(m)
@@ -246,7 +277,7 @@ def _accumulate(sums, x, y, ratios, halvings, sample_idx, scratch):
         ends = np.union1d(sample_idx[s:last], stop)
         pos = 0
         for length, count in _runs(np.diff(ends, prepend=start)):
-            block = mats[:, pos:pos + length * count].reshape(m, count, length, n, n)
+            block = mats[:, pos:pos + length * count].reshape(m, count, length, w, w)
             pos += length * count
             segments = _tree_product(np.moveaxis(block, 2, 0), scratch)
             for segment in np.swapaxes(segments, 0, 1):
@@ -254,7 +285,7 @@ def _accumulate(sums, x, y, ratios, halvings, sample_idx, scratch):
                 if s < last:
                     samples[:, s] = u
                     s += 1
-    return samples, u
+    return _complex_form(samples), _complex_form(u)
 
 
 def propagate(h0, h1, a, b, dts, sample_idx):

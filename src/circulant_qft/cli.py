@@ -43,16 +43,36 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PHYSICS = 4
 
-# Complex values in the largest array a command holds: the (steps + 1)
-# stacked Hamiltonians of eigentraj's grid, and the eigenvector matrices
-# of adiabaticity's.  evolve's phase prediction holds eigenvectors at only
-# 2 ceil(steps / 8) + 1 points, about a quarter of that.
+# Values in the largest array a command holds; each command bounds its
+# step count by the array of its own that grows fastest with steps.
 MAX_GRID_VALUES = 2**24
 # Bound on every config number and on a schedule's phase scale
 # E (max|H0| + max|H1|) (t_max - t_min): the squares of the 2**23 entries
 # of the largest model that MAX_GRID_VALUES admits still sum to a finite
 # float.
 MAX_SCALE = 2.0**500
+
+
+def _scan_steps(n):
+    """Most steps for eigentraj and adiabaticity on an n-level model: the
+    stacked Hamiltonians of eigentraj's grid and the eigenvectors of
+    adiabaticity's hold n x n values at each of steps + 1 points."""
+    return MAX_GRID_VALUES // n**2 - 1
+
+
+def _stepping_steps(n):
+    """Most steps for qpe and sweep: they hold the coefficients of their
+    exponentials, one per step, and up to CHUNK step matrices in real
+    form, (2n)^2 values each, which no step count can shrink: a model of
+    more than 64 levels gets 0."""
+    return MAX_GRID_VALUES if CHUNK * (2 * n)**2 <= MAX_GRID_VALUES else 0
+
+
+def _evolve_steps(n):
+    """Most steps for evolve: it steps as qpe does, but its doubled-step
+    rerun holds 2 steps coefficients, and its phase prediction n x n
+    eigenvectors at each of 2 ceil(steps / 8) + 1 points."""
+    return min(_stepping_steps(n) // 2, 8 * (_scan_steps(n) // 2))
 
 
 def __getattr__(name):
@@ -225,12 +245,13 @@ def build_pulses(cfg):
     raise ConfigError(f"pulses.kind: expected tanh or sech_masked, got {kind!r}")
 
 
-def build_schedule(cfg, model, pulses, direction, energy=1.0):
+def build_schedule(cfg, model, pulses, direction, max_steps, energy=1.0):
     """Schedule of model = (H0, H1) over the config's window and steps; a
     "direction" key overrides `direction`.
 
-    Rejects a grid beyond MAX_GRID_VALUES before anything is allocated,
-    and a phase scale of `energy` times H(t) beyond MAX_SCALE.
+    Rejects, before anything is allocated, more steps than max_steps(n)
+    for an n-level model (the command's bound from MAX_GRID_VALUES), and
+    a phase scale of `energy` times H(t) beyond MAX_SCALE.
     """
     h0, h1 = model
     window = cfg.get("window")
@@ -244,9 +265,13 @@ def build_schedule(cfg, model, pulses, direction, energy=1.0):
     if not _is_int(steps) or steps < 1:
         raise ConfigError(f"steps: expected a positive integer, got {steps!r}")
     dim = len(h0)
-    if (steps + 1) * dim**2 > MAX_GRID_VALUES:
-        raise ConfigError(f"steps: at most {MAX_GRID_VALUES // dim**2 - 1} "
-                          f"for a {dim}-level model, got {steps}")
+    limit = max_steps(dim)
+    if steps > limit:
+        what = (f"steps: at most {limit} for a {dim}-level model, got {steps}"
+                if limit > 0 else
+                f"model: {dim} levels are too many at any step count")
+        raise ConfigError(f"{what}: the run's largest array would hold more "
+                          f"than 2**24 values")
     try:
         sched = Schedule(pulses=pulses, h0=h0, h1=h1,
                          direction=cfg.get("direction", direction),
@@ -278,7 +303,7 @@ def _phase_register(phi, r, dim):
 
 def cmd_eigentraj(cfg, args):
     sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
-                           FORWARD)
+                           FORWARD, _scan_steps)
     traj = eigen_trajectories(sched)
     n = traj.energies.shape[1]
     out = Path(args.out)
@@ -305,7 +330,7 @@ def cmd_evolve(cfg, args):
                              factor_phased_dft)
 
     sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
-                           FORWARD)
+                           FORWARD, _evolve_steps)
     predicted = adiabatic_phase_prediction(sched).alpha
     result = evolve(sched)
     factorization = factor_phased_dft(result.u_final, sched.direction)
@@ -334,7 +359,7 @@ def cmd_evolve(cfg, args):
 
 def cmd_adiabaticity(cfg, args):
     sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
-                           FORWARD)
+                           FORWARD, _scan_steps)
     report = adiabaticity_report(sched)
     if not np.isfinite(report.max_coupling):  # a pulse rate beyond float range
         raise ConfigError(f"pulses: a nonadiabatic coupling at 1/T = "
@@ -356,7 +381,7 @@ def cmd_qpe(cfg, args):
     from .qpe import ideal_distribution, run_qpe
 
     sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
-                           INVERSE)
+                           INVERSE, _stepping_steps)
     phi, r = _phase_register(cfg["phi"], cfg["r"], sched.dim)
     shots = cfg.get("shots", 0)
     # the sampler draws its counts as 64-bit integers
@@ -395,8 +420,7 @@ def cmd_qpe(cfg, args):
                             title="Phase estimation fidelity", xlabel="t",
                             ylabel="probability")
 
-    # sigma maps basis -> DFT column; the oracle wants its inverse
-    ideal = ideal_distribution(phi, r, sigma=np.argsort(result.sigma))
+    ideal = ideal_distribution(phi, r)
     tv = 0.5 * float(np.abs(ideal - result.relabeled_distribution).sum())
 
     bits_str = "".join(str(b) for b in result.top_bits)
@@ -497,7 +521,7 @@ def cmd_sweep(cfg, args):
     # the model at energy E is E times the E = 1 model, so one schedule
     # integrated at every scale serves all points, in either direction
     sched = build_schedule(cfg, build_four_level(1.0, v_over_e), pulses,
-                           FORWARD, max(energies))
+                           FORWARD, _stepping_steps, max(energies))
     sigma = predict_permutation(sched)  # a degenerate spectrum stops here
     forward = final_propagators(sched, energies)
     inverse = final_propagators(dataclasses.replace(sched, direction=INVERSE),

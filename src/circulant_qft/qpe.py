@@ -43,20 +43,6 @@ def prepare_register_state(phi, r):
     return np.exp(2j * np.pi * k * phi) / np.sqrt(2**r)
 
 
-def ideal_phased_inverse_qft(alpha, sigma, n):
-    """Exact inverse transform with per-state phases and renumbering.
-
-    Maps DFT column m to exp(-i alpha_m) |sigma(m)>; with sigma the
-    identity and alpha zero this is the plain inverse DFT matrix.  Serves
-    as the brute-force oracle for run_qpe.  The caller passes n phases
-    alpha and a permutation sigma of 0..n-1.
-    """
-    f = dft_matrix(n)
-    u = np.zeros((n, n), dtype=np.complex128)
-    u[sigma, :] = np.exp(-1j * alpha)[:, None] * dagger(f)
-    return u
-
-
 @dataclass(frozen=True)
 class QpeResult:
     """Outcome of one phase-estimation run.
@@ -139,21 +125,13 @@ def run_qpe(s, phi, r, shots=None):
     )
 
 
-def ideal_distribution(phi, r, sigma=None, alpha=None):
-    """Outcome distribution of the exact phased inverse transform.
+def ideal_distribution(phi, r):
+    """Outcome distribution |F^dagger psi0|^2 of the exact inverse
+    transform on the register state for phi, by register value.
 
-    The relabeled distribution is returned (renumbering undone), which
-    is independent of alpha: phases only multiply amplitudes whose
-    moduli are measured.
+    Per-state phases and a renumbering of the inverse transform leave it
+    unchanged once the renumbering is undone: phases only multiply
+    amplitudes whose moduli are measured.
     """
-    n = 2**r
-    if sigma is None:
-        sigma = np.arange(n)
-    if alpha is None:
-        alpha = np.zeros(n)
-    u = ideal_phased_inverse_qft(alpha, sigma, n)
-    psi = u @ prepare_register_state(phi, r)
-    p = np.abs(psi) ** 2
-    # oracle sends DFT column m to basis state sigma[m], so the register
-    # value m is read out at physical index sigma[m]
-    return p[np.asarray(sigma, dtype=np.intp)]
+    psi = dagger(dft_matrix(2**r)) @ prepare_register_state(phi, r)
+    return np.abs(psi) ** 2

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from circulant_qft import _kernels
+from circulant_qft.circulant import dft_matrix
 from circulant_qft.models import build_four_level
+from circulant_qft.qpe import prepare_register_state
 from circulant_qft.schedule import Schedule, SechMaskedPair
 
 
@@ -37,6 +39,37 @@ def paper_pulses():
 def paper_schedule(paper_model, paper_pulses):
     h0, h1 = paper_model
     return Schedule(pulses=paper_pulses, h0=h0, h1=h1)
+
+
+def complex_form(r):
+    """The complex n x n matrices held as real forms [[A, -B], [B, A]] on
+    the last two axes of r, after asserting that every one keeps that block
+    structure to roundoff."""
+    n = r.shape[-1] // 2
+    a, b = r[..., :n, :n], r[..., n:, :n]
+    assert np.abs(r[..., n:, n:] - a).max(initial=0.0) <= 1e-14
+    assert np.abs(r[..., :n, n:] + b).max(initial=0.0) <= 1e-14
+    return (a + r[..., n:, n:]) / 2 + 1j * ((b - r[..., :n, n:]) / 2)
+
+
+def phased_inverse_qft(alpha, sigma, n):
+    """The exact inverse transform with per-state phases and renumbering:
+    DFT column m goes to exp(-i alpha_m) |sigma(m)>, the form the
+    simulated inverse transform takes.  With sigma the identity and alpha
+    zero it is the plain inverse DFT matrix."""
+    u = np.zeros((n, n), dtype=np.complex128)
+    phases = np.exp(-1j * np.asarray(alpha))[:, None]
+    u[sigma, :] = phases * dft_matrix(n).conj().T
+    return u
+
+
+def phased_oracle_distribution(phi, r, sigma, alpha):
+    """Outcome distribution of phased_inverse_qft on phi's register state,
+    with the renumbering undone (index = register value)."""
+    u = phased_inverse_qft(alpha, sigma, 2**r)
+    p = np.abs(u @ prepare_register_state(phi, r)) ** 2
+    # DFT column m is read out at physical index sigma[m]
+    return p[np.asarray(sigma)]
 
 
 def random_hermitian(rng, n):

@@ -581,19 +581,58 @@ class TestStepCounts:
         assert f"register of {r} qubits" in err
         assert "Traceback" not in err
 
-    # eigentraj would hold (steps + 1) * 16 complex values for these
-    @pytest.mark.parametrize("command, payload", [
-        ("eigentraj", {**FOUR_LEVEL, "steps": 10**12}),
-        ("evolve", {**FOUR_LEVEL, "steps": 10**12}),
-        ("evolve", {**FOUR_LEVEL, "steps": 10**400}),
-        ("sweep", {**SWEEP_CONFIG, "steps": 10**12}),
+    # each command's largest array at n = 4: eigentraj's (steps + 1) * 16
+    # stacked Hamiltonian values, evolve's phase grid of
+    # (2 ceil(steps / 8) + 1) * 16 eigenvector values, sweep's coefficients
+    # of its exponentials, one per step
+    @pytest.mark.parametrize("command, payload, limit", [
+        ("eigentraj", {**FOUR_LEVEL, "steps": 10**12}, 1048575),
+        ("evolve", {**FOUR_LEVEL, "steps": 10**12}, 4194296),
+        ("evolve", {**FOUR_LEVEL, "steps": 10**400}, 4194296),
+        ("sweep", {**SWEEP_CONFIG, "steps": 10**12}, 2**24),
     ], ids=["eigentraj", "evolve", "evolve_beyond_float", "sweep"])
     def test_rejects_oversized_grid_before_allocating(
-            self, tmp_path, capsys, propagated_steps, command, payload):
+            self, tmp_path, capsys, propagated_steps, command, payload, limit):
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "config error: steps: at most 1048575" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: steps: at most {limit} ")
+        assert "more than 2**24 values" in err
         assert propagated_steps[0] == 0
+
+    @pytest.mark.parametrize("command, payload", [
+        ("adiabaticity", {**FOUR_LEVEL, "steps": 1048576}),
+        ("evolve", {**FOUR_LEVEL, "steps": 4194297}),
+        ("qpe", {**QPE_CONFIG, "steps": 2**24 + 1}),
+    ], ids=["adiabaticity", "evolve", "qpe"])
+    def test_rejects_one_step_past_the_bound(self, tmp_path, capsys,
+                                             propagated_steps, command,
+                                             payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "more than 2**24 values" in capsys.readouterr().err
+        assert propagated_steps[0] == 0
+
+    def test_rejects_a_model_too_large_to_step(self, tmp_path, capsys,
+                                               propagated_steps):
+        # 1024 real-form step matrices of a 65-level model pass 2**24 values
+        # at any step count
+        h = np.eye(65).tolist()
+        cfg = write_config(tmp_path, {**FOUR_LEVEL, "steps": 1, "model": {
+            "kind": "custom", "h0": h, "h1": h}})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model: 65 levels are too many")
+        assert propagated_steps[0] == 0
+
+    def test_qpe_runs_past_the_scan_grid_bound(self, tmp_path, capsys,
+                                               propagated_steps):
+        # eigentraj stops at 1048575 steps on this model, but qpe holds no
+        # grid of steps + 1 Hamiltonians
+        cfg = write_config(tmp_path, {**QPE_CONFIG, "steps": 1048576})
+        assert main(["qpe", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert propagated_steps[0] == 1048576
+        assert "recovered bits 11 (target 11" in capsys.readouterr().out
 
     # a config number, or the phase scale (max|H0| + max|H1|) (t_max - t_min)
     # at the largest energy, at or beyond 2**500 ~ 3.3e150

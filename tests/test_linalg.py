@@ -13,7 +13,7 @@ from circulant_qft.linalg import (
     unitarity_defect,
 )
 
-from conftest import random_hermitian
+from conftest import complex_form, random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 ONE = np.ones(1)
@@ -30,7 +30,8 @@ def step_exp(h, dt):
     """exp(-i H dt) as the propagator's step exponential computes it."""
     h = np.asarray(h, dtype=complex)
     taylor = _kernels._taylor(h, np.zeros_like(h), ONE, ZERO, np.array([dt]))
-    return _kernels._step_matrices(*taylor, _kernels._Scratch())[0, 0]
+    return complex_form(_kernels._step_matrices(*taylor,
+                                                _kernels._Scratch())[0, 0])
 
 
 def test_identity_eigenvalues():
