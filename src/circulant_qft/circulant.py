@@ -9,11 +9,9 @@ matrix and gauge-reduces Hermitian ring Hamiltonians to circulant form,
 checking their ring pattern and moduli but not Hermiticity or N >= 2.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import CouplingPatternError, NotPhaseEquivalentError
+from .errors import PhysicsError
 from .linalg import frobenius
 
 # Unitarity / structural tolerance for the DFT and materialized circulants.
@@ -22,43 +20,22 @@ STRUCTURE_TOL = 1e-12
 RING_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
-    """First column c_0..c_{N-1}, N >= 2 by the caller, of an N x N circulant."""
-
-    first_column: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "first_column",
-                           np.asarray(self.first_column, dtype=np.complex128))
-
-    @property
-    def dim(self):
-        return self.first_column.size
-
-    def is_hermitian(self):
-        """True iff c_k = conj(c_{(N-k) mod N}) for all k (forces c_0 real)."""
-        c = self.first_column
-        mirrored = np.conj(c[(-np.arange(self.dim)) % self.dim])
-        scale = max(float(np.abs(c).max()), np.finfo(float).tiny)
-        return bool(np.abs(c - mirrored).max() <= STRUCTURE_TOL * scale)
-
-
-def materialize(spec):
-    """Dense matrix of the circulant: entry (j, k) = c[(j - k) mod N]."""
-    c = spec.first_column
-    n = spec.dim
+def materialize(c):
+    """Dense matrix of the circulant with first column c, an array of
+    N >= 2 entries: entry (j, k) = c[(j - k) mod N]."""
+    n = len(c)
     j, k = np.indices((n, n))
     return c[(j - k) % n]
 
 
-def circulant_eigenvalues(spec):
-    """Analytic spectrum lambda_n = sum_k c_k exp(-2 pi i k n / N), numpy's FFT.
+def circulant_eigenvalues(c):
+    """Analytic spectrum lambda_n = sum_k c_k exp(-2 pi i k n / N) of the
+    circulant with first column c, numpy's FFT.
 
     Index n labels the DFT column that is the matching eigenvector; the
     values are returned in that index order, not sorted.
     """
-    return np.fft.fft(spec.first_column)
+    return np.fft.fft(c)
 
 
 def dft_matrix(n):
@@ -85,17 +62,16 @@ def phase_equivalent_circulant(h):
     product P = prod_k H[(k+1) % N, k] is gauge invariant and the
     circulant coupling c_1 is fixed as its principal N-th root.
 
-    Returns (beta, spec, residual) where residual is the Frobenius
-    distance between D H D† and the materialized spec.
+    Returns (beta, first_column, residual) where residual is the
+    Frobenius distance between D H D† and the circulant of first_column.
 
-    Raises NotPhaseEquivalentError when the ring moduli differ and
-    CouplingPatternError for nonzeros outside the ring or a non-constant
-    diagonal.
+    Raises PhysicsError when the ring moduli differ, for nonzeros outside
+    the ring and for a non-constant diagonal.
     """
     h = np.asarray(h, dtype=np.complex128)
     n = h.shape[0]
     if n < 3:
-        raise CouplingPatternError(
+        raise PhysicsError(
             "cyclic ring reduction needs dimension >= 3; sub- and "
             "superdiagonal coincide for N = 2"
         )
@@ -103,20 +79,20 @@ def phase_equivalent_circulant(h):
 
     outside = np.abs(h[~_ring_pattern_mask(n)])
     if outside.size and outside.max() > RING_RTOL * scale:
-        raise CouplingPatternError(
+        raise PhysicsError(
             "nonzero entries outside the cyclic nearest-neighbor ring "
             f"(max modulus {outside.max():.3e})"
         )
     diag = np.diag(h)
     if np.abs(diag - diag[0]).max() > RING_RTOL * scale:
-        raise CouplingPatternError("diagonal entries are not all equal")
+        raise PhysicsError("diagonal entries are not all equal")
 
     sub = h[(np.arange(n) + 1) % n, np.arange(n)]
     moduli = np.abs(sub)
     if moduli.min() <= RING_RTOL * scale:
-        raise CouplingPatternError("cyclic subdiagonal contains a zero coupling")
+        raise PhysicsError("cyclic subdiagonal contains a zero coupling")
     if (moduli.max() - moduli.min()) > RING_RTOL * moduli.max():
-        raise NotPhaseEquivalentError(
+        raise PhysicsError(
             "cyclic couplings have unequal moduli "
             f"(range {moduli.min():.6g}..{moduli.max():.6g}); gauge phases "
             "cannot change moduli, so no circulant form exists"
@@ -141,9 +117,8 @@ def phase_equivalent_circulant(h):
     first_column[0] = diag[0].real
     first_column[1] = c1
     first_column[-1] = np.conj(c1)
-    spec = CirculantSpec(first_column)
 
     d = np.exp(1j * beta)
     transformed = (d[:, None] * h) * np.conj(d)[None, :]
-    residual = frobenius(transformed - materialize(spec))
-    return beta, spec, residual
+    residual = frobenius(transformed - materialize(first_column))
+    return beta, first_column, residual

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__, svg
 from ._kernels import CHUNK
-from .circulant import (RING_RTOL, CirculantSpec, circulant_eigenvalues,
-                        materialize, phase_equivalent_circulant)
+from .circulant import (RING_RTOL, circulant_eigenvalues, materialize,
+                        phase_equivalent_circulant)
 from .errors import ConfigError, IntegrationError, PhysicsError
 from .models import build_four_level, build_six_level, solve_level_shifts
 from .schedule import (
@@ -454,20 +454,17 @@ def cmd_models(cfg, args):
     kind = cfg["model"].get("kind")
     if kind == "four_level":
         energy = float(cfg["model"]["E"])
-        lam = circulant_eigenvalues(CirculantSpec(h1[:, 0].copy())).real
+        lam = circulant_eigenvalues(h1[:, 0]).real
         print("circulant eigenvalues (index order):",
               _round_list(lam, coupling))
-        shifts = solve_level_shifts(energy)
-        ez, gs, es = shifts.as_floats()
+        ez, gs, es = solve_level_shifts(energy)
         print(f"level shifts realizing H0: E_Z = {_fmt(ez)}, "
               f"E_gS = {_fmt(gs)}, E_eS = {_fmt(es)}")
-        print(f"  shift equation residuals: "
-              f"{[_fmt(x) for x in shifts.equation_residuals()]}")
     elif kind == "six_level":
-        beta, spec, residual = phase_equivalent_circulant(h1)
+        beta, column, residual = phase_equivalent_circulant(h1)
         print(f"gauge phases beta: {_round_list(beta)}")
         print("circulant first column:",
-              _round_list(spec.first_column, coupling))
+              _round_list(column, coupling))
         # the residual is roundoff of the coupling's size; its digits move
         # with any equivalent arithmetic, so only a larger one is printed
         bound = RING_RTOL * coupling
@@ -475,7 +472,7 @@ def cmd_models(cfg, args):
               if residual <= bound else
               f"gauge residual: {residual:.3e}, above {RING_RTOL:.0e} of "
               f"the coupling")
-        lam = np.sort(circulant_eigenvalues(spec).real)
+        lam = np.sort(circulant_eigenvalues(column).real)
         print(f"circulant spectrum (sorted): {_round_list(lam, coupling)}")
         gaps = np.diff(lam)
         if gaps.size and gaps.min() < 1e-9 * max(np.abs(lam).max(), 1e-300):

@@ -7,7 +7,7 @@ Everything is double precision and pure (inputs are never mutated).
 
 import numpy as np
 
-from .errors import NonHermitianError
+from .errors import PhysicsError
 
 # Relative tolerance for accepting a matrix as Hermitian.
 HERMITIAN_RTOL = 1e-12
@@ -37,7 +37,7 @@ def hermiticity_defect(m):
 def require_hermitian(m, what="matrix"):
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_RTOL:
-        raise NonHermitianError(
+        raise PhysicsError(
             f"{what} is not Hermitian: relative defect {defect:.3e} "
             f"> {HERMITIAN_RTOL:.1e}"
         )

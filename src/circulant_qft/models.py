@@ -12,12 +12,10 @@ are the caller's business.
 """
 
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .circulant import CirculantSpec, circulant_eigenvalues, materialize
+from .circulant import circulant_eigenvalues, materialize
 
 
 class DegenerateSpectrumWarning(UserWarning):
@@ -38,8 +36,8 @@ def build_four_level(energy, coupling):
     """
     e = float(energy)
     v = complex(coupling)
-    spec = CirculantSpec(np.array([0, np.conj(v), 0, v], dtype=np.complex128))
-    lam = np.sort(circulant_eigenvalues(spec).real)
+    column = np.array([0, np.conj(v), 0, v], dtype=np.complex128)
+    lam = np.sort(circulant_eigenvalues(column).real)
     gaps = np.diff(lam)
     scale = max(abs(v), np.finfo(float).tiny)
     if gaps.size == 0 or gaps.min() < 1e-9 * scale or v == 0:
@@ -50,68 +48,21 @@ def build_four_level(energy, coupling):
             stacklevel=2,
         )
     h0 = np.diag(np.array([-e, -e / 3, e / 3, e], dtype=np.complex128))
-    return h0, materialize(spec)
-
-
-@dataclass(frozen=True)
-class ShiftSolution:
-    """Zeeman splitting and Stark shifts realizing the four-level H0.
-
-    Fields are exact rationals so the defining equations are satisfied
-    with zero residual whenever the input energy is representable
-    (every int and float is); use as_floats() for numerics.
-    """
-
-    e_zeeman: Fraction
-    e_ground_stark: Fraction
-    e_excited_stark: Fraction
-    energy: Fraction
-
-    def as_floats(self):
-        return (
-            float(self.e_zeeman),
-            float(self.e_ground_stark),
-            float(self.e_excited_stark),
-        )
-
-    def equation_residuals(self):
-        """Residuals of the four level-position constraints, in order:
-
-        -E_Z/2 + E_gS - (-E),   +E_Z/2 + E_gS - (-E/3),
-        -E_Z/2 + E_eS - (+E/3), +E_Z/2 + E_eS - (+E).
-        """
-        ez, gs, es, e = (
-            self.e_zeeman,
-            self.e_ground_stark,
-            self.e_excited_stark,
-            self.energy,
-        )
-        half = Fraction(1, 2)
-        residuals = (
-            -half * ez + gs - (-e),
-            half * ez + gs - (-e * Fraction(1, 3)),
-            -half * ez + es - e * Fraction(1, 3),
-            half * ez + es - e,
-        )
-        return tuple(float(r) for r in residuals)
+    return h0, materialize(column)
 
 
 def solve_level_shifts(energy):
-    """Field shifts producing diag(-E, -E/3, E/3, E) level positions.
+    """Field shifts (E_Z, E_gS, E_eS) producing diag(-E, -E/3, E/3, E)
+    level positions.
 
     Solves the linear system pinning the four sublevel energies via a
     common Zeeman splitting E_Z and per-level Stark shifts: the unique
-    solution is E_Z = 2E/3, E_gS = -2E/3, E_eS = 2E/3.  The caller passes
-    a finite int or float E, which Fraction holds exactly.
+    solution is E_Z = 2E/3, E_gS = -2E/3, E_eS = 2E/3.  For a float E
+    with 2E finite, 2E is exact and the division by 3 is correctly
+    rounded, so each shift is the float nearest its exact value.
     """
-    e = Fraction(energy)
-    two_thirds = Fraction(2, 3)
-    return ShiftSolution(
-        e_zeeman=two_thirds * e,
-        e_ground_stark=-two_thirds * e,
-        e_excited_stark=two_thirds * e,
-        energy=e,
-    )
+    two_thirds = 2 * energy / 3
+    return two_thirds, -two_thirds, two_thirds
 
 
 def build_six_level(omega1, omega2):

@@ -41,12 +41,7 @@ from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from . import _kernels
 from .circulant import circulant_eigenvalues, dft_matrix
-from .errors import (
-    AmbiguousPermutationError,
-    BranchTrackingError,
-    DegenerateSpectrumError,
-    IntegrationError,
-)
+from .errors import IntegrationError, PhysicsError
 from .linalg import (
     CLUSTER_GAP_RTOL,
     UNITARITY_TOL,
@@ -192,7 +187,7 @@ def _assign_columns(weights):
         top = np.sort(weights[:, col])[-2:]
         if len(top) == 2 and top[1] - top[0] < OVERLAP_AMBIGUITY:
             rows = np.argsort(weights[:, col])[-2:]
-            raise AmbiguousPermutationError(
+            raise PhysicsError(
                 f"column {col}: overlaps with rows {rows[1]} and {rows[0]} "
                 f"differ by {top[1] - top[0]:.2e} (< {OVERLAP_AMBIGUITY})"
             )
@@ -249,11 +244,11 @@ def _by_rank(s, spectrum):
     if spectrum == "H0":
         values = np.diag(s.h0).real
     else:
-        values = circulant_eigenvalues(s.h1_spec).real
+        values = circulant_eigenvalues(s.h1[:, 0]).real
     gaps = np.diff(np.sort(values))
     scale = max(np.abs(values).max(), np.finfo(float).tiny)
     if gaps.min() <= CLUSTER_GAP_RTOL * scale:
-        raise DegenerateSpectrumError(
+        raise PhysicsError(
             f"{spectrum} spectrum is degenerate; rank matching is undefined"
         )
     return np.argsort(values, kind="stable")
@@ -329,10 +324,9 @@ def _branches(s):
     bad = gaps <= CLUSTER_GAP_RTOL * scale
     if scale > 0.0 and bad.any():
         k = int(np.argmax(bad))
-        raise BranchTrackingError(
+        raise PhysicsError(
             f"eigenvalue branches collide at t = {t[k]:.6g} "
-            f"(gap {gaps[k]:.3e}); rank tracking is invalid",
-            t=float(t[k]),
+            f"(gap {gaps[k]:.3e}); rank tracking is invalid"
         )
 
     start, _, sign = _ENDS[s.direction]
@@ -371,10 +365,10 @@ def adiabatic_phase_prediction(s):
     predict_permutation: a forward branch runs from the basis state of
     rank r in H0 to the DFT column of rank r in the circulant spectrum,
     an inverse branch the other way round, and a degenerate spectrum
-    raises DegenerateSpectrumError.  Nothing is taken from the
-    propagator.  The forward factorization reports the acquired phase as
-    alpha, indexed by basis state; the inverse one reports its negative
-    (the exp(-i alpha) form), indexed by DFT column.
+    raises PhysicsError.  Nothing is taken from the propagator.  The
+    forward factorization reports the acquired phase as alpha, indexed by
+    basis state; the inverse one reports its negative (the exp(-i alpha)
+    form), indexed by DFT column.
     """
     label, dynamical, v = _branches(s)
     start, end, sign = _ENDS[s.direction]

@@ -57,14 +57,12 @@ class QpeResult:
 
     distribution: np.ndarray
     relabeled_distribution: np.ndarray
-    sigma: np.ndarray
     top_bits: tuple
     target_bits: tuple
     exact_expansion: bool
     fidelity_times: np.ndarray
     fidelity_trace: np.ndarray
     final_fidelity: float
-    final_state: np.ndarray
     counts: np.ndarray | None = None
 
 
@@ -113,14 +111,12 @@ def run_qpe(s, phi, r, shots=None):
     return QpeResult(
         distribution=distribution,
         relabeled_distribution=relabeled,
-        sigma=sigma,
         top_bits=to_bits(top / s.dim, r)[0],
         target_bits=target_bits,
         exact_expansion=exact,
         fidelity_times=result.times,
         fidelity_trace=trace,
         final_fidelity=float(final_fidelity),
-        final_state=psi_final,
         counts=counts,
     )
 

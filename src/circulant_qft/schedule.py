@@ -8,28 +8,31 @@ families are provided: the plain tanh crossing pair and the
 experimentally friendlier sech-masked variant.  The caller passes their
 T and tau positive.  A pulse pair is any object with values(t) -> (f, g),
 derivatives(t) -> (f', g') (inf or nan where a rate such as 1/T is
-beyond float range) and crossing_time() -> T, the timescale of the f/g
-crossing that sets the 1/T coupling scale.
+beyond float range), crossing_time() -> T, the timescale of the f/g
+crossing that sets the 1/T coupling scale, and window_halfwidth(), the
+half-width of the default window.
 
 Also here: instantaneous eigenvalue trajectories over the time window
 and the adiabaticity diagnostic comparing eigenvalue gaps to the exact
 nonadiabatic couplings, which dH/dt = a' H0 + b' H1 gives.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .circulant import STRUCTURE_TOL, CirculantSpec, materialize
-from .errors import DegenerateSpectrumError
+from .circulant import STRUCTURE_TOL, materialize
+from .errors import PhysicsError
 from .linalg import CLUSTER_GAP_RTOL, frobenius, require_hermitian
 
 FORWARD = "forward"
 INVERSE = "inverse"
 
-# Window truncation: tanh(6) misses 1 by ~1e-5 and sech(6) ~ 5e-3, both
-# below figure-level tolerances.
+# Default window: +-6 T for tanh pulses, where tanh(6) misses 1 by ~1e-5,
+# below figure-level tolerances; +-6 max(T, tau) for sech-masked ones, so
+# the mask has fallen to sech(6) ~ 5e-3 at the edge whatever tau is (on
+# +-6 T it is still 0.10 at tau = 2 T, which caps the residual).
 DEFAULT_WINDOW_HALFWIDTH = 6.0
 DEFAULT_STEPS = 4000
 
@@ -54,6 +57,9 @@ class TanhPair:
 
     def crossing_time(self):
         return self.T
+
+    def window_halfwidth(self):
+        return DEFAULT_WINDOW_HALFWIDTH * self.T
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,9 @@ class SechMaskedPair:
     def crossing_time(self):
         return self.T
 
+    def window_halfwidth(self):
+        return DEFAULT_WINDOW_HALFWIDTH * max(self.T, self.tau)
+
 
 def _check_h0(h0):
     scale = max(float(np.abs(h0).max()), np.finfo(float).tiny)
@@ -98,22 +107,18 @@ def _check_h0(h0):
     if np.abs(diag.imag).max() > 1e-14 * scale:
         raise ValueError("H0 diagonal must be real")
     if np.diff(np.sort(diag.real)).min() <= 0:
-        raise DegenerateSpectrumError(
+        raise PhysicsError(
             "H0 diagonal entries must be pairwise distinct (non-degenerate)"
         )
 
 
 def _check_h1(h1):
     require_hermitian(h1, what="H1")
-    spec = CirculantSpec(h1[:, 0].copy())
-    defect = frobenius(h1 - materialize(spec))
-    if defect > STRUCTURE_TOL * max(frobenius(h1), 1.0):
+    defect = frobenius(h1 - materialize(h1[:, 0]))
+    if defect > STRUCTURE_TOL * max(frobenius(h1), np.finfo(float).tiny):
         raise ValueError(
             f"H1 is not circulant: structure defect {defect:.3e}"
         )
-    if not spec.is_hermitian():
-        raise ValueError("H1 first column violates the Hermitian-circulant symmetry")
-    return spec
 
 
 @dataclass(frozen=True)
@@ -122,8 +127,10 @@ class Schedule:
 
     direction "forward" assembles f*H0 + g*H1 (diagonal first), "inverse"
     assembles g*H0 + f*H1 (circulant first).  window defaults to
-    +-6 crossing times; steps is the number of uniform integrator
-    intervals.  The caller passes a finite window and an int steps >= 1;
+    +-pulses.window_halfwidth().  steps counts the integrators'
+    exponentials, applied over ceil(steps / 2) uniform CF4 intervals;
+    eigen_trajectories and adiabaticity_report scan the steps + 1 points
+    of grid().  The caller passes a finite window and an int steps >= 1;
     the matrices, the direction and t_min < t_max are checked here.
     """
 
@@ -133,7 +140,6 @@ class Schedule:
     direction: str = FORWARD
     window: tuple = None
     steps: int = DEFAULT_STEPS
-    h1_spec: CirculantSpec = field(init=False, repr=False)
 
     def __post_init__(self):
         h0 = np.asarray(self.h0, dtype=np.complex128)
@@ -145,11 +151,11 @@ class Schedule:
         _check_h0(h0)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h1_spec", _check_h1(h1))
+        _check_h1(h1)
         if self.direction not in (FORWARD, INVERSE):
             raise ValueError(f"direction must be 'forward' or 'inverse', got {self.direction!r}")
         if self.window is None:
-            half = DEFAULT_WINDOW_HALFWIDTH * self.pulses.crossing_time()
+            half = self.pulses.window_halfwidth()
             object.__setattr__(self, "window", (-half, half))
         t_min, t_max = self.window
         if not t_min < t_max:

@@ -10,18 +10,18 @@ verdict line prints both deviations.
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from circulant_qft.circulant import (
-    CirculantSpec,
     circulant_eigenvalues,
     dft_matrix,
     materialize,
     phase_equivalent_circulant,
 )
-from circulant_qft.errors import NotPhaseEquivalentError
+from circulant_qft.errors import PhysicsError
 from circulant_qft.linalg import frobenius
 from circulant_qft.models import build_four_level, build_six_level, solve_level_shifts
 from circulant_qft.propagator import (
@@ -54,7 +54,7 @@ def spec_corpus():
     corpus = []
     for _ in range(200):
         n = int(rng.integers(2, 65))
-        corpus.append(CirculantSpec(random_hermitian_circulant_column(rng, n)))
+        corpus.append(random_hermitian_circulant_column(rng, n))
     return corpus
 
 
@@ -72,12 +72,12 @@ def test_criterion_1_dft_diagonalizes_circulants(spec_corpus):
     start = time.perf_counter()
     worst_off = 0.0
     worst_diag = 0.0
-    for spec in spec_corpus:
-        f = dft_matrix(spec.dim)
-        d = f.conj().T @ materialize(spec) @ f
+    for column in spec_corpus:
+        f = dft_matrix(len(column))
+        d = f.conj().T @ materialize(column) @ f
         diag = np.diag(d)
         worst_off = max(worst_off, frobenius(d - np.diag(diag)))
-        mismatch = np.abs(diag - circulant_eigenvalues(spec)).max()
+        mismatch = np.abs(diag - circulant_eigenvalues(column)).max()
         worst_diag = max(worst_diag, float(mismatch))
     elapsed = time.perf_counter() - start
     ok = worst_off <= 1e-10 and worst_diag <= 1e-10 and elapsed < 10.0
@@ -90,9 +90,9 @@ def test_criterion_1_dft_diagonalizes_circulants(spec_corpus):
 
 def test_criterion_2_analytic_spectrum_vs_dense_oracle(spec_corpus):
     worst = 0.0
-    for spec in spec_corpus:
-        lam = np.sort(circulant_eigenvalues(spec).real)
-        dense = np.linalg.eigvalsh(materialize(spec))
+    for column in spec_corpus:
+        lam = np.sort(circulant_eigenvalues(column).real)
+        dense = np.linalg.eigvalsh(materialize(column))
         worst = max(worst, float(np.abs(lam - dense).max()))
     assert report(2, worst <= 1e-10, f"eigenvalue multisets agree <= {worst:.2e}")
 
@@ -107,7 +107,7 @@ def test_criterion_3_eigenvalue_trajectories(pulses):
     f, _ = pulses.values(-4.0)
     low = np.abs(traj.energies[0] / np.sort(f * np.diag(h0).real) - 1).max()
     _, g = pulses.values(4.0)
-    lam = np.sort(circulant_eigenvalues(CirculantSpec(h1[:, 0].copy())).real)
+    lam = np.sort(circulant_eigenvalues(h1[:, 0]).real)
     high = np.abs(traj.energies[-1] / np.sort(g * lam) - 1).max()
     elapsed = time.perf_counter() - start
     ok = low <= 0.01 and high <= 0.01 and traj.min_gap > 0 and elapsed < 5.0
@@ -198,12 +198,17 @@ def test_criterion_8_level_shift_solver():
     worst = 0.0
     exact = True
     for energy in (3.0, 1.0, 0.7, 12.5):
-        sol = solve_level_shifts(energy)
-        ez, gs, es = sol.as_floats()
-        exact &= (ez == 2 * energy / 3 and gs == -2 * energy / 3
-                  and es == 2 * energy / 3)
-        scale = max(abs(energy), 1e-300)
-        worst = max(worst, max(abs(r) for r in sol.equation_residuals()) / scale)
+        shifts = solve_level_shifts(energy)
+        # the float nearest each exact value 2E/3, -2E/3, 2E/3, bit for bit
+        e = Fraction(energy)
+        nearest = [float(Fraction(k, 3) * e) for k in (2, -2, 2)]
+        exact &= [x.hex() for x in shifts] == [x.hex() for x in nearest]
+        # the four level equations, evaluated exactly on the returned floats
+        ez, gs, es = (Fraction(x) for x in shifts)
+        half = Fraction(1, 2)
+        residuals = (-half * ez + gs + e, half * ez + gs + e / 3,
+                     -half * ez + es - e / 3, half * ez + es - e)
+        worst = max(worst, float(max(abs(r) for r in residuals) / abs(e)))
     ok = exact and worst <= 1e-15
     assert report(
         8, ok, f"solution exact, equation residuals <= {worst:.1e} * |E|"
@@ -218,16 +223,16 @@ def test_criterion_9_six_level_gauge_reduction():
         o1 = 1.3 * np.exp(1j * rng.uniform(-np.pi, np.pi))
         o2 = 1.3 * np.exp(1j * rng.uniform(-np.pi, np.pi))
         h = build_six_level(o1, o2)
-        _, spec, residual = phase_equivalent_circulant(h)
+        _, column, residual = phase_equivalent_circulant(h)
         worst_residual = max(worst_residual, residual)
-        lam = np.sort(circulant_eigenvalues(spec).real)
+        lam = np.sort(circulant_eigenvalues(column).real)
         dense = np.linalg.eigvalsh(h)
         worst_spectrum = max(worst_spectrum, float(np.abs(lam - dense).max()))
     try:
         phase_equivalent_circulant(build_six_level(1.0, 2.0))
         mismatch_raised = False
-    except NotPhaseEquivalentError:
-        mismatch_raised = True
+    except PhysicsError as exc:
+        mismatch_raised = "unequal moduli" in str(exc)
     ok = worst_residual <= 1e-12 and worst_spectrum <= 1e-10 and mismatch_raised
     assert report(
         9, ok,

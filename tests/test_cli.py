@@ -262,6 +262,26 @@ class TestAdiabaticity:
         assert all(w.category is DegenerateSpectrumWarning for w in record)
         assert "margin 86568017134.1 " in capsys.readouterr().out
 
+    # the paper circulant plus a Hermitian perturbation off column 0, whose
+    # structure defect is 0.21 of ||H1||, scaled to a norm of 3e-13: the
+    # circulant rule is relative, so it rejects this H1 as it would at
+    # norm 1, before anything is scanned or integrated
+    @pytest.mark.parametrize("command", ["adiabaticity", "evolve"])
+    def test_tiny_non_circulant_h1_exits_config_code(self, tmp_path, capsys,
+                                                     command):
+        _, h1 = build_four_level(1.0, 1 + 1j / 3)
+        h1[1, 2] += 0.5
+        h1[2, 1] += 0.5
+        h1 *= 1e-13
+        cfg = write_config(tmp_path, {
+            "model": {"kind": "custom",
+                      "h0": np.diag([-1.0, -1 / 3, 1 / 3, 1.0]).tolist(),
+                      "h1": [[[z.real, z.imag] for z in row] for row in h1]},
+            "pulses": {"kind": "sech_masked", "T": 1.0, "tau": 1.0},
+            "steps": 400})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "H1 is not circulant" in capsys.readouterr().err
+
 
 class TestQpe:
     def test_paper_figure_run(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from circulant_qft import _kernels
-from circulant_qft.errors import NonHermitianError
+from circulant_qft.errors import PhysicsError
 from circulant_qft.linalg import (
     dagger,
     frobenius,
@@ -76,7 +76,7 @@ def test_eigen_reconstruction_and_residuals(n):
 
 def test_non_hermitian_rejected():
     m = np.array([[0, 1], [0.5, 0]], dtype=complex)
-    with pytest.raises(NonHermitianError):
+    with pytest.raises(PhysicsError, match="not Hermitian"):
         require_hermitian(m)
 
 

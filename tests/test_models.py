@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from circulant_qft.circulant import CirculantSpec, circulant_eigenvalues, materialize
+from circulant_qft.circulant import circulant_eigenvalues, materialize
 from circulant_qft.models import (
     DegenerateSpectrumWarning,
     build_four_level,
@@ -21,13 +23,12 @@ class TestFourLevel:
     def test_coupling_matrix_is_the_materialized_circulant(self):
         v = 0.7 - 2.1j
         _, h1 = build_four_level(3.0, v)
-        spec = CirculantSpec(np.array([0, np.conj(v), 0, v]))
-        assert np.array_equal(h1, materialize(spec))
+        assert np.array_equal(h1, materialize(np.array([0, np.conj(v), 0, v])))
 
     def test_spectrum(self):
         e = 4.0
         _, h1 = build_four_level(e, e * (1 + 1j / 3))
-        lam = circulant_eigenvalues(CirculantSpec(h1[:, 0].copy())).real
+        lam = circulant_eigenvalues(h1[:, 0]).real
         assert np.allclose(lam, [2 * e, -2 * e / 3, -2 * e, 2 * e / 3], atol=1e-12)
 
     def test_real_coupling_warns_degenerate(self):
@@ -42,25 +43,32 @@ class TestFourLevel:
 
 class TestLevelShifts:
     def test_scaled_solution(self):
-        sol = solve_level_shifts(3.0)
-        assert sol.as_floats() == (2.0, -2.0, 2.0)
+        assert solve_level_shifts(3.0) == (2.0, -2.0, 2.0)
 
     def test_zero_energy(self):
-        assert solve_level_shifts(0.0).as_floats() == (0.0, 0.0, 0.0)
+        assert solve_level_shifts(0.0) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("energy", [3.0, 1.0, 0.1, 7.25, 1e6, -2.0])
     def test_all_four_equations_exact(self, energy):
-        sol = solve_level_shifts(energy)
-        assert sol.equation_residuals() == (0.0, 0.0, 0.0, 0.0)
+        # the exact rational solution satisfies the four level equations
+        # -E_Z/2 + E_gS = -E, E_Z/2 + E_gS = -E/3, -E_Z/2 + E_eS = E/3 and
+        # E_Z/2 + E_eS = E with zero residual, and the solver returns the
+        # float nearest each of its values, bit for bit
+        e = Fraction(energy)
+        ez, gs, es = Fraction(2, 3) * e, Fraction(-2, 3) * e, Fraction(2, 3) * e
+        half = Fraction(1, 2)
+        assert (-half * ez + gs + e, half * ez + gs + e / 3,
+                -half * ez + es - e / 3, half * ez + es - e) == (0, 0, 0, 0)
+        shifts = solve_level_shifts(energy)
+        assert [x.hex() for x in shifts] == [float(x).hex() for x in (ez, gs, es)]
 
     def test_first_equation_reproduced(self):
         energy = 0.37
-        ez, gs, _ = solve_level_shifts(energy).as_floats()
+        ez, gs, _ = solve_level_shifts(energy)
         assert abs(-0.5 * ez + gs + energy) <= 1e-15 * abs(energy)
 
     def test_paper_ratios(self):
-        sol = solve_level_shifts(1.0)
-        ez, gs, es = sol.as_floats()
+        ez, gs, es = solve_level_shifts(1.0)
         assert ez == es == -gs
         assert abs(ez - 2 / 3) <= 1e-15
 

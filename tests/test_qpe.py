@@ -154,12 +154,3 @@ class TestRunQpe:
         assert a.counts is not None
         assert a.counts.sum() == 500
         assert np.array_equal(a.counts, b.counts)
-
-    def test_global_phase_invisible_in_probabilities(self, paper_model,
-                                                     paper_pulses):
-        # multiplying the final state by any phase leaves the distribution
-        # untouched; the simulated run realizes this because probabilities
-        # are computed from moduli only
-        result = run_qpe(inverse(paper_model, paper_pulses, steps=800), 0.25, 2)
-        rotated = np.exp(1j * 1.234) * result.final_state
-        assert np.allclose(np.abs(rotated) ** 2, result.distribution, atol=1e-15)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from circulant_qft import _kernels, svg
-from circulant_qft.circulant import CirculantSpec, circulant_eigenvalues
-from circulant_qft.errors import DegenerateSpectrumError
+from circulant_qft.circulant import circulant_eigenvalues
+from circulant_qft.errors import PhysicsError
 from circulant_qft.linalg import CLUSTER_GAP_RTOL, frobenius
 from circulant_qft.models import build_four_level
 from circulant_qft.schedule import (
@@ -66,7 +66,7 @@ class TestSchedule:
     def test_degenerate_h0_rejected(self, paper_model):
         _, h1 = paper_model
         h0 = np.diag(np.array([1.0, 1.0, 2.0, 3.0], dtype=complex))
-        with pytest.raises(DegenerateSpectrumError):
+        with pytest.raises(PhysicsError, match="pairwise distinct"):
             Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1)
 
     def test_non_diagonal_h0_rejected(self, paper_model):
@@ -77,17 +77,29 @@ class TestSchedule:
             Schedule(pulses=TanhPair(T=1.0), h0=bad, h1=h1)
 
     def test_non_circulant_h1_rejected(self, paper_model):
+        # the structure rule is relative: at a norm far below 1, H1 is no
+        # more circulant than at norm 1
         h0, h1 = paper_model
         bad = h1.copy()
         bad[0, 1] *= 2
         bad[1, 0] = np.conj(bad[0, 1])
-        with pytest.raises(ValueError):
-            Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=bad)
+        for scale in (1.0, 1e-13):
+            with pytest.raises(ValueError, match="not circulant"):
+                Schedule(pulses=TanhPair(T=1.0), h0=h0,
+                         h1=scale * bad / frobenius(bad))
 
     def test_default_window_scales_with_crossing_time(self, paper_model):
         h0, h1 = paper_model
         s = Schedule(pulses=TanhPair(T=2.5), h0=h0, h1=h1)
         assert s.window == (-15.0, 15.0)
+
+    @pytest.mark.parametrize("T, tau, half", [(1.0, 1.0, 6.0), (1.0, 2.0, 12.0),
+                                              (2.5, 0.5, 15.0)])
+    def test_default_window_covers_the_sech_mask(self, paper_model, T, tau,
+                                                 half):
+        h0, h1 = paper_model
+        s = Schedule(pulses=SechMaskedPair(T=T, tau=tau), h0=h0, h1=h1)
+        assert s.window == (-half, half)
 
     def test_forward_asymptotics(self, paper_schedule):
         s = paper_schedule
@@ -127,7 +139,7 @@ class TestTrajectories:
         expected = np.sort(f * np.diag(s.h0).real)
         assert np.abs(traj.energies[0] / expected - 1).max() <= 0.01
         _, g = s.pulses.values(4.0)
-        lam = np.sort(circulant_eigenvalues(CirculantSpec(s.h1[:, 0].copy())).real)
+        lam = np.sort(circulant_eigenvalues(s.h1[:, 0]).real)
         expected = np.sort(g * lam)
         assert np.abs(traj.energies[-1] / expected - 1).max() <= 0.01
 
