@@ -274,7 +274,10 @@ def _accumulate(sums, x, y, ratios, halvings, sample_idx, scratch):
         mats = _step_matrices(sums[-(d + 1) * (d + 2) // 2:], x[start:stop],
                               y[start:stop], ratios, halvings, scratch)
         last = int(np.searchsorted(sample_idx, stop, side="right"))
-        ends = np.union1d(sample_idx[s:last], stop)
+        # the samples in this chunk, ascending, and the chunk end
+        ends = sample_idx[s:last]
+        if not ends.size or ends[-1] != stop:
+            ends = np.append(ends, stop)
         pos = 0
         for length, count in _runs(np.diff(ends, prepend=start)):
             block = mats[:, pos:pos + length * count].reshape(m, count, length, w, w)

@@ -6,7 +6,7 @@ columns independent of c, with eigenvalues the phased sums
 lambda_n = sum_k c_k exp(-2 pi i k n / N), numpy's FFT of c.  This
 module materializes circulants, evaluates that spectrum, builds the DFT
 matrix and gauge-reduces Hermitian ring Hamiltonians to circulant form,
-checking their ring pattern and moduli but not Hermiticity or N >= 2.
+checking their couplings' moduli; the ring form is the caller's duty.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from .linalg import frobenius
 
 # Unitarity / structural tolerance for the DFT and materialized circulants.
 STRUCTURE_TOL = 1e-12
-# Relative tolerance of the ring pattern and modulus checks in gauge reduction.
+# Relative tolerance of the coupling checks in gauge reduction.
 RING_RTOL = 1e-10
 
 
@@ -44,49 +44,28 @@ def dft_matrix(n):
     return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
 
-def _ring_pattern_mask(n):
-    """Boolean mask of allowed nonzeros: diagonal plus cyclic +-1 couplings."""
-    j, k = np.indices((n, n))
-    diff = (j - k) % n
-    return (diff == 0) | (diff == 1) | (diff == n - 1)
-
-
 def phase_equivalent_circulant(h):
     """Gauge phases making a cyclic nearest-neighbor Hamiltonian circulant.
 
-    For Hermitian H (the caller's duty, not checked here) with nonzeros
-    only on the cyclic sub/superdiagonal (plus an equal diagonal), finds
-    beta_0..beta_{N-1} (beta_0 = 0) such that D H D† is circulant, with
-    D = diag(exp(i beta_k)).  Gauge transformations preserve moduli, so
-    all cyclic-subdiagonal entries must share one modulus; the loop
-    product P = prod_k H[(k+1) % N, k] is gauge invariant and the
-    circulant coupling c_1 is fixed as its principal N-th root.
+    For a Hermitian H of dimension N >= 3 with nonzeros only on the
+    cyclic sub/superdiagonal and an equal diagonal (the caller's duty,
+    not checked here), finds beta_0..beta_{N-1} (beta_0 = 0) such that
+    D H D† is circulant, with D = diag(exp(i beta_k)).  Gauge
+    transformations preserve moduli, so all cyclic-subdiagonal entries
+    must share one modulus; the loop product P = prod_k H[(k+1) % N, k]
+    is gauge invariant and the circulant coupling c_1 is fixed as its
+    principal N-th root.
 
     Returns (beta, first_column, residual) where residual is the
-    Frobenius distance between D H D† and the circulant of first_column.
+    Frobenius distance between D H D† and the circulant of first_column,
+    so any departure from the ring form shows in it.
 
-    Raises PhysicsError when the ring moduli differ, for nonzeros outside
-    the ring and for a non-constant diagonal.
+    Raises PhysicsError for a zero coupling and when the ring moduli
+    differ.
     """
     h = np.asarray(h, dtype=np.complex128)
     n = h.shape[0]
-    if n < 3:
-        raise PhysicsError(
-            "cyclic ring reduction needs dimension >= 3; sub- and "
-            "superdiagonal coincide for N = 2"
-        )
     scale = max(float(np.abs(h).max()), np.finfo(float).tiny)
-
-    outside = np.abs(h[~_ring_pattern_mask(n)])
-    if outside.size and outside.max() > RING_RTOL * scale:
-        raise PhysicsError(
-            "nonzero entries outside the cyclic nearest-neighbor ring "
-            f"(max modulus {outside.max():.3e})"
-        )
-    diag = np.diag(h)
-    if np.abs(diag - diag[0]).max() > RING_RTOL * scale:
-        raise PhysicsError("diagonal entries are not all equal")
-
     sub = h[(np.arange(n) + 1) % n, np.arange(n)]
     moduli = np.abs(sub)
     if moduli.min() <= RING_RTOL * scale:
@@ -114,7 +93,7 @@ def phase_equivalent_circulant(h):
         beta[k + 1] = beta[k] + np.angle(c1 / sub[k])
 
     first_column = np.zeros(n, dtype=np.complex128)
-    first_column[0] = diag[0].real
+    first_column[0] = h[0, 0].real
     first_column[1] = c1
     first_column[-1] = np.conj(c1)
 

@@ -7,8 +7,8 @@ fixed 12-significant-digit float format plus a .meta.json sidecar
 echoing the config, so identical configs produce byte-identical outputs.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 violated
 physics precondition.  Only evolve, qpe and sweep import the propagator,
-and through it scipy.sparse.csgraph (about 0.35 s of a 0.6 s cold start);
-the other commands import numpy but no scipy.
+and through it scipy.sparse.csgraph (over half of a cold start); the
+other commands import numpy but no scipy.
 """
 
 import argparse
@@ -402,7 +402,7 @@ def cmd_qpe(cfg, args):
     dist_header = ["value", "bits", "raw_probability", "relabeled_probability"]
     dist_rows = []
     for k in range(n):
-        row = [str(k), format(k, f"0{r}b"), result.distribution[k],
+        row = [str(k), f"{k:0{r}b}", result.distribution[k],
                result.relabeled_distribution[k]]
         if result.counts is not None:
             row.append(str(int(result.counts[k])))
@@ -423,15 +423,13 @@ def cmd_qpe(cfg, args):
     ideal = ideal_distribution(phi, r)
     tv = 0.5 * float(np.abs(ideal - result.relabeled_distribution).sum())
 
-    bits_str = "".join(str(b) for b in result.top_bits)
-    target_str = "".join(str(b) for b in result.target_bits)
-    print(f"qpe: phi = {_fmt(phi)}, recovered bits {bits_str} "
-          f"(target {target_str}, "
+    print(f"qpe: phi = {_fmt(phi)}, recovered bits {result.top:0{r}b} "
+          f"(target {result.target:0{r}b}, "
           f"{'exact' if result.exact_expansion else 'nearest'} expansion)")
     if not result.exact_expansion:
-        target_value = int(target_str, 2)
+        nearest = result.relabeled_distribution[result.target]
         print(f"  phi has no exact {r}-bit expansion; nearest bits carry "
-              f"probability {_fmt(result.relabeled_distribution[target_value])}")
+              f"probability {_fmt(nearest)}")
     print(f"  final fidelity {_fmt(result.final_fidelity)}, "
           f"total variation vs ideal oracle {_fmt(tv)}")
     if result.counts is not None:

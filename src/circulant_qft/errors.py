@@ -12,5 +12,5 @@ class IntegrationError(Exception):
 
 class PhysicsError(Exception):
     """A physics precondition is violated: a non-Hermitian matrix, a
-    degenerate spectrum, a ring without a circulant gauge, an ambiguous
-    renumbering or colliding eigenvalue branches."""
+    degenerate spectrum, a ring without a circulant gauge or colliding
+    eigenvalue branches."""

@@ -18,19 +18,15 @@ from .linalg import dagger
 from .propagator import evolve, predict_permutation
 
 
-def to_bits(phi, r):
-    """Nearest r-bit expansion of a phase, cyclically.
+def nearest_value(phi, r):
+    """Nearest r-bit register value of a phase, cyclically.
 
-    Returns (bits, exact): the exact expansion when phi * 2^r is an
-    integer, otherwise the nearest r-bit value under the cyclic metric
-    (phases identify 1 with 0) and exact=False.  The caller passes phi
-    in [0, 1) and r >= 1.
+    Returns (k, exact): k = phi * 2^r when that is an integer, otherwise
+    the nearest value under the cyclic metric (phases identify 1 with 0)
+    and exact=False.  The caller passes phi in [0, 1) and r >= 1.
     """
     scaled = phi * 2**r
-    k = int(round(scaled)) % 2**r
-    exact = scaled == round(scaled)
-    bits = tuple((k >> (r - 1 - j)) & 1 for j in range(r))
-    return bits, exact
+    return int(round(scaled)) % 2**r, scaled == round(scaled)
 
 
 def prepare_register_state(phi, r):
@@ -49,7 +45,8 @@ class QpeResult:
 
     distribution holds raw probabilities over the physical basis;
     relabeled_distribution is the same data with the renumbering undone
-    (index = register value); top_bits is the bit string of its maximum.
+    (index = register value); top is the register value of its maximum
+    and target the nearest r-bit value of phi.
     fidelity_times/fidelity_trace sample |<target|psi(t)>|^2 against the
     renumbered target basis state during the evolution.  counts is None
     unless a sampled measurement was requested.
@@ -57,8 +54,8 @@ class QpeResult:
 
     distribution: np.ndarray
     relabeled_distribution: np.ndarray
-    top_bits: tuple
-    target_bits: tuple
+    top: int
+    target: int
     exact_expansion: bool
     fidelity_times: np.ndarray
     fidelity_trace: np.ndarray
@@ -75,8 +72,7 @@ def register_readout(sigma, phi, r, u):
     which the nearest r-bit value of phi is read out; the fidelity is
     |<target|U psi0>|^2.  Returns (states, fidelity).
     """
-    target_bits, _ = to_bits(phi, r)
-    target = int("".join(map(str, target_bits)), 2)
+    target, _ = nearest_value(phi, r)
     # argsort inverts sigma: the basis state that reads out the target
     target_index = int(np.argsort(sigma)[target])
     states = u @ prepare_register_state(phi, r)
@@ -93,7 +89,7 @@ def run_qpe(s, phi, r, shots=None):
     for demonstration only and is drawn with the fixed seed 0, so that
     identical inputs give identical counts.
     """
-    target_bits, exact = to_bits(phi, r)
+    target, exact = nearest_value(phi, r)
     sigma = predict_permutation(s)
     result = evolve(s, convergence_check=False)
     _, trace = register_readout(sigma, phi, r, result.u_samples)
@@ -101,7 +97,6 @@ def run_qpe(s, phi, r, shots=None):
     distribution = np.abs(psi_final) ** 2
     relabeled = np.empty_like(distribution)
     relabeled[sigma] = distribution
-    top = int(np.argmax(relabeled))
 
     counts = None
     if shots:
@@ -111,8 +106,8 @@ def run_qpe(s, phi, r, shots=None):
     return QpeResult(
         distribution=distribution,
         relabeled_distribution=relabeled,
-        top_bits=to_bits(top / s.dim, r)[0],
-        target_bits=target_bits,
+        top=int(np.argmax(relabeled)),
+        target=target,
         exact_expansion=exact,
         fidelity_times=result.times,
         fidelity_trace=trace,

@@ -124,12 +124,12 @@ def test_criterion_4_phase_estimation_figure(pulses):
     result = run_qpe(Schedule(pulses=pulses, h0=h0, h1=h1, direction=INVERSE,
                               steps=4000), 0.75, 2)
     elapsed = time.perf_counter() - start
-    ok = (result.final_fidelity >= 0.99 and result.top_bits == (1, 1)
+    ok = (result.final_fidelity >= 0.99 and result.top == 3
           and elapsed < 30.0)
     assert report(
         4, ok,
         f"fidelity {result.final_fidelity:.5f}, bits "
-        f"{''.join(map(str, result.top_bits))}, {elapsed:.2f} s",
+        f"{result.top:02b}, {elapsed:.2f} s",
     )
 
 

@@ -486,6 +486,18 @@ class TestSweep:
             assert better <= 1.1 * worse
         assert float(rows[1][2]) >= 0.99
 
+    def test_sudden_limit_reports_its_residual(self, tmp_path):
+        # as E*T -> 0 the propagator tends to I, whose best phased-DFT fit
+        # has residual exactly 2 (every overlap has modulus 1/2); its
+        # overlaps nearly tie, and the fit still reports that residual
+        payload = {"pulses": {"kind": "sech_masked", "T": 1.0, "tau": 1.0},
+                   "et_values": [0.01, 20], "steps": 400}
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert len(rows) == 2
+        assert abs(float(rows[0][1]) - 2.0) <= 1e-3
+
 
 def per_point_sweep(payload):
     """(et, residual, final_fidelity) of every sweep point, each from its
@@ -843,7 +855,7 @@ def run_fresh(script, tmp_path, payload=None):
 class TestImportSplit:
     """Only the commands that integrate import the propagator, and with it
     scipy.sparse.csgraph, which finds the renumbering; no command imports
-    scipy.optimize."""
+    scipy.optimize, and each loads only the modules on its allowlist."""
 
     def test_import_loads_neither_scipy_nor_propagator(self, tmp_path):
         out = run_fresh(
@@ -853,18 +865,37 @@ class TestImportSplit:
             "      'circulant_qft.propagator' in sys.modules)\n", tmp_path)
         assert out.strip() == "False False"
 
+    # The stdlib modules that src/ imports by name, and locale, which
+    # argparse loads as it parses.  They are loaded before main(), and so
+    # are numpy and, for the commands that integrate, scipy.sparse.csgraph
+    # with all it imports; what main() loads beyond them must be the
+    # package, numpy.linalg or numpy.fft.
+    PRELOAD = ("sys, numpy, argparse, dataclasses, itertools, json, locale, "
+               "math, pathlib, threading")
+    ALLOWED = ("circulant_qft", "numpy.linalg", "numpy.fft")
+
+    def loads(self, tmp_path, command, payload, preload=""):
+        """(exit code, whether scipy.optimize is loaded, the modules main()
+        loads beyond PRELOAD and preload) of one fresh run."""
+        out = run_fresh(
+            f"import {self.PRELOAD}{preload}\n"
+            "before = set(sys.modules)\n"
+            "from circulant_qft.cli import main\n"
+            f"code = main([{command!r}, '--config', CONFIG, '--out', OUT])\n"
+            "print(code, 'scipy.optimize' in sys.modules,\n"
+            "      *sorted(set(sys.modules) - before))\n", tmp_path, payload)
+        code, optimize, *loaded = out.splitlines()[-1].split()
+        return int(code), optimize == "True", [
+            m for m in loaded if m.split(".")[0] != self.ALLOWED[0]
+            and not m.startswith(self.ALLOWED[1:])]
+
     @pytest.mark.parametrize("command, payload", [
         ("eigentraj", README_TRAJ),
         ("adiabaticity", README_TRAJ),
         ("models", {"model": QPE_CONFIG["model"]}),
     ])
     def test_command_runs_without_scipy(self, tmp_path, command, payload):
-        out = run_fresh(
-            "import sys\n"
-            "from circulant_qft.cli import main\n"
-            f"code = main([{command!r}, '--config', CONFIG, '--out', OUT])\n"
-            "print('exit', code, 'scipy' in sys.modules)\n", tmp_path, payload)
-        assert out.splitlines()[-1] == "exit 0 False"
+        assert self.loads(tmp_path, command, payload) == (0, False, [])
 
     @pytest.mark.parametrize("command, payload", [
         ("evolve", {**README_TRAJ, "steps": 400}),
@@ -874,13 +905,8 @@ class TestImportSplit:
     ])
     def test_integrating_command_runs_without_scipy_optimize(
             self, tmp_path, command, payload):
-        out = run_fresh(
-            "import sys\n"
-            "from circulant_qft.cli import main\n"
-            f"code = main([{command!r}, '--config', CONFIG, '--out', OUT])\n"
-            "print('exit', code, 'scipy.optimize' in sys.modules)\n",
-            tmp_path, payload)
-        assert out.splitlines()[-1] == "exit 0 False"
+        assert self.loads(tmp_path, command, payload,
+                          ", scipy.sparse.csgraph") == (0, False, [])
 
     def test_evolve_still_integrates(self, tmp_path):
         out = run_fresh(
@@ -890,3 +916,17 @@ class TestImportSplit:
             "print('exit', code, 'scipy' in sys.modules)\n", tmp_path,
             {**README_TRAJ, "steps": 400})
         assert out.splitlines()[-1] == "exit 0 True"
+
+    def test_stepping_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.union1d and np.unique load numpy.ma (~15 ms of a cold start)
+        out = run_fresh(
+            "import sys\n"
+            "import numpy as np\n"
+            "from circulant_qft import _kernels\n"
+            "h0 = np.diag([-1.0, 0.0, 1.0]).astype(complex)\n"
+            "h1 = np.roll(np.eye(3), 1, axis=0) + np.roll(np.eye(3), -1, axis=0)\n"
+            "a, b = np.linspace(1, 0, 40), np.linspace(0, 1, 40)\n"
+            "samples, _, _ = _kernels.propagate(h0, h1, a, b, np.array([0.1]),\n"
+            "                                   np.array([0, 7, 20, 40]))\n"
+            "print(samples.shape, 'numpy.ma' in sys.modules)\n", tmp_path)
+        assert out.strip() == "(1, 4, 3, 3) False"

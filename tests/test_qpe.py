@@ -5,9 +5,9 @@ from circulant_qft.circulant import dft_matrix
 from circulant_qft.linalg import unitarity_defect
 from circulant_qft.qpe import (
     ideal_distribution,
+    nearest_value,
     prepare_register_state,
     run_qpe,
-    to_bits,
 )
 from circulant_qft.schedule import INVERSE, Schedule
 
@@ -16,19 +16,19 @@ from conftest import phased_inverse_qft, phased_oracle_distribution
 
 class TestBits:
     def test_exact_expansion_roundtrip(self):
-        bits, exact = to_bits(0.75, 2)
-        assert bits == (1, 1) and exact
-        assert int("".join(map(str, bits)), 2) / 2**2 == 0.75
+        k, exact = nearest_value(0.75, 2)
+        assert k == 3 and exact
+        assert k / 2**2 == 0.75
 
     def test_nearest_for_third(self):
-        bits, exact = to_bits(1 / 3, 2)
-        assert bits == (0, 1)
+        k, exact = nearest_value(1 / 3, 2)
+        assert k == 1
         assert not exact
 
     def test_nearest_is_cyclic(self):
         # phases identify 1 with 0, so 0.99 rounds to 00 not 11
-        bits, exact = to_bits(0.99, 2)
-        assert bits == (0, 0)
+        k, exact = nearest_value(0.99, 2)
+        assert k == 0
         assert not exact
 
 
@@ -114,7 +114,7 @@ class TestRunQpe:
     def test_paper_point(self, paper_model, paper_pulses):
         result = run_qpe(inverse(paper_model, paper_pulses), 0.75, 2)
         assert result.final_fidelity >= 0.99
-        assert result.top_bits == (1, 1)
+        assert result.top == 3
         assert result.exact_expansion
         # trace endpoint is the final fidelity ("tends to unity")
         assert np.isclose(result.fidelity_trace[-1], result.final_fidelity)
@@ -130,7 +130,7 @@ class TestRunQpe:
                                                          paper_pulses):
         result = run_qpe(inverse(paper_model, paper_pulses), 1 / 3, 2)
         assert not result.exact_expansion
-        assert result.top_bits == (0, 1)
+        assert result.top == 1
         ideal = ideal_distribution(1 / 3, 2)
         tv = 0.5 * np.abs(ideal - result.relabeled_distribution).sum()
         assert tv <= 1e-2

@@ -1,10 +1,13 @@
-"""Every definition in the package has a caller in the package, and every
-package binding the benchmark's span table wraps still exists.
+"""Every definition and constant in the package has a reader in the
+package, and every package binding the benchmark's span table wraps
+still exists.
 
 A top-level function or class, or a non-dunder method, counts as called
 when some Name, Attribute or import alias in src/circulant_qft refers to
-its name outside its own definition.  Names are matched by spelling
-only, and docstrings are not references.
+its name outside its own definition.  A module-level UPPER_CASE constant
+counts as read when some such reference names it; assigning it is not a
+reference.  Names are matched by spelling only, and docstrings are not
+references.
 """
 
 import ast
@@ -26,7 +29,7 @@ def definitions(tree):
 
 def references(node, enclosing=()):
     """(name, ids of the definitions around it) for every reference."""
-    if isinstance(node, ast.Name):
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
         yield node.id, enclosing
     elif isinstance(node, ast.Attribute):
         yield node.attr, enclosing
@@ -38,9 +41,23 @@ def references(node, enclosing=()):
         yield from references(child, enclosing)
 
 
+def constants(tree):
+    """Names bound by module-level assignments, UPPER_CASE ones only."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.isupper():
+                yield target.id
+
+
+def parse(package):
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
 def uncalled(package):
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(package.glob("*.py"))}
+    trees = parse(package)
     refs = [ref for tree in trees.values() for ref in references(tree)]
     return sorted(
         f"{module}:{node.name}"
@@ -56,6 +73,15 @@ def test_every_definition_has_a_caller():
     # each together with its reader.
     assert uncalled(PACKAGE) == ["cli.py:__getattr__",
                                  "propagator.py:dynamical_phase_prediction"]
+
+
+def test_every_constant_has_a_reader():
+    trees = parse(PACKAGE)
+    read = {name for tree in trees.values() for name, _ in references(tree)}
+    defined = [f"{module}:{name}" for module, tree in trees.items()
+               for name in constants(tree)]
+    assert len(defined) >= 30  # the walk finds the constants at all
+    assert [c for c in defined if c.split(":")[1] not in read] == []
 
 
 def test_span_table_names_live_bindings():
