@@ -26,6 +26,7 @@ from ._kernels import CHUNK
 from .circulant import (RING_RTOL, circulant_eigenvalues, materialize,
                         phase_equivalent_circulant)
 from .errors import ConfigError, IntegrationError, PhysicsError
+from .linalg import is_degenerate
 from .models import build_four_level, build_six_level, solve_level_shifts
 from .schedule import (
     DEFAULT_STEPS,
@@ -116,7 +117,7 @@ def write_meta(path, command, config):
 def load_config(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
@@ -127,6 +128,8 @@ def load_config(path):
         ) from exc
     except ValueError as exc:  # an integer literal beyond int's digit limit
         raise ConfigError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return cfg
@@ -336,7 +339,7 @@ def cmd_evolve(cfg, args):
     factorization = factor_phased_dft(result.u_final, sched.direction)
 
     out = Path(args.out)
-    n = result.dim
+    n = sched.dim
     rows = [
         [str(i), str(j), np.abs(result.u_final[i, j]),
          np.angle(result.u_final[i, j])]
@@ -378,7 +381,7 @@ def cmd_adiabaticity(cfg, args):
 
 
 def cmd_qpe(cfg, args):
-    from .qpe import ideal_distribution, run_qpe
+    from .qpe import ideal_distribution, nearest_value, run_qpe
 
     sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
                            INVERSE, _stepping_steps)
@@ -389,51 +392,54 @@ def cmd_qpe(cfg, args):
         raise ConfigError(f"shots: expected an integer in [0, 2**63 - 1], "
                           f"got {shots!r}")
 
-    result = run_qpe(sched, phi, r, shots=shots or None)
+    target, exact = nearest_value(phi, r)
+    times, fidelity, raw, relabeled = run_qpe(sched, phi, r)
+    top = int(np.argmax(relabeled))
+    counts = None
+    if shots:
+        # a fixed seed, so that identical configs give identical counts
+        counts = np.random.default_rng(0).multinomial(
+            shots, relabeled / relabeled.sum())
 
     out = Path(args.out)
-    f_vals, g_vals = sched.pulses.values(result.fidelity_times)
+    f_vals, g_vals = sched.pulses.values(times)
     write_csv(
         out / "qpe_trace.csv", ["t", "f", "g", "fidelity"],
-        [[t, fv, gv, p] for t, fv, gv, p in
-         zip(result.fidelity_times, f_vals, g_vals, result.fidelity_trace)],
+        [[t, fv, gv, p] for t, fv, gv, p in zip(times, f_vals, g_vals, fidelity)],
     )
-    n = len(result.distribution)
     dist_header = ["value", "bits", "raw_probability", "relabeled_probability"]
     dist_rows = []
-    for k in range(n):
-        row = [str(k), f"{k:0{r}b}", result.distribution[k],
-               result.relabeled_distribution[k]]
-        if result.counts is not None:
-            row.append(str(int(result.counts[k])))
+    for k in range(len(raw)):
+        row = [str(k), f"{k:0{r}b}", raw[k], relabeled[k]]
+        if counts is not None:
+            row.append(str(int(counts[k])))
         dist_rows.append(row)
-    if result.counts is not None:
+    if counts is not None:
         dist_header.append("counts")
     write_csv(out / "qpe_distribution.csv", dist_header, dist_rows)
     write_meta(out / "qpe_trace.meta.json", "qpe", cfg)
     if args.svg:
-        svg.write_line_plot(out / "qpe_pulses.svg", result.fidelity_times,
+        svg.write_line_plot(out / "qpe_pulses.svg", times,
                             {"f": f_vals, "g": g_vals},
                             title="Field functions", xlabel="t", ylabel="amplitude")
-        svg.write_line_plot(out / "qpe_fidelity.svg", result.fidelity_times,
-                            {"fidelity": result.fidelity_trace},
+        svg.write_line_plot(out / "qpe_fidelity.svg", times,
+                            {"fidelity": fidelity},
                             title="Phase estimation fidelity", xlabel="t",
                             ylabel="probability")
 
     ideal = ideal_distribution(phi, r)
-    tv = 0.5 * float(np.abs(ideal - result.relabeled_distribution).sum())
+    tv = 0.5 * float(np.abs(ideal - relabeled).sum())
 
-    print(f"qpe: phi = {_fmt(phi)}, recovered bits {result.top:0{r}b} "
-          f"(target {result.target:0{r}b}, "
-          f"{'exact' if result.exact_expansion else 'nearest'} expansion)")
-    if not result.exact_expansion:
-        nearest = result.relabeled_distribution[result.target]
+    print(f"qpe: phi = {_fmt(phi)}, recovered bits {top:0{r}b} "
+          f"(target {target:0{r}b}, "
+          f"{'exact' if exact else 'nearest'} expansion)")
+    if not exact:
         print(f"  phi has no exact {r}-bit expansion; nearest bits carry "
-              f"probability {_fmt(nearest)}")
-    print(f"  final fidelity {_fmt(result.final_fidelity)}, "
+              f"probability {_fmt(relabeled[target])}")
+    print(f"  final fidelity {_fmt(fidelity[-1])}, "
           f"total variation vs ideal oracle {_fmt(tv)}")
-    if result.counts is not None:
-        print(f"  sampled counts ({shots} shots): {result.counts.tolist()}")
+    if counts is not None:
+        print(f"  sampled counts ({shots} shots): {counts.tolist()}")
     return EXIT_OK
 
 
@@ -458,6 +464,9 @@ def cmd_models(cfg, args):
         ez, gs, es = solve_level_shifts(energy)
         print(f"level shifts realizing H0: E_Z = {_fmt(ez)}, "
               f"E_gS = {_fmt(gs)}, E_eS = {_fmt(es)}")
+        if is_degenerate(lam):
+            print("  note: spectrum is degenerate (V real, imaginary or with "
+                  "|Re V| = |Im V|); evolve and qpe exit 4 on it")
     elif kind == "six_level":
         beta, column, residual = phase_equivalent_circulant(h1)
         print(f"gauge phases beta: {_round_list(beta)}")
@@ -472,8 +481,7 @@ def cmd_models(cfg, args):
               f"the coupling")
         lam = np.sort(circulant_eigenvalues(column).real)
         print(f"circulant spectrum (sorted): {_round_list(lam, coupling)}")
-        gaps = np.diff(lam)
-        if gaps.size and gaps.min() < 1e-9 * max(np.abs(lam).max(), 1e-300):
+        if is_degenerate(lam):
             print("  note: spectrum is degenerate for every choice of the "
                   "Rabi phases (the ring's loop product has a fixed argument)")
     return EXIT_OK
@@ -505,11 +513,11 @@ def cmd_sweep(cfg, args):
     if not isinstance(ets, list) or not ets:
         raise ConfigError("et_values: expected a list of positive numbers")
     # energy scale E = E*T / T of each point; build_schedule bounds the largest
-    energies = [_positive(f"et_values[{i}]", et) / pulses.crossing_time()
+    energies = [_positive(f"et_values[{i}]", et) / pulses.T
                 for i, et in enumerate(ets)]
     if min(energies) == 0:
         raise ConfigError(f"et_values: E*T / T underflows to 0 at T = "
-                          f"{pulses.crossing_time()!r}")
+                          f"{pulses.T!r}")
     v_over_e = _as_complex("v_over_e", cfg.get("v_over_e", [1.0, 1.0 / 3.0]))
     # every sweep point is a four-level model, read by a two-qubit register
     phi, r = _phase_register(cfg.get("phi", 0.75), 2, 4)
@@ -581,8 +589,11 @@ def main(argv=None):
     runner, _, _, allowed, required = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # --out names a file, or a path under one
+            raise ConfigError(f"cannot create output directory "
+                              f"{args.out}: {exc}") from exc
         _check_keys("config", cfg, allowed, required)
         return runner(cfg, args)
     except ConfigError as exc:

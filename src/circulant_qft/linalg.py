@@ -22,6 +22,16 @@ def frobenius(m):
     return float(np.linalg.norm(m))
 
 
+def is_degenerate(values):
+    """Whether two of the real values lie within CLUSTER_GAP_RTOL of the
+    largest magnitude among them (within the smallest normal float, if
+    all are 0): the spectrum then has no rank order.  The caller passes
+    at least two values."""
+    values = np.sort(values)
+    scale = max(np.abs(values).max(), np.finfo(float).tiny)
+    return bool(np.diff(values).min() <= CLUSTER_GAP_RTOL * scale)
+
+
 def dagger(m):
     """Conjugate transpose."""
     return np.conj(np.asarray(m).T)

@@ -11,15 +11,9 @@ Basis orderings are frozen as documented on each builder; reorderings
 are the caller's business.
 """
 
-import warnings
-
 import numpy as np
 
-from .circulant import circulant_eigenvalues, materialize
-
-
-class DegenerateSpectrumWarning(UserWarning):
-    """The built coupling matrix has (near-)degenerate eigenvalues."""
+from .circulant import materialize
 
 
 def build_four_level(energy, coupling):
@@ -29,24 +23,14 @@ def build_four_level(energy, coupling):
     relates to a Rabi frequency via V = hbar*Omega/2 (hbar = 1 throughout,
     energies in units of 1/T).  Basis order is frozen as the ascending
     levels of H0 = diag(-E, -E/3, E/3, E); H1 is circulant with first
-    column (0, V*, 0, V), so its spectrum is 2*Re(V * i**n).  Warns when
-    that spectrum is degenerate (V = 0, or V real/imaginary collapsing a
-    pair), since degenerate eigenvalues break the adiabatic protocol.
-    The caller passes E > 0.
+    column (0, V*, 0, V), so its spectrum is 2*Re(V * i**n), degenerate
+    when V is real, imaginary or has |Re V| = |Im V|; rank matching
+    (propagator.predict_permutation) rejects such a spectrum.  The caller
+    passes E > 0.
     """
     e = float(energy)
     v = complex(coupling)
     column = np.array([0, np.conj(v), 0, v], dtype=np.complex128)
-    lam = np.sort(circulant_eigenvalues(column).real)
-    gaps = np.diff(lam)
-    scale = max(abs(v), np.finfo(float).tiny)
-    if gaps.size == 0 or gaps.min() < 1e-9 * scale or v == 0:
-        warnings.warn(
-            "four-level coupling spectrum is degenerate "
-            f"(V = {coupling}); adiabatic rank tracking will fail",
-            DegenerateSpectrumWarning,
-            stacklevel=2,
-        )
     h0 = np.diag(np.array([-e, -e / 3, e / 3, e], dtype=np.complex128))
     return h0, materialize(column)
 

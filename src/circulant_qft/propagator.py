@@ -47,6 +47,7 @@ from .linalg import (
     UNITARITY_TOL,
     dagger,
     frobenius,
+    is_degenerate,
     unitarity_defect,
 )
 from .schedule import FORWARD, INVERSE
@@ -80,10 +81,6 @@ class EvolutionResult:
     u_final: np.ndarray
     unitarity_drift: float
     convergence_estimate: float
-
-    @property
-    def dim(self):
-        return self.u_final.shape[0]
 
 
 def _intervals(steps):
@@ -238,9 +235,7 @@ def _by_rank(s, spectrum):
         values = np.diag(s.h0).real
     else:
         values = circulant_eigenvalues(s.h1[:, 0]).real
-    gaps = np.diff(np.sort(values))
-    scale = max(np.abs(values).max(), np.finfo(float).tiny)
-    if gaps.min() <= CLUSTER_GAP_RTOL * scale:
+    if is_degenerate(values):
         raise PhysicsError(
             f"{spectrum} spectrum is degenerate; rank matching is undefined"
         )

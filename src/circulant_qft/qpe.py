@@ -6,10 +6,10 @@ state is synthesized directly here.  Applying the inverse transform then
 concentrates the amplitude on the binary expansion of phi, up to a
 global phase that drops out of measured probabilities.  The simulated
 inverse transform carries a basis renumbering, which is undone
-classically from the predicted permutation.
+classically from the predicted permutation.  run_qpe reads the register
+once, along the evolution, and returns plain arrays; the target value,
+the most likely outcome and any sampled histogram are its caller's.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,30 +39,6 @@ def prepare_register_state(phi, r):
     return np.exp(2j * np.pi * k * phi) / np.sqrt(2**r)
 
 
-@dataclass(frozen=True)
-class QpeResult:
-    """Outcome of one phase-estimation run.
-
-    distribution holds raw probabilities over the physical basis;
-    relabeled_distribution is the same data with the renumbering undone
-    (index = register value); top is the register value of its maximum
-    and target the nearest r-bit value of phi.
-    fidelity_times/fidelity_trace sample |<target|psi(t)>|^2 against the
-    renumbered target basis state during the evolution.  counts is None
-    unless a sampled measurement was requested.
-    """
-
-    distribution: np.ndarray
-    relabeled_distribution: np.ndarray
-    top: int
-    target: int
-    exact_expansion: bool
-    fidelity_times: np.ndarray
-    fidelity_trace: np.ndarray
-    final_fidelity: float
-    counts: np.ndarray | None = None
-
-
 def register_readout(sigma, phi, r, u):
     """Register states u @ psi0 and their fidelity with phi's target.
 
@@ -79,41 +55,25 @@ def register_readout(sigma, phi, r, u):
     return states, np.abs(states[..., target_index]) ** 2
 
 
-def run_qpe(s, phi, r, shots=None):
-    """Estimate phi by evolving the register state under the schedule s.
+def run_qpe(s, phi, r):
+    """Phase estimation of phi: the register state evolved under the
+    schedule s and read out once.
 
     The caller passes an inverse-direction s on a model of dimension
-    2^r, phi in [0, 1) and r >= 1; none of this is checked here.  The
-    returned distribution is read directly from amplitudes (no shot
-    noise); pass shots for an additional sampled histogram, which exists
-    for demonstration only and is drawn with the fixed seed 0, so that
-    identical inputs give identical counts.
+    2^r, phi in [0, 1) and r >= 1; none of this is checked here.
+    Returns (times, fidelity, raw, relabeled): the sample times of the
+    evolution, whose last is the window end, the fidelity with phi's
+    target at each (register_readout), and the outcome probabilities of
+    the final state, read from amplitudes (no shot noise), over the
+    physical basis (raw) and by register value, with the renumbering
+    undone (relabeled).
     """
-    target, exact = nearest_value(phi, r)
     sigma = predict_permutation(s)
     result = evolve(s, convergence_check=False)
-    _, trace = register_readout(sigma, phi, r, result.u_samples)
-    psi_final, final_fidelity = register_readout(sigma, phi, r, result.u_final)
-    distribution = np.abs(psi_final) ** 2
-    relabeled = np.empty_like(distribution)
-    relabeled[sigma] = distribution
-
-    counts = None
-    if shots:
-        rng = np.random.default_rng(0)
-        counts = rng.multinomial(int(shots), relabeled / relabeled.sum())
-
-    return QpeResult(
-        distribution=distribution,
-        relabeled_distribution=relabeled,
-        top=int(np.argmax(relabeled)),
-        target=target,
-        exact_expansion=exact,
-        fidelity_times=result.times,
-        fidelity_trace=trace,
-        final_fidelity=float(final_fidelity),
-        counts=counts,
-    )
+    states, fidelity = register_readout(sigma, phi, r, result.u_samples)
+    raw = np.abs(states[-1]) ** 2
+    # argsort inverts sigma: register value k is read at argsort(sigma)[k]
+    return result.times, fidelity, raw, raw[np.argsort(sigma)]
 
 
 def ideal_distribution(phi, r):

@@ -8,8 +8,8 @@ families are provided: the plain tanh crossing pair and the
 experimentally friendlier sech-masked variant.  The caller passes their
 T and tau positive.  A pulse pair is any object with values(t) -> (f, g),
 derivatives(t) -> (f', g') (inf or nan where a rate such as 1/T is
-beyond float range), crossing_time() -> T, the timescale of the f/g
-crossing that sets the 1/T coupling scale, and window_halfwidth(), the
+beyond float range), an attribute T, the timescale of the f/g crossing
+that sets the 1/T coupling scale, and window_halfwidth(), the
 half-width of the default window.
 
 Also here: instantaneous eigenvalue trajectories over the time window
@@ -55,9 +55,6 @@ class TanhPair:
             rate = 0.5 / np.cosh(np.asarray(t, dtype=float) / self.T)**2 / self.T
         return -rate, rate
 
-    def crossing_time(self):
-        return self.T
-
     def window_halfwidth(self):
         return DEFAULT_WINDOW_HALFWIDTH * self.T
 
@@ -91,9 +88,6 @@ class SechMaskedPair:
             dmask = -mask * np.tanh(t / self.tau) / self.tau
             dth = mask / np.cosh(t / self.T)**2 / self.T  # mask * dtanh/dt
             return dmask * (1.0 - th) - dth, dmask * (1.0 + th) + dth
-
-    def crossing_time(self):
-        return self.T
 
     def window_halfwidth(self):
         return DEFAULT_WINDOW_HALFWIDTH * max(self.T, self.tau)
@@ -299,7 +293,7 @@ def adiabaticity_report(s):
         min_gap=float(gap_trace.min()),
         max_coupling=float(coupling_trace.max()),
         margin=float(margin),
-        rate_scale=1.0 / s.pulses.crossing_time(),
+        rate_scale=1.0 / s.pulses.T,
         times=t,
         gap_trace=gap_trace,
         coupling_trace=coupling_trace,

@@ -12,8 +12,7 @@ import pytest
 from circulant_qft import _kernels
 from circulant_qft._kernels import CHUNK
 from circulant_qft.cli import main, write_csv
-from circulant_qft.models import (DegenerateSpectrumWarning, build_four_level,
-                                  build_six_level)
+from circulant_qft.models import build_four_level, build_six_level
 from circulant_qft.propagator import evolve, factor_phased_dft
 from circulant_qft.qpe import run_qpe
 from circulant_qft.schedule import Schedule, SechMaskedPair, TanhPair
@@ -183,15 +182,15 @@ class TestEvolve:
 
     def test_real_coupling_exits_physics_code(self, tmp_path, capsys,
                                               propagated_steps):
-        # a real V makes the circulant spectrum degenerate: the model warns,
-        # and rank matching has no end state to predict, as in qpe
+        # a real V makes the circulant spectrum degenerate: rank matching
+        # has no end state to predict, as in qpe
         payload = {**FOUR_LEVEL, "model": {"kind": "four_level", "E": 10.0,
                                            "V": 10.0}}
         cfg = write_config(tmp_path, payload)
-        with pytest.warns(DegenerateSpectrumWarning):
-            assert main(["evolve", "--config", cfg,
-                         "--out", str(tmp_path)]) == 4
-        assert "physics precondition violated" in capsys.readouterr().err
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == (
+            "physics precondition violated: H1 spectrum is degenerate; "
+            "rank matching is undefined\n")
         assert not (tmp_path / "factorization.csv").exists()
         assert propagated_steps[0] == 0
 
@@ -256,10 +255,8 @@ class TestAdiabaticity:
         cfg = write_config(tmp_path, {
             "model": {"kind": "four_level", "E": 10.0, "V": [1e-308, 1e-308]},
             "pulses": {"kind": "tanh", "T": 1.0}, "steps": 400})
-        with pytest.warns(DegenerateSpectrumWarning) as record:
-            assert main(["adiabaticity", "--config", cfg,
-                         "--out", str(tmp_path)]) == 0
-        assert all(w.category is DegenerateSpectrumWarning for w in record)
+        assert main(["adiabaticity", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
         assert "margin 86568017134.1 " in capsys.readouterr().out
 
     # the paper circulant plus a Hermitian perturbation off column 0, whose
@@ -317,6 +314,18 @@ class TestQpe:
         assert "nearest" in out
         assert "no exact" in out
 
+    def test_degenerate_coupling_exits_physics_code(self, tmp_path, capsys,
+                                                    propagated_steps):
+        # |Re V| = |Im V| pairs up the circulant spectrum, as models notes
+        model = {"kind": "four_level", "E": 10.0, "V": [10.0, 10.0]}
+        cfg = write_config(tmp_path, {**QPE_CONFIG, "model": model})
+        assert main(["qpe", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == (
+            "physics precondition violated: H1 spectrum is degenerate; "
+            "rank matching is undefined\n")
+        assert not list(tmp_path.glob("*.csv"))
+        assert propagated_steps[0] == 0
+
     def test_sampled_mode_adds_counts(self, tmp_path):
         cfg = write_config(tmp_path, {**QPE_CONFIG, "steps": 400, "shots": 200})
         assert main(["qpe", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -344,6 +353,19 @@ class TestModels:
         assert main(["models", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "E_Z" in out and "level shifts" in out
+        assert "note:" not in out
+
+    # the spectrum 2 Re(V i^n) pairs up for V real, imaginary or with
+    # |Re V| = |Im V|, and is all zeros for V = 0
+    @pytest.mark.parametrize("v", [10.0, [0.0, 10.0], [10.0, -10.0], 0.0],
+                             ids=["real", "imaginary", "re_is_minus_im", "zero"])
+    def test_four_level_degenerate_spectrum_noted(self, tmp_path, capsys, v):
+        cfg = write_config(tmp_path, {"model": {"kind": "four_level",
+                                                "E": 10.0, "V": v}})
+        assert main(["models", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "  note: spectrum is degenerate (V real, imaginary or with "
+            "|Re V| = |Im V|); evolve and qpe exit 4 on it")
 
     def test_leaves_print_options_alone(self, tmp_path):
         cfg = write_config(tmp_path, {"model": FOUR_LEVEL["model"]})
@@ -509,15 +531,15 @@ def per_point_sweep(payload):
     window = tuple(payload["window"])
     rows = []
     for et in payload["et_values"]:
-        energy = et / pair.crossing_time()
+        energy = et / pair.T
         h0, h1 = build_four_level(energy, energy * v_over_e)
         sched = Schedule(pulses=pair, h0=h0, h1=h1, window=window,
                          steps=payload["steps"])
         u = evolve(sched, convergence_check=False).u_final
         residual = factor_phased_dft(u, "forward").residual
-        qpe = run_qpe(dataclasses.replace(sched, direction="inverse"),
-                      payload["phi"], 2)
-        rows.append((et, residual, qpe.final_fidelity))
+        _, fidelity, _, _ = run_qpe(
+            dataclasses.replace(sched, direction="inverse"), payload["phi"], 2)
+        rows.append((et, residual, fidelity[-1]))
     return np.array(rows)
 
 
@@ -588,9 +610,10 @@ class TestStepCounts:
                                                  propagated_steps):
         # a real v_over_e makes the circulant spectrum degenerate
         cfg = write_config(tmp_path, {**SWEEP_CONFIG, "v_over_e": 1.0})
-        with pytest.warns(DegenerateSpectrumWarning, match=r"V = \(1\+0j\)"):
-            assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 4
-        assert "spectrum is degenerate" in capsys.readouterr().err
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == (
+            "physics precondition violated: H1 spectrum is degenerate; "
+            "rank matching is undefined\n")
         assert propagated_steps[0] == 0
 
     def test_sweep_rejects_register_before_integrating(self, tmp_path, capsys,
@@ -812,6 +835,37 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config error:" in err
         assert "Traceback" not in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"model": "\u00c4"}'.encode("latin-1"))
+        assert main(["models", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: "
+                              f"'utf-8' codec can't decode byte 0xc4")
+        assert err.count("\n") == 1
+
+    def test_config_nested_too_deeply(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["models", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: JSON nested too deeply\n")
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"],
+                             ids=["existing_file", "under_a_file"])
+    def test_out_is_not_a_directory(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path, {"model": FOUR_LEVEL["model"]})
+        assert main(["models", "--config", cfg,
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory "
+                              f"{tmp_path / out}: ")
+        assert err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == ""
 
     def test_bad_phi_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**QPE_CONFIG, "phi": 1.5})

@@ -8,9 +8,11 @@ with a hostile JSON value and runs the command.  evolve also runs on a
 custom model and models on a six-level one, so every model kind is
 fuzzed, and every top-level key of every config is replaced in some
 example of every run, as are model.E, pulses.T and pulses.tau, which
-only the config layer checks.  Whatever the input, main() must return
-one of the documented exit codes, no exception may escape and no
-RuntimeWarning may be raised.
+only the config layer checks.  One more test writes raw bytes as the
+config file, so that text which is not UTF-8 or not JSON, and JSON
+nested past the recursion limit, reach the config reader.  Whatever the
+input, main() must return one of the documented exit codes, no exception
+may escape and no RuntimeWarning may be raised.
 """
 
 import json
@@ -113,11 +115,16 @@ def mutated_configs(draw):
     return command, mutate(draw, cfg, draw(st.integers(1, 3)))
 
 
-def exit_code(command, cfg):
+def raw_exit_code(command, data):
+    """main()'s exit code on a config file holding the bytes data."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(cfg))
+        path.write_bytes(data)
         return main([command, "--config", str(path), "--out", tmp])
+
+
+def exit_code(command, cfg):
+    return raw_exit_code(command, json.dumps(cfg).encode())
 
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
@@ -185,3 +192,15 @@ def test_every_config_checked_nested_key_replaced(name, path, data):
     cfg = replaced(cfg, path, data.draw(HOSTILE))
     cfg = mutate(data.draw, cfg, data.draw(st.integers(0, 2)))
     assert exit_code(command, cfg) in EXIT_CODES
+
+
+COMMANDS = sorted({command for command, _ in CONFIGS.values()})
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(COMMANDS), st.binary())
+@example("models", b"\xff")
+@example("models", b"[" * 100_000 + b"]" * 100_000)
+@example("models", json.dumps({"model": PAPER_MODEL}).encode())
+def test_raw_config_bytes(command, data):
+    assert raw_exit_code(command, data) in EXIT_CODES

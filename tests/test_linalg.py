@@ -7,8 +7,10 @@ import pytest
 from circulant_qft import _kernels
 from circulant_qft.errors import PhysicsError
 from circulant_qft.linalg import (
+    CLUSTER_GAP_RTOL,
     dagger,
     frobenius,
+    is_degenerate,
     require_hermitian,
     unitarity_defect,
 )
@@ -78,6 +80,17 @@ def test_non_hermitian_rejected():
     m = np.array([[0, 1], [0.5, 0]], dtype=complex)
     with pytest.raises(PhysicsError, match="not Hermitian"):
         require_hermitian(m)
+
+
+def test_degeneracy_is_relative_to_the_largest_magnitude():
+    # the gap may sit anywhere in unsorted values; a gap of exactly the
+    # tolerance counts as degenerate, the next float above does not
+    gap = CLUSTER_GAP_RTOL * 4.0
+    assert is_degenerate([4.0, 0.0, gap, -2.0])
+    assert not is_degenerate([4.0, 0.0, np.nextafter(gap, 1.0), -2.0])
+    assert is_degenerate(1e-300 * np.array([4.0, 0.0, CLUSTER_GAP_RTOL]))
+    assert not is_degenerate(1e-300 * np.array([4.0, 0.0, 1.0]))
+    assert is_degenerate(np.zeros(3))
 
 
 def test_exp_of_zero_is_identity():

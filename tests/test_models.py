@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from circulant_qft.circulant import circulant_eigenvalues, materialize
+from circulant_qft.linalg import is_degenerate
 from circulant_qft.models import (
-    DegenerateSpectrumWarning,
     build_four_level,
     build_six_level,
     solve_level_shifts,
@@ -31,14 +31,19 @@ class TestFourLevel:
         lam = circulant_eigenvalues(h1[:, 0]).real
         assert np.allclose(lam, [2 * e, -2 * e / 3, -2 * e, 2 * e / 3], atol=1e-12)
 
-    def test_real_coupling_warns_degenerate(self):
-        # 2 Re(V i^n) vanishes for odd n when V is real
-        with pytest.warns(DegenerateSpectrumWarning):
-            build_four_level(1.0, 1.0)
+    # 2 Re(V i^n) pairs up for V real (odd n vanish), imaginary (even n
+    # vanish) or with |Re V| = |Im V|, and is all zeros for V = 0
+    @pytest.mark.parametrize("v", [1.0, 2j, 1 + 1j, 1 - 1j, 0.0],
+                             ids=["real", "imaginary", "re_is_im",
+                                  "re_is_minus_im", "zero"])
+    def test_spectrum_degenerate(self, v):
+        _, h1 = build_four_level(1.0, v)
+        assert is_degenerate(circulant_eigenvalues(h1[:, 0]).real)
 
-    def test_zero_coupling_warns(self):
-        with pytest.warns(DegenerateSpectrumWarning):
-            build_four_level(1.0, 0.0)
+    @pytest.mark.parametrize("v", [1 + 1j / 3, 0.7 - 2.1j])
+    def test_spectrum_nondegenerate(self, v):
+        _, h1 = build_four_level(1.0, v)
+        assert not is_degenerate(circulant_eigenvalues(h1[:, 0]).real)
 
 
 class TestLevelShifts:

@@ -7,7 +7,7 @@ from circulant_qft import propagator
 from circulant_qft.circulant import dft_matrix
 from circulant_qft.errors import IntegrationError, PhysicsError
 from circulant_qft.linalg import frobenius
-from circulant_qft.models import DegenerateSpectrumWarning, build_four_level
+from circulant_qft.models import build_four_level
 from circulant_qft.propagator import (
     adiabatic_phase_prediction,
     dynamical_phase_prediction,
@@ -25,7 +25,7 @@ from circulant_qft.schedule import (
 
 
 class ConstantPair:
-    """Frozen coefficients; any object with values(t), crossing_time()
+    """Frozen coefficients; any object with values(t), an attribute T
     and window_halfwidth() is a pulse pair to the propagator."""
 
     def __init__(self, f, g, T=1.0):
@@ -36,9 +36,6 @@ class ConstantPair:
     def values(self, t):
         t = np.asarray(t, dtype=float)
         return np.full_like(t, self.f), np.full_like(t, self.g)
-
-    def crossing_time(self):
-        return self.T
 
     def window_halfwidth(self):
         return 6.0 * self.T
@@ -206,8 +203,7 @@ class TestPredictPermutation:
     def test_degenerate_circulant_rejected_by_every_rank_match(self):
         # a real V makes two circulant eigenvalues coincide; the phase
         # prediction matches end states by the same rule, so it fails too
-        with pytest.warns(DegenerateSpectrumWarning):
-            h0, h1 = build_four_level(10.0, 10.0)
+        h0, h1 = build_four_level(10.0, 10.0)
         s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1)
         with pytest.raises(PhysicsError, match="H1 spectrum"):
             predict_permutation(s)
