@@ -28,14 +28,25 @@ dt_m of a batch.  A chunk holds CHUNK // m steps of m step lengths (one
 step of up to CHUNK step lengths, for large batches), so at most CHUNK
 step matrices are held at once however many there are; every chunk
 forms them in the same buffers (_Scratch), sized once per call for the
-global degree, which a thread keeps between calls.  Within a chunk it
-multiplies the step matrices between consecutive samples (and the
-chunk end) by balanced pairwise (tree) products, the segment products
-of a parallel-prefix scan (Blelloch, "Prefix Sums and Their
-Applications", CMU-CS-90-190, 1990).  Segments of equal length are
-reduced together, so no Python loop runs per step; only the short chain
-of segment products is sequential.  schedule.adiabaticity_report scans
-its grid in chunks of the same size.
+global degree, which a thread keeps between calls.  What does not depend
+on the chunk is set once per call: the sums, the table of the powers of
+x and y that weight each of them (a chunk of degree c takes the last
+(c + 1)(c + 2)/2 entries of both) and the buffers.  A chunk of degree d
+then costs d products of its bases (the x and y of each of its
+exponents) into their powers, two gathers of the powers into the weights
+of its terms, one matrix product of the weights with the sums, the s
+squarings and the tree products below.  Powers below NEGLIGIBLE are
+dropped, but the mask runs only in a chunk where one can fall below it,
+where the highest power of its smallest base is below 2 NEGLIGIBLE: in
+none of the 48 chunks of a paper_qpe benchmark pass and in 2 of the 16
+of a ring8_qpe pass.  Within a chunk it multiplies the step matrices
+between consecutive samples (and the chunk end) by balanced pairwise
+(tree) products, the segment products of a parallel-prefix scan
+(Blelloch, "Prefix Sums and Their Applications", CMU-CS-90-190, 1990).
+The segments are planned in plain Python ints, and segments of equal
+length are reduced together, so no Python loop runs per step; only the
+short chain of segment products is sequential.
+schedule.adiabaticity_report scans its grid in chunks of the same size.
 
 Stepping runs in real arithmetic.  Every power sum, step matrix,
 squaring, tree product and accumulated propagator is held as the real
@@ -65,8 +76,8 @@ CHUNK = 1024  # step matrices (or adiabaticity scan points) held at once
 # halvings the amplified remainder could exceed UNITARITY_TOL (26).
 ROUNDOFF = np.finfo(float).eps / 2
 MAX_HALVINGS = int(math.log2(UNITARITY_TOL / ROUNDOFF))
-# Series weights below this are dropped: far below the roundoff, they
-# would only carry products into the slow subnormal range.
+# Powers of the series bases below this are dropped: far below the
+# roundoff, they would only carry products into the slow subnormal range.
 NEGLIGIBLE = 2.0**-200
 # Bytes of chunk buffers a thread keeps between propagate calls (a few MiB
 # at n = 8); larger sets are freed when their call ends.
@@ -129,11 +140,17 @@ def _tree_product(mats, scratch):
     return mats[0]
 
 
-def _runs(values):
-    """(value, count) for each run of equal consecutive values."""
-    starts = np.flatnonzero(np.diff(values, prepend=values[0] - 1))
-    counts = np.diff(starts, append=len(values))
-    return zip(values[starts].tolist(), counts.tolist())
+def _segments(start, ends):
+    """(length, count) for each run of equally long segments among those
+    from start to each of the ascending ends, in plain ints."""
+    runs = []
+    for end in ends:
+        if runs and runs[-1][0] == end - start:
+            runs[-1][1] += 1
+        else:
+            runs.append([end - start, 1])
+        start = end
+    return runs
 
 
 def _degree(theta):
@@ -165,15 +182,17 @@ def _complex_form(r):
 def _taylor(h0, h1, a, b, dts):
     """What every step matrix exp(-i dt_m (a_k H0 + b_k H1)) shares.
 
-    Returns (sums, x, y, ratios, halvings).  sums[l] is the real form, a
-    (2n, 2n) array, of the power sum S[j - q, q] * (-i)^j / j! for the
-    degree j and H1 count q of the l-th entry of np.tril_indices(d + 1)
-    counted from the end: the highest degree comes first, so every entry
-    of a step matrix adds its smallest terms first, which keeps its
-    roundoff, and so its loss of unitarity, near that of a Horner
-    evaluation.  The degree d is the one the largest step needs; the last
-    (c + 1)(c + 2)/2 entries are the series of a lower degree c, so a
-    chunk of smaller steps takes that tail (_accumulate).  Step (m, k) is
+    Returns (sums, exponents, x, y, ratios, halvings).  sums[l] is the
+    real form, a (2n, 2n) array, of the power sum S[j - q, q] * (-i)^j / j!
+    for the degree j and H1 count q of the l-th entry of
+    np.tril_indices(d + 1) counted from the end: the highest degree comes
+    first, so every entry of a step matrix adds its smallest terms first,
+    which keeps its roundoff, and so its loss of unitarity, near that of a
+    Horner evaluation.  exponents[:, l] is (j - q, q), the powers of x and
+    y that weight sums[l].  The degree d is the one the largest step
+    needs; the last (c + 1)(c + 2)/2 entries of both are the series of a
+    lower degree c, so a chunk of smaller steps takes that tail
+    (_accumulate).  Step (m, k) is
     the series in ratios[m] * (x[k] H0^ + y[k] H1^), whose norm is at
     most |ratios[m]| (|x[k]| + |y[k]|) <= 1, squared `halvings` times.
     """
@@ -201,31 +220,42 @@ def _taylor(h0, h1, a, b, dts):
         level = nxt * (-1j / j)
         levels.append(level)
     sums = _real_form(np.concatenate(levels)[::-1])
+    j, q = np.tril_indices(degree + 1)
+    exponents = np.stack([j - q, q])[:, ::-1]
     step = dt_max / 2**halvings
     ratios = dts / dt_max if dt_max else dts  # dts all 0: every step is I
-    return sums, a * (step * rho0), b * (step * rho1), ratios, halvings
+    return (sums, exponents, a * (step * rho0), b * (step * rho1), ratios,
+            halvings)
 
 
-def _step_matrices(sums, x, y, ratios, halvings, scratch):
+def _step_matrices(sums, exponents, x, y, ratios, halvings, scratch):
     """exp(-i dt_m (a_k H0 + b_k H1)) at [m, k] for every step length
     dt_m and every k, from the Taylor parts of _taylor (x and y cut to
-    the steps wanted, sums to the tail of the degree they need; the
-    degree is read from len(sums)).  The result is a view into scratch's
-    buffers, in real form."""
+    the steps wanted, sums and exponents to the tail of the degree they
+    need; the degree is read from len(sums)).  The result is a view into
+    scratch's buffers, in real form."""
     m, k, w = len(ratios), len(x), sums.shape[1]
-    degree, q = (i[::-1] for i in np.tril_indices(math.isqrt(2 * len(sums))))
-    # powers[p] holds (r_m x_k)^p and (r_m y_k)^p, flattened over (m, k)
-    base = np.stack([np.outer(ratios, x).ravel(), np.outer(ratios, y).ravel()])
-    powers = scratch.view("powers", (degree[0] + 1,) + base.shape)
+    degree = math.isqrt(2 * len(sums)) - 1
+    # bases holds r_m x_k and r_m y_k, powers[p] their p-th powers,
+    # flattened over (m, k)
+    bases = scratch.view("bases", (2, m, k))
+    np.multiply.outer(ratios, x, out=bases[0])
+    np.multiply.outer(ratios, y, out=bases[1])
+    bases = bases.reshape(2, m * k)
+    powers = scratch.view("powers", (degree + 1, 2, m * k))
     powers[0] = 1.0
-    for p in range(1, len(powers)):
-        np.multiply(powers[p - 1], base, out=powers[p])
-        powers[p][np.abs(powers[p]) < NEGLIGIBLE] = 0.0
+    # no |base| exceeds 1, so the smallest power is the highest one of the
+    # smallest base; twice NEGLIGIBLE covers the roundoff of the products
+    masked = float(np.abs(bases).min()) ** degree < 2 * NEGLIGIBLE
+    for p in range(1, degree + 1):
+        np.multiply(powers[p - 1], bases, out=powers[p])
+        if masked:
+            powers[p][np.abs(powers[p]) < NEGLIGIBLE] = 0.0
     # take in a mode other than "raise" writes straight into out; the
     # indices are in range, so the mode changes nothing else
     weights = scratch.view("weights", (len(sums), m * k))
-    np.take(powers[:, 0], degree - q, axis=0, out=weights, mode="clip")
-    weights *= np.take(powers[:, 1], q, axis=0, mode="clip",
+    np.take(powers[:, 0], exponents[0], axis=0, out=weights, mode="clip")
+    weights *= np.take(powers[:, 1], exponents[1], axis=0, mode="clip",
                        out=scratch.view("weights_q", weights.shape))
     mats = scratch.view("mats0", (m, k, w, w))
     np.matmul(weights.T, sums.reshape(len(sums), -1),
@@ -248,38 +278,45 @@ def _reserve_series(scratch, terms, width):
     (the widest chunk).  Chunk degrees rise and fall along a pulse, so
     buffers grown on demand would be allocated again at each higher degree
     met, every growth freeing the smaller buffer."""
+    scratch.reserve("bases", 2 * width)
     scratch.reserve("powers", math.isqrt(2 * terms) * 2 * width)
     scratch.reserve("weights", terms * width)
     scratch.reserve("weights_q", terms * width)
 
 
-def _accumulate(sums, x, y, ratios, halvings, sample_idx, scratch):
+def _accumulate(sums, exponents, x, y, ratios, halvings, sample_idx,
+                scratch):
     """(u_samples, u_final) of propagate for at most CHUNK step lengths.
 
     Each chunk's series stops at the degree its largest exponent needs.
     U is held in real form and read back as complex at the end."""
     m, w = len(ratios), sums.shape[1]
-    norms, r_max = np.abs(x) + np.abs(y), float(np.abs(ratios).max())
+    r_max = float(np.abs(ratios).max())
     eye = np.eye(w)
     u = np.repeat(eye[None], m, axis=0)
-    samples = np.empty((m, len(sample_idx), w, w))
-    s = int(np.searchsorted(sample_idx, 0, side="right"))
+    at = sample_idx.tolist()
+    samples = np.empty((m, len(at), w, w))
+    s = 1 if at[:1] == [0] else 0  # a sample at step 0 is the identity
     samples[:, :s] = eye
-    chunk = _chunk_steps(m)
-    for start in range(0, len(x), chunk):
-        stop = min(start + chunk, len(x))
+    starts = range(0, len(x), _chunk_steps(m))
+    peaks = np.maximum.reduceat(np.abs(x) + np.abs(y), starts).tolist()
+    for start, stop, peak in zip(starts, [*starts[1:], len(x)], peaks):
         # sums ends with the terms of degree <= d, smallest first; a d
         # above the degree of sums (by roundoff) takes all of it
-        d = _degree(float(norms[start:stop].max()) * r_max)
-        mats = _step_matrices(sums[-(d + 1) * (d + 2) // 2:], x[start:stop],
-                              y[start:stop], ratios, halvings, scratch)
-        last = int(np.searchsorted(sample_idx, stop, side="right"))
+        d = _degree(peak * r_max)
+        terms = (d + 1) * (d + 2) // 2
+        mats = _step_matrices(sums[-terms:], exponents[:, -terms:],
+                              x[start:stop], y[start:stop], ratios, halvings,
+                              scratch)
+        last = s
+        while last < len(at) and at[last] <= stop:
+            last += 1
         # the samples in this chunk, ascending, and the chunk end
-        ends = sample_idx[s:last]
-        if not ends.size or ends[-1] != stop:
-            ends = np.append(ends, stop)
+        ends = at[s:last]
+        if not ends or ends[-1] != stop:
+            ends.append(stop)
         pos = 0
-        for length, count in _runs(np.diff(ends, prepend=start)):
+        for length, count in _segments(start, ends):
             block = mats[:, pos:pos + length * count].reshape(m, count, length, w, w)
             pos += length * count
             segments = _tree_product(np.moveaxis(block, 2, 0), scratch)
@@ -307,13 +344,13 @@ def propagate(h0, h1, a, b, dts, sample_idx):
     before any step matrix is formed, when the largest exponent needs
     more than MAX_HALVINGS halvings.
     """
-    sums, x, y, ratios, halvings = _taylor(h0, h1, a, b, dts)
+    sums, exponents, x, y, ratios, halvings = _taylor(h0, h1, a, b, dts)
     scratch = getattr(_kept, "scratch", None) or _Scratch()
     batches = [ratios[g:g + CHUNK] for g in range(0, len(dts), CHUNK)]
     _reserve_series(scratch, len(sums), max(
         len(r) * min(len(a), _chunk_steps(len(r))) for r in batches))
-    groups = [_accumulate(sums, x, y, r, halvings, sample_idx, scratch)
-              for r in batches]
+    groups = [_accumulate(sums, exponents, x, y, r, halvings, sample_idx,
+                          scratch) for r in batches]
     _kept.scratch = scratch if scratch.nbytes <= SCRATCH_KEEP else None
     samples = np.concatenate([group[0] for group in groups])
     u = np.concatenate([group[1] for group in groups])

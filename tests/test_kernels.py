@@ -350,7 +350,7 @@ def test_series_buffers_are_allocated_once_per_call(monkeypatch, scales):
     s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1)
     final_propagators(s, scales)
     assert len({terms for terms, _ in formed}) >= 3
-    for name in ("powers", "weights", "weights_q"):
+    for name in ("bases", "powers", "weights", "weights_q"):
         assert len(allocated[name]) == 1, name
 
 
@@ -390,9 +390,9 @@ def test_sweep_forms_about_half_the_terms_of_one_global_degree(monkeypatch,
     work, series = [], []
     step_matrices, taylor = _kernels._step_matrices, _kernels._taylor
 
-    def counting(sums, x, y, ratios, *args):
+    def counting(sums, exponents, x, y, ratios, *args):
         work.append(len(sums) * len(x) * len(ratios))
-        return step_matrices(sums, x, y, ratios, *args)
+        return step_matrices(sums, exponents, x, y, ratios, *args)
 
     def recording(*args):
         parts = taylor(*args)
@@ -407,3 +407,134 @@ def test_sweep_forms_about_half_the_terms_of_one_global_degree(monkeypatch,
     final_propagators(s, [10.0, 20.0, 40.0])
     assert series == [105]  # degree 13
     assert sum(work) <= 0.6 * series[0] * 3 * s.steps
+
+
+def _runs(values):
+    """(value, count) for each run of equal consecutive values."""
+    starts = np.flatnonzero(np.diff(values, prepend=values[0] - 1))
+    counts = np.diff(starts, append=len(values))
+    return zip(values[starts].tolist(), counts.tolist())
+
+
+def _reference_step_matrices(sums, x, y, ratios, halvings, scratch):
+    """The step matrices of a chunk with their bookkeeping made per chunk:
+    the index table from np.tril_indices, the bases from np.outer and the
+    mask after every power, whatever the bases."""
+    m, k, w = len(ratios), len(x), sums.shape[1]
+    degree, q = (i[::-1] for i in np.tril_indices(math.isqrt(2 * len(sums))))
+    base = np.stack([np.outer(ratios, x).ravel(), np.outer(ratios, y).ravel()])
+    powers = scratch.view("powers", (degree[0] + 1,) + base.shape)
+    powers[0] = 1.0
+    for p in range(1, len(powers)):
+        np.multiply(powers[p - 1], base, out=powers[p])
+        powers[p][np.abs(powers[p]) < _kernels.NEGLIGIBLE] = 0.0
+    weights = scratch.view("weights", (len(sums), m * k))
+    np.take(powers[:, 0], degree - q, axis=0, out=weights, mode="clip")
+    weights *= np.take(powers[:, 1], q, axis=0, mode="clip",
+                       out=scratch.view("weights_q", weights.shape))
+    mats = scratch.view("mats0", (m, k, w, w))
+    np.matmul(weights.T, sums.reshape(len(sums), -1),
+              out=mats.reshape(m * k, w * w))
+    for i in range(halvings):
+        squared = scratch.view(f"mats{(i + 1) % 2}", mats.shape)
+        np.matmul(mats, mats, out=squared)
+        mats = squared
+    return mats
+
+
+def _reference_accumulate(sums, exponents, x, y, ratios, halvings,
+                          sample_idx, scratch):
+    """_accumulate with every chunk planned in numpy (searchsorted, append
+    and _runs) and stepped by _reference_step_matrices; exponents is not
+    read, as the reference rebuilds the index table per chunk."""
+    m, w = len(ratios), sums.shape[1]
+    norms, r_max = np.abs(x) + np.abs(y), float(np.abs(ratios).max())
+    eye = np.eye(w)
+    u = np.repeat(eye[None], m, axis=0)
+    samples = np.empty((m, len(sample_idx), w, w))
+    s = int(np.searchsorted(sample_idx, 0, side="right"))
+    samples[:, :s] = eye
+    chunk = _kernels._chunk_steps(m)
+    for start in range(0, len(x), chunk):
+        stop = min(start + chunk, len(x))
+        d = _kernels._degree(float(norms[start:stop].max()) * r_max)
+        mats = _reference_step_matrices(
+            sums[-(d + 1) * (d + 2) // 2:], x[start:stop], y[start:stop],
+            ratios, halvings, scratch)
+        last = int(np.searchsorted(sample_idx, stop, side="right"))
+        ends = sample_idx[s:last]
+        if not ends.size or ends[-1] != stop:
+            ends = np.append(ends, stop)
+        pos = 0
+        for length, count in _runs(np.diff(ends, prepend=start)):
+            block = mats[:, pos:pos + length * count].reshape(
+                m, count, length, w, w)
+            pos += length * count
+            segments = _kernels._tree_product(np.moveaxis(block, 2, 0),
+                                              scratch)
+            for segment in np.swapaxes(segments, 0, 1):
+                u = segment @ u
+                if s < last:
+                    samples[:, s] = u
+                    s += 1
+    return _kernels._complex_form(samples), _kernels._complex_form(u)
+
+
+def _assert_bitwise_reference(monkeypatch, h0, h1, a, b, dts, sample_idx):
+    """propagate gives the very bits of the per-chunk reference path."""
+    idx = np.array(sample_idx, dtype=np.int64)
+    result = _kernels.propagate(h0, h1, a, b, dts, idx)
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "_accumulate", _reference_accumulate)
+        reference = _kernels.propagate(h0, h1, a, b, dts, idx)
+    assert result[0].shape == (len(dts), len(idx)) + h0.shape
+    for got, want in zip(result, reference):
+        assert np.array_equal(got, want)
+
+
+# a sample at 0, a run of equal segments, the chunk boundaries of three
+# step lengths (BATCH_CHUNK) and of one (CHUNK), and the end
+REFERENCE_STEPS = CHUNK + 300
+REFERENCE_SAMPLES = [0, 5, 10, 15, BATCH_CHUNK, 500, CHUNK, REFERENCE_STEPS]
+
+
+def _pulse_case(h0, h1, steps, theta):
+    """Sech-masked coefficients over steps, and the step length at which
+    the largest exponent has norm theta."""
+    a, b = SechMaskedPair(T=1.0, tau=1.0).values(np.linspace(-6, 6, steps))
+    return a, b, theta / _theta(h0, h1, a, b, [1.0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+@pytest.mark.parametrize("scales", [[1.0], [1.0, 0.5, 3.7]])
+@pytest.mark.parametrize("sample_idx", [[], REFERENCE_SAMPLES],
+                         ids=["no_samples", "samples"])
+def test_propagate_is_bitwise_the_per_chunk_reference(monkeypatch, n, scales,
+                                                      sample_idx):
+    # theta 0.4 at scale 1 needs no halving, 1.48 at scale 3.7 one
+    rng = np.random.default_rng(n)
+    h0, h1 = random_hermitian(rng, n), random_hermitian(rng, n)
+    a, b, dt = _pulse_case(h0, h1, REFERENCE_STEPS, 0.4)
+    _assert_bitwise_reference(monkeypatch, h0, h1, a, b, dt * np.array(scales),
+                              sample_idx)
+
+
+@pytest.mark.parametrize("scales", [[1.0], [1.0, 0.5, 3.7]])
+def test_masked_chunk_is_bitwise_the_per_chunk_reference(monkeypatch, scales):
+    # The first ten steps are 1e-30 times their pulse, in a chunk whose
+    # peak needs degree 11: their bases are near 1e-32, so every power
+    # from the second on falls below NEGLIGIBLE and is dropped.  With
+    # real H0 and H1 the off-diagonal real parts of a step begin at the
+    # second order, so the sample after the ten steps carries the mask in
+    # its bits; a chunk stepped without it differs there.
+    rng = np.random.default_rng(5)
+    h0, h1 = (random_hermitian(rng, 4).real.astype(complex) for _ in range(2))
+    a, b, dt = _pulse_case(h0, h1, REFERENCE_STEPS, 0.4)
+    a[:10] *= 1e-30
+    b[:10] *= 1e-30
+    formed = _record_terms(monkeypatch)
+    _kernels.propagate(h0, h1, a, b, dt * np.array(scales), NO_SAMPLES)
+    assert math.isqrt(2 * formed[0][0]) - 1 >= 7
+    monkeypatch.undo()
+    _assert_bitwise_reference(monkeypatch, h0, h1, a, b, dt * np.array(scales),
+                              [0, 10] + REFERENCE_SAMPLES[4:])
