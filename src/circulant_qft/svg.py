@@ -109,14 +109,14 @@ def write_line_plot(path, x, series, title="", xlabel="", ylabel=""):
             f'transform="rotate(-90 18 {cy:.1f})">{ylabel}</text>'
         )
 
-    # one %-format per polyline, over interleaved pixel coordinates
-    points_fmt = " ".join(["%.2f,%.2f"] * len(x))
-    xy = np.empty((len(x), 2))
-    xy[:, 0] = px(x)
+    # every polyline shares the x pixels: they are formatted once, into
+    # one %-format ("70.00,%.2f 70.03,%.2f ...") that each polyline fills
+    # with its y pixels; a formatted x holds no % and no space
+    xs = ("%.2f " * len(x) % tuple(px(x).tolist())).split()
+    points_fmt = ",%.2f ".join(xs) + ",%.2f"
     for idx, (name, y) in enumerate(ys.items()):
         color = PALETTE[idx % len(PALETTE)]
-        xy[:, 1] = py(y)
-        points = points_fmt % tuple(xy.ravel().tolist())
+        points = points_fmt % tuple(py(y).tolist())
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'
@@ -133,5 +133,5 @@ def write_line_plot(path, x, series, title="", xlabel="", ylabel=""):
         )
 
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

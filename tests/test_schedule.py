@@ -349,6 +349,23 @@ class TestBatchedScan:
         assert report.max_coupling == pytest.approx(coupling_trace.max(), **close)
         assert report.margin == pytest.approx(margin, **close)
 
+    @pytest.mark.parametrize("ratio, warns", [(0.75, True), (1.2, False)])
+    def test_degeneracy_threshold_scales_with_frobenius_norm(self, ratio, warns):
+        # with H1 = 0, H(t) = f(t) H0: every point has the gap-to-||H||_F
+        # ratio of H0.  For these levels max|eps| is 0.57 ||H0||_F and
+        # sum|eps| 1.89 ||H0||_F, so either scale would flip one case.
+        levels = np.array([-1.0, -1.0, 1 / 3, 1.0])
+        levels[1] += ratio * CLUSTER_GAP_RTOL * np.linalg.norm(levels)
+        h0 = np.diag(levels.astype(complex))
+        steps = 2 * _kernels.CHUNK + 36
+        report = adiabaticity_report(Schedule(
+            pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0), steps=steps))
+        flagged = [(time, text.split(" (")[0])
+                   for time, text in report.degeneracy_warnings]
+        expected = [(float(time), "eigenvalues 0 and 1 degenerate")
+                    for time in report.times] if warns else []
+        assert flagged == expected
+
     def test_edge_cases_are_exercised(self, paper_model):
         steps = 2 * _kernels.CHUNK + 36
         uncoupled = adiabaticity_report(_uncoupled_schedule(paper_model, steps))
@@ -371,22 +388,26 @@ def reference_polyline_points(x, y, x_lo, x_hi, y_lo, y_hi):
         for xv, yv in zip(x, y))
 
 
-def test_line_plot_points_match_per_point_formatter(tmp_path):
-    rng = np.random.default_rng(7)
-    # 20 001 points is eigentraj's dense grid
-    for points in (500, 20001):
-        x = np.sort(rng.uniform(-6, 6, points))
-        series = {"a": rng.standard_normal(points),
-                  "b": np.cumsum(rng.uniform(-1, 1, points))}
-        svg.write_line_plot(tmp_path / "plot.svg", x, series, title="t")
-        text = (tmp_path / "plot.svg").read_text()
-        all_y = np.concatenate(list(series.values()))
-        pad = 0.05 * (all_y.max() - all_y.min())
-        expected = [reference_polyline_points(x, y, x.min(), x.max(),
-                                              all_y.min() - pad,
-                                              all_y.max() + pad)
-                    for y in series.values()]
-        assert re.findall(r'<polyline points="([^"]*)"', text) == expected
+# 20 001 points is eigentraj's dense grid, and 4 series its four levels
+@pytest.mark.parametrize("points", [2, 3, 500, 20001])
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_line_plot_points_match_per_point_formatter(tmp_path, count, points):
+    rng = np.random.default_rng([7, count, points])
+    x = np.sort(rng.uniform(-6, 6, points))
+    series = {"a": rng.standard_normal(points),
+              "b": np.cumsum(rng.uniform(-1, 1, points)),
+              "c": rng.uniform(-1e3, 1e3, points),
+              "d": rng.standard_normal(points) * 1e-3}
+    series = dict(list(series.items())[:count])
+    svg.write_line_plot(tmp_path / "plot.svg", x, series, title="t")
+    text = (tmp_path / "plot.svg").read_text()
+    all_y = np.concatenate(list(series.values()))
+    pad = 0.05 * (all_y.max() - all_y.min())
+    expected = [reference_polyline_points(x, y, x.min(), x.max(),
+                                          all_y.min() - pad,
+                                          all_y.max() + pad)
+                for y in series.values()]
+    assert re.findall(r'<polyline points="([^"]*)"', text) == expected
 
 
 @pytest.mark.parametrize("x", [3.7, 52.5, 100.0, 1e-300])
