@@ -7,13 +7,16 @@ program's matrix products are small, and OpenBLAS splitting them across
 threads makes them slower, not faster.  Setting any one of the three
 leaves all three to the user.
 
-Exit.  run() exits with main()'s exit code, or with 1 when stdout is
-closed before the output is written (`circulant-qft models ... | head -c
-20`), without a traceback, as Python's signal documentation advises for
-a broken pipe; output files already written stay.  Before exiting it
-disables the garbage collector and freezes every live object, so the
-interpreter's shutdown collections do not traverse objects the OS is
-about to free.  atexit handlers and the flushes of the standard streams
+Exit.  run() exits with main()'s exit code, or with 1 when stdout
+cannot take the output: quietly when it is closed before the output is
+written (`circulant-qft models ... | head -c 20`), as Python's signal
+documentation advises for a broken pipe, and with one `output error:
+...` line on stderr when a write fails for any other reason (`>
+/dev/full`), as main() reports an output file that cannot be written.
+Neither prints a traceback, and output files already written stay.
+Before exiting it disables the garbage collector and freezes every live
+object, so the interpreter's shutdown collections do not traverse
+objects the OS is about to free.  atexit handlers and the flushes of the standard streams
 still run.  main() itself, which tests and the benchmark call in
 process, keeps its collector.
 """
@@ -23,22 +26,24 @@ import os
 import sys
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-EXIT_STDOUT_CLOSED = 1
 
 if not any(var in os.environ for var in BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
-from .cli import main  # noqa: E402  (loads numpy, after the thread count)
+# loads numpy, so it comes after the thread count
+from .cli import EXIT_OUTPUT, main  # noqa: E402
 
 
 def run():
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:  # main() lets only a closed stdout through
         # the shutdown flush would raise again: send what is left nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_STDOUT_CLOSED
+        if not isinstance(exc, BrokenPipeError):
+            print(f"output error: {exc}", file=sys.stderr)
+        code = EXIT_OUTPUT
     gc.disable()
     gc.freeze()
     sys.exit(code)

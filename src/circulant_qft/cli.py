@@ -5,10 +5,11 @@ declared once in _COMMANDS with its config keys.  The config is a run's
 only input besides --out and --svg.  Each run writes CSV files with a
 fixed 12-significant-digit float format plus a .meta.json sidecar
 echoing the config, so identical configs produce byte-identical outputs.
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 violated
-physics precondition.  Only evolve, qpe and sweep import the propagator,
-and through it scipy.sparse.csgraph (over half of a cold start); the
-other commands import numpy but no scipy.
+Exit codes: 0 success, 1 an output that cannot be written, 2 config
+error, 3 numerical failure, 4 violated physics precondition.  Only
+evolve, qpe and sweep import the propagator, and through it
+scipy.sparse.csgraph (over half of a cold start); the other commands
+import numpy but no scipy.
 """
 
 import argparse
@@ -40,6 +41,7 @@ from .schedule import (
 )
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_PHYSICS = 4
@@ -72,8 +74,8 @@ def _stepping_steps(n):
 def _evolve_steps(n):
     """Most steps for evolve: it steps as qpe does, but its doubled-step
     rerun holds 2 steps coefficients, and its phase prediction n x n
-    eigenvectors at each of 2 ceil(steps / 8) + 1 points."""
-    return min(_stepping_steps(n) // 2, 8 * (_scan_steps(n) // 2))
+    eigenvectors at each of 4 ceil(steps / 32) + 1 points."""
+    return min(_stepping_steps(n) // 2, 32 * (_scan_steps(n) // 4))
 
 
 def __getattr__(name):
@@ -605,6 +607,13 @@ def main(argv=None):
     except PhysicsError as exc:
         print(f"physics precondition violated: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
+    except BrokenPipeError:
+        raise  # stdout is closed: __main__.run() ends the process quietly
+    except OSError as exc:
+        # load_config and the --out mkdir raise theirs as ConfigError, so
+        # this one came from writing a CSV, SVG or .meta.json, or stdout
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -28,9 +28,11 @@ and adiabatic_phase_prediction predicts alpha from the instantaneous
 eigensystem: the quasienergy integral (dynamical part, also available
 alone as dynamical_phase_prediction) plus the open-path geometric phase
 of parallel transport along each eigenvalue branch.  Both parts are taken
-on the phase grid of 2 ceil(steps / 8) + 1 points, a quarter of the
-schedule's grid, by Simpson's rule and by a Richardson step on the
-wrapped transport phase, so both are fourth order in its spacing.
+on the phase grid of 4 ceil(steps / 32) + 1 points, an eighth of the
+schedule's grid, by two Romberg levels over the spacings h, 2h and 4h:
+Boole's rule for the quasienergy integral, and the same two levels with
+every difference wrapped for the transport phase, so both are sixth
+order in the spacing.
 """
 
 from dataclasses import dataclass
@@ -284,10 +286,11 @@ _ENDS = {FORWARD: ("H0", "H1", 1.0), INVERSE: ("H1", "H0", -1.0)}
 
 
 def _phase_grid(s):
-    """The grid of the phase prediction: 2m + 1 uniform points over the
-    window, m = ceil(steps / 8).  The even number of links makes every
-    other point a grid of twice the spacing for the Richardson step."""
-    return np.linspace(*s.window, 2 * -(-s.steps // 8) + 1)
+    """The grid of the phase prediction: 4m + 1 uniform points over the
+    window, m = ceil(steps / 32).  The number of links is a multiple of
+    four, so every other and every fourth point make grids of twice and
+    four times the spacing for the two Romberg levels."""
+    return np.linspace(*s.window, 4 * -(-s.steps // 32) + 1)
 
 
 def _branches(s):
@@ -295,8 +298,9 @@ def _branches(s):
 
     Returns (label, dynamical, v): label[k] is the start state of the
     branch of rank k, dynamical the quasienergy integral of each branch
-    by Simpson's rule on the phase grid (the trapezoid rule plus a third
-    of its difference from the trapezoid rule on every other point),
+    by Boole's rule on the phase grid (trapezoid rules T_h, T_2h and T_4h
+    on every, every other and every fourth point; R(h) = T_h + (T_h -
+    T_2h) / 3 is Simpson's rule, and R(h) + (R(h) - R(2h)) / 15 Boole's),
     indexed by its start state, signed as in the factorization and
     wrapped, and v the eigenvectors of H(t) on the phase grid in
     ascending eigenvalue order.  Tracking by rank is invalid where two
@@ -319,9 +323,11 @@ def _branches(s):
 
     start, _, sign = _ENDS[s.direction]
     label = _by_rank(s, start)
-    fine, coarse = (np.trapezoid(w[::k], t[::k], axis=0) for k in (1, 2))
+    fine, mid, coarse = (np.trapezoid(w[::k], t[::k], axis=0)
+                         for k in (1, 2, 4))
+    fine, coarse = fine + (fine - mid) / 3, mid + (mid - coarse) / 3
     dynamical = np.empty(s.dim)
-    dynamical[label] = -sign * (fine + (fine - coarse) / 3)
+    dynamical[label] = -sign * (fine + (fine - coarse) / 15)
     return label, _wrap(dynamical), v
 
 
@@ -342,14 +348,15 @@ def adiabatic_phase_prediction(s):
 
     Tracks each eigenvalue branch by rank across the phase grid (valid
     while there are no crossings).  The state following the branch of
-    rank r picks up the dynamical phase -int eps_r dt (Simpson's rule)
-    and a geometric phase from discrete parallel transport: the phase of
-    the start state on the branch eigenvector, the summed link angles
+    rank r picks up the dynamical phase -int eps_r dt (Boole's rule) and
+    a geometric phase from discrete parallel transport: the phase of the
+    start state on the branch eigenvector, the summed link angles
     arg<v_k|v_k+1> and the phase of the end state on the last
     eigenvector.  That wrapped transport phase G is taken on the phase
-    grid (G_h) and on every other point (G_2h) and extrapolated to
-    G_h + wrap(G_h - G_2h) / 3, so both parts are fourth order in the
-    grid spacing.  Start and end states are matched by the rank rule of
+    grid (G_h), on every other point (G_2h) and on every fourth (G_4h),
+    and extrapolated in two levels, G1(h) = G_h + wrap(G_h - G_2h) / 3
+    and then G1(h) + wrap(G1(h) - G1(2h)) / 15, so both parts are sixth
+    order in the grid spacing.  Start and end states are matched by the rank rule of
     predict_permutation: a forward branch runs from the basis state of
     rank r in H0 to the DFT column of rank r in the circulant spectrum,
     an inverse branch the other way round, and a degenerate spectrum
@@ -362,9 +369,10 @@ def adiabatic_phase_prediction(s):
     start, end, sign = _ENDS[s.direction]
     states = {"H0": np.eye(s.dim), "H1": dft_matrix(s.dim)}
     ends = (states[start][:, label], states[end][:, _by_rank(s, end)])
-    fine, coarse = _transport(v, *ends), _transport(v[::2], *ends)
+    fine, mid, coarse = (_transport(v[::k], *ends) for k in (1, 2, 4))
+    fine, coarse = fine + _wrap(fine - mid) / 3, mid + _wrap(mid - coarse) / 3
     geometric = np.empty(s.dim)
-    geometric[label] = sign * (fine + _wrap(fine - coarse) / 3)
+    geometric[label] = sign * (fine + _wrap(fine - coarse) / 15)
     return AdiabaticPhases(dynamical=dynamical, geometric=_wrap(geometric))
 
 

@@ -638,12 +638,12 @@ class TestStepCounts:
 
     # each command's largest array at n = 4: eigentraj's (steps + 1) * 16
     # stacked Hamiltonian values, evolve's phase grid of
-    # (2 ceil(steps / 8) + 1) * 16 eigenvector values, sweep's coefficients
+    # (4 ceil(steps / 32) + 1) * 16 eigenvector values, sweep's coefficients
     # of its exponentials, one per step
     @pytest.mark.parametrize("command, payload, limit", [
         ("eigentraj", {**FOUR_LEVEL, "steps": 10**12}, 1048575),
-        ("evolve", {**FOUR_LEVEL, "steps": 10**12}, 4194296),
-        ("evolve", {**FOUR_LEVEL, "steps": 10**400}, 4194296),
+        ("evolve", {**FOUR_LEVEL, "steps": 10**12}, 8388576),
+        ("evolve", {**FOUR_LEVEL, "steps": 10**400}, 8388576),
         ("sweep", {**SWEEP_CONFIG, "steps": 10**12}, 2**24),
     ], ids=["eigentraj", "evolve", "evolve_beyond_float", "sweep"])
     def test_rejects_oversized_grid_before_allocating(
@@ -657,7 +657,7 @@ class TestStepCounts:
 
     @pytest.mark.parametrize("command, payload", [
         ("adiabaticity", {**FOUR_LEVEL, "steps": 1048576}),
-        ("evolve", {**FOUR_LEVEL, "steps": 4194297}),
+        ("evolve", {**FOUR_LEVEL, "steps": 8388577}),
         ("qpe", {**QPE_CONFIG, "steps": 2**24 + 1}),
     ], ids=["adiabaticity", "evolve", "qpe"])
     def test_rejects_one_step_past_the_bound(self, tmp_path, capsys,
@@ -1000,7 +1000,8 @@ class TestImportSplit:
 class TestEntryPoint:
     """`python -m circulant_qft`, which the `circulant-qft` script shares:
     run() ends the process with main()'s outputs and exit code, exits 1
-    when stdout is closed, and defaults BLAS to one thread."""
+    when stdout is closed or an output cannot be written, and defaults
+    BLAS to one thread."""
 
     @pytest.mark.parametrize("command, payload, code", [
         ("models", {"model": SIX_LEVEL_MODEL}, 0),
@@ -1049,6 +1050,52 @@ class TestEntryPoint:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, "")
+
+    # as above: buffered, at run()'s flush; unbuffered, inside main()
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_full_stdout_exits_1_with_one_line(self, tmp_path, unbuffered):
+        cfg = write_config(tmp_path, {"model": SIX_LEVEL_MODEL})
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "circulant_qft", "models",
+                 "--config", cfg, "--out", str(tmp_path)],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env=fresh_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            1, "output error: [Errno 28] No space left on device\n")
+        assert (tmp_path / "models.meta.json").is_file()
+
+    def test_unwritable_output_file_exits_1_with_one_line(self, tmp_path):
+        # a directory squats on the sidecar, the first file models writes
+        cfg = write_config(tmp_path, {"model": SIX_LEVEL_MODEL})
+        (tmp_path / "out" / "models.meta.json").mkdir(parents=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "circulant_qft", "models",
+             "--config", cfg, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=fresh_env(), timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("output error: [Errno 21] ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command, payload, squatted", [
+        ("eigentraj", FOUR_LEVEL, "eigentraj.csv"),
+        ("eigentraj", FOUR_LEVEL, "eigentraj.svg"),
+        ("qpe", QPE_CONFIG, "qpe_trace.meta.json"),
+    ], ids=["csv", "svg", "meta"])
+    def test_unwritable_output_returns_1_in_process(
+            self, tmp_path, capsys, command, payload, squatted):
+        cfg = write_config(tmp_path, payload)
+        (tmp_path / "out" / squatted).mkdir(parents=True)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     *(["--svg"] if squatted.endswith(".svg") else [])]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("output error: ") and squatted in err
+        assert err.count("\n") == 1
 
     BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     SHOW_BLAS = ("import os, circulant_qft.__main__\n"

@@ -158,7 +158,7 @@ def test_base_config_runs(name):
     assert exit_code(*CONFIGS[name]) == 0
 
 
-# the fewest steps give the phase prediction its smallest grid, 3 points
+# the fewest steps give the phase prediction its smallest grid, 5 points
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_coarsest_phase_grid_predicts_finite_alpha(steps, tmp_path):
     path = tmp_path / "config.json"
