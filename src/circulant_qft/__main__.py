@@ -13,7 +13,8 @@ written (`circulant-qft models ... | head -c 20`), as Python's signal
 documentation advises for a broken pipe, and with one `output error:
 ...` line on stderr when a write fails for any other reason (`>
 /dev/full`), as main() reports an output file that cannot be written.
-Neither prints a traceback, and output files already written stay.
+Neither prints a traceback, and output files already written stay.  A
+stderr that cannot take a message loses it, never the exit code.
 Before exiting it disables the garbage collector and freezes every live
 object, so the interpreter's shutdown collections do not traverse
 objects the OS is about to free.  atexit handlers and the flushes of the standard streams
@@ -31,7 +32,7 @@ if not any(var in os.environ for var in BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 # loads numpy, so it comes after the thread count
-from .cli import EXIT_OUTPUT, main  # noqa: E402
+from .cli import EXIT_OUTPUT, _report, main  # noqa: E402
 
 
 def run():
@@ -42,7 +43,7 @@ def run():
         # the shutdown flush would raise again: send what is left nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
-            print(f"output error: {exc}", file=sys.stderr)
+            _report(f"output error: {exc}")
         code = EXIT_OUTPUT
     gc.disable()
     gc.freeze()

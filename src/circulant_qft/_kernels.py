@@ -268,8 +268,9 @@ def _step_matrices(sums, exponents, x, y, ratios, halvings, scratch):
 
 
 def _chunk_steps(m):
-    """Steps per chunk for a group of m step lengths."""
-    return max(1, CHUNK // m)
+    """Steps per chunk for a group of m <= CHUNK step lengths (propagate's
+    batches): at least one."""
+    return CHUNK // m
 
 
 def _reserve_series(scratch, terms, width):

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -337,28 +338,25 @@ def cmd_evolve(cfg, args):
     sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
                            FORWARD, _evolve_steps)
     predicted = adiabatic_phase_prediction(sched).alpha
-    result = evolve(sched)
-    factorization = factor_phased_dft(result.u_final, sched.direction)
+    _, samples, drift, convergence = evolve(sched)
+    u = samples[-1]
+    sigma, alpha, residual = factor_phased_dft(u, sched.direction)
 
     out = Path(args.out)
     n = sched.dim
-    rows = [
-        [str(i), str(j), np.abs(result.u_final[i, j]),
-         np.angle(result.u_final[i, j])]
-        for i in range(n) for j in range(n)
-    ]
+    rows = [[str(i), str(j), np.abs(u[i, j]), np.angle(u[i, j])]
+            for i in range(n) for j in range(n)]
     write_csv(out / "propagator.csv", ["row", "col", "modulus", "phase"], rows)
     write_csv(
         out / "factorization.csv",
         ["n", "sigma", "alpha", "alpha_predicted"],
-        [[str(k), str(int(factorization.sigma[k])), factorization.alpha[k],
-          predicted[k]] for k in range(n)],
+        [[str(k), str(int(sigma[k])), alpha[k], predicted[k]]
+         for k in range(n)],
     )
     write_meta(out / "propagator.meta.json", "evolve", cfg)
-    print(f"evolve: unitarity drift {result.unitarity_drift:.3e}, "
-          f"convergence estimate {result.convergence_estimate:.3e}")
-    print(f"factorization residual {factorization.residual:.6f}, "
-          f"sigma {factorization.sigma.tolist()}")
+    print(f"evolve: unitarity drift {drift:.3e}, "
+          f"convergence estimate {convergence:.3e}")
+    print(f"factorization residual {residual:.6f}, sigma {sigma.tolist()}")
     return EXIT_OK
 
 
@@ -534,7 +532,7 @@ def cmd_sweep(cfg, args):
     _, fidelities = register_readout(sigma, phi, r, inverse)
     rows = []
     for et, u, fidelity in zip(ets, forward, fidelities):
-        residual = factor_phased_dft(u, FORWARD).residual
+        _, _, residual = factor_phased_dft(u, FORWARD)
         rows.append([float(et), residual, fidelity])
         print(f"sweep: E*T = {_fmt(et)} -> residual {_fmt(residual)}, "
               f"fidelity {_fmt(fidelity)}")
@@ -586,6 +584,17 @@ def build_parser():
     return parser
 
 
+def _report(message):
+    """Print message on stderr.  A stderr that cannot take it loses the
+    message, never the exit code it reports: stderr then goes to the null
+    device, where the interpreter's shutdown flush of the bytes still
+    buffered succeeds (a failed one exits 120)."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     runner, _, _, allowed, required = _COMMANDS[args.command]
@@ -599,20 +608,20 @@ def main(argv=None):
         _check_keys("config", cfg, allowed, required)
         return runner(cfg, args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _report(f"config error: {exc}")
         return EXIT_CONFIG
     except (IntegrationError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _report(f"numerical failure: {exc}")
         return EXIT_NUMERICAL
     except PhysicsError as exc:
-        print(f"physics precondition violated: {exc}", file=sys.stderr)
+        _report(f"physics precondition violated: {exc}")
         return EXIT_PHYSICS
     except BrokenPipeError:
         raise  # stdout is closed: __main__.run() ends the process quietly
     except OSError as exc:
         # load_config and the --out mkdir raise theirs as ConfigError, so
         # this one came from writing a CSV, SVG or .meta.json, or stdout
-        print(f"output error: {exc}", file=sys.stderr)
+        _report(f"output error: {exc}")
         return EXIT_OUTPUT
 
 

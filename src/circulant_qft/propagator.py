@@ -12,14 +12,15 @@ eps/2 plus roundoff.  The stepping kernel (_kernels.propagate) checks
 ||U'U - I||_F at the recorded samples and at the end; every
 integration, evolve's and final_propagators', rejects a drift above
 UNITARITY_TOL or a non-finite propagator, and a step too long for
-squaring to stay inside UNITARITY_TOL.  final_propagators integrates
-the schedule's Hamiltonian scaled by each of several energies at once:
-E*H(t) only rescales each exponent, so one set of series terms serves
-every scale.
+squaring to stay inside UNITARITY_TOL.  evolve returns plain values,
+(times, u_samples, drift, convergence), whose last sample is U(t_max).
+final_propagators integrates the schedule's Hamiltonian scaled by each
+of several energies at once: E*H(t) only rescales each exponent, so one
+set of series terms serves every scale.
 
 In the adiabatic regime the final forward propagator is a DFT up to a
 basis renumbering sigma and per-column phases alpha; factor_phased_dft
-extracts (sigma, alpha) and the Frobenius residual of that description,
+returns (sigma, alpha) and the Frobenius residual of that description,
 taking sigma from one exact assignment over the column overlaps
 (scipy.sparse.csgraph's LAPJVsp matching, after Jonker & Volgenant,
 Computing 38, 325, 1987; its import is over half of a cold start),
@@ -65,26 +66,6 @@ _GAMMA = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0
 WEIGHTS = np.array([[_BETA, _GAMMA], [_GAMMA, _BETA]])
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
-    """Propagator samples and integration diagnostics.
-
-    times[k] is the time (an interval boundary) of u_samples[k]; u_final
-    is the propagator at the window end; unitarity_drift the worst
-    ||U'U - I||_F over the recorded samples and the end (a step's defect
-    persists, so no step escapes it); convergence_estimate the Frobenius
-    distance between the final propagators at the requested and doubled
-    interval counts, or NaN when the run was made without
-    convergence_check.
-    """
-
-    times: np.ndarray
-    u_samples: np.ndarray
-    u_final: np.ndarray
-    unitarity_drift: float
-    convergence_estimate: float
-
-
 def _intervals(steps):
     """CF4 intervals for a step count: two exponentials per interval."""
     return -(-steps // 2)
@@ -119,13 +100,17 @@ def evolve(s, convergence_check=True):
     """Integrate the schedule's propagator over its window.
 
     The window is cut into ceil(s.steps / 2) CF4 intervals of two
-    exponentials each.  About SAMPLES intermediate propagators are
-    recorded at interval boundaries, at a fixed stride; t_min and t_max
-    are always included.  When convergence_check is set, the integration
-    is repeated with twice the intervals and the difference of the final
-    propagators is reported (the extra run is discarded); callers that
-    do not read convergence_estimate turn it off, which saves two thirds
-    of the exponentials.
+    exponentials each.  Returns (times, u_samples, drift, convergence).
+    About SAMPLES intermediate propagators are recorded in u_samples at
+    interval boundaries, at a fixed stride, and times[k] is the time of
+    u_samples[k]; t_min and t_max are always included, so u_samples[-1]
+    is U(t_max).  drift is the worst ||U'U - I||_F over the samples and
+    the end (a step's defect persists, so no step escapes it).  When
+    convergence_check is set, the integration is repeated with twice the
+    intervals and convergence is the Frobenius distance between the two
+    final propagators (the extra run is discarded); otherwise it is NaN.
+    Callers that do not read it turn it off, which saves two thirds of
+    the exponentials.
     """
     intervals = _intervals(s.steps)
     sample_idx = np.arange(0, intervals + 1, max(1, intervals // SAMPLES))
@@ -133,48 +118,28 @@ def evolve(s, convergence_check=True):
         sample_idx = np.append(sample_idx, intervals)
 
     samples, u_final, drift = _integrate(s, intervals, sample_idx)
-    samples, u_final = samples[0], u_final[0]
     convergence = np.nan
     if convergence_check:
         _, u_fine, _ = _integrate(s, 2 * intervals, np.empty(0, dtype=np.int64))
-        convergence = frobenius(u_final - u_fine[0])
+        convergence = frobenius(u_final[0] - u_fine[0])
 
     t_min, t_max = s.window
     times = t_min + (t_max - t_min) * sample_idx / intervals
-    return EvolutionResult(
-        times=times,
-        u_samples=samples,
-        u_final=u_final,
-        unitarity_drift=float(drift),
-        convergence_estimate=float(convergence),
-    )
+    return times, samples[0], float(drift), float(convergence)
 
 
 def final_propagators(s, scales):
-    """U(t_max) of the schedule with its Hamiltonian scaled by each of scales.
+    """U(t_max) of the schedule with its Hamiltonian scaled by each of
+    scales, stacked along a leading axis over scales.
 
     One integration at the interval lengths h * scales serves every
     scale, over the same ceil(s.steps / 2) CF4 intervals as evolve, and
     every scale passes the same finite and unitarity checks.  No samples
-    are recorded and there is no convergence rerun.
+    are recorded and there is no convergence rerun.  At scale 1 it is
+    evolve's last sample up to roundoff: the products group differently.
     """
     return _integrate(s, _intervals(s.steps), np.empty(0, dtype=np.int64),
                       scales)[1]
-
-
-@dataclass(frozen=True)
-class PhasedDftFactorization:
-    """Renumbering sigma, phases alpha and the residual of the fit.
-
-    Forward: column n of the fitted matrix is exp(i alpha_n) times DFT
-    column sigma(n).  Inverse: the fitted matrix maps DFT column n to
-    exp(-i alpha_n) times basis state sigma(n).  alpha is reported in
-    (-pi, pi]; the residual is ||U - fit||_F and is never hidden.
-    """
-
-    sigma: np.ndarray
-    alpha: np.ndarray
-    residual: float
 
 
 def _assign_columns(weights):
@@ -194,13 +159,15 @@ def _assign_columns(weights):
 def factor_phased_dft(u, direction=FORWARD):
     """Fit U as a phased, renumbered DFT (or inverse DFT).
 
-    The renumbering is the bijection of largest total column overlap,
-    the phase of each matched overlap gives alpha, and the Frobenius
-    distance to the fitted matrix is reported as the residual.  Overlaps
-    that tie or nearly tie still give a fit, whose residual then shows
-    how far U is from every phased DFT (U = I has all overlaps 1/2 and
-    residual 2 at N = 4).  Any direction but FORWARD fits the inverse
-    DFT.
+    Returns (sigma, alpha, residual).  Forward: column n of the fit is
+    exp(i alpha_n) times DFT column sigma(n).  Any other direction fits
+    the inverse DFT: the fit maps DFT column n to exp(-i alpha_n) times
+    basis state sigma(n).  The renumbering is the bijection of largest
+    total column overlap, the phase of each matched overlap gives alpha,
+    in (-pi, pi], and the residual ||U - fit||_F is never hidden.
+    Overlaps that tie or nearly tie still give a fit, whose residual then
+    shows how far U is from every phased DFT (U = I has all overlaps 1/2
+    and residual 2 at N = 4).
     """
     u = np.asarray(u, dtype=np.complex128)
     defect = unitarity_defect(u)
@@ -221,8 +188,7 @@ def factor_phased_dft(u, direction=FORWARD):
         alpha = -np.angle(images[sigma, np.arange(n)])
         fit = np.zeros_like(u)
         fit[sigma, :] = np.exp(-1j * alpha)[:, None] * np.conj(f).T
-    residual = frobenius(u - fit)
-    return PhasedDftFactorization(sigma=sigma, alpha=alpha, residual=float(residual))
+    return sigma, alpha, float(frobenius(u - fit))
 
 
 def _by_rank(s, spectrum):

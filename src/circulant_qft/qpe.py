@@ -61,19 +61,19 @@ def run_qpe(s, phi, r):
 
     The caller passes an inverse-direction s on a model of dimension
     2^r, phi in [0, 1) and r >= 1; none of this is checked here.
-    Returns (times, fidelity, raw, relabeled): the sample times of the
-    evolution, whose last is the window end, the fidelity with phi's
-    target at each (register_readout), and the outcome probabilities of
-    the final state, read from amplitudes (no shot noise), over the
-    physical basis (raw) and by register value, with the renumbering
-    undone (relabeled).
+    Returns (times, fidelity, raw, relabeled): the sample times of
+    evolve, whose last is the window end, the fidelity with phi's target
+    at each (register_readout), and the outcome probabilities of the
+    state at the last sample, U(t_max), read from amplitudes (no shot
+    noise), over the physical basis (raw) and by register value, with
+    the renumbering undone (relabeled).  evolve gates the drift itself.
     """
     sigma = predict_permutation(s)
-    result = evolve(s, convergence_check=False)
-    states, fidelity = register_readout(sigma, phi, r, result.u_samples)
+    times, samples, _, _ = evolve(s, convergence_check=False)
+    states, fidelity = register_readout(sigma, phi, r, samples)
     raw = np.abs(states[-1]) ** 2
     # argsort inverts sigma: register value k is read at argsort(sigma)[k]
-    return result.times, fidelity, raw, raw[np.argsort(sigma)]
+    return times, fidelity, raw, raw[np.argsort(sigma)]
 
 
 def ideal_distribution(phi, r):

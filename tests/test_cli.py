@@ -535,8 +535,8 @@ def per_point_sweep(payload):
         h0, h1 = build_four_level(energy, energy * v_over_e)
         sched = Schedule(pulses=pair, h0=h0, h1=h1, window=window,
                          steps=payload["steps"])
-        u = evolve(sched, convergence_check=False).u_final
-        residual = factor_phased_dft(u, "forward").residual
+        _, samples, _, _ = evolve(sched, convergence_check=False)
+        _, _, residual = factor_phased_dft(samples[-1], "forward")
         _, fidelity, _, _ = run_qpe(
             dataclasses.replace(sched, direction="inverse"), payload["phi"], 2)
         rows.append((et, residual, fidelity[-1]))
@@ -592,9 +592,9 @@ class TestStepCounts:
         _, rows = read_csv(tmp_path / "qpe_trace.csv")
         assert [float(rows[0][0]), float(rows[-1][0])] == [-6.0, 6.0]
         h0, h1 = build_four_level(10.0, 10.0 * (1 + 1j / 3))
-        result = evolve(Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0),
-                                 h0=h0, h1=h1, steps=steps))
-        assert [result.times[0], result.times[-1]] == [-6.0, 6.0]
+        times, _, _, _ = evolve(Schedule(
+            pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1, steps=steps))
+        assert [times[0], times[-1]] == [-6.0, 6.0]
 
     # every point is the E = 1 model scaled by E, so one integration per
     # direction serves all points
@@ -1067,6 +1067,29 @@ class TestEntryPoint:
         assert (proc.returncode, proc.stderr) == (
             1, "output error: [Errno 28] No space left on device\n")
         assert (tmp_path / "models.meta.json").is_file()
+
+    # the message cannot be written: unbuffered, its write fails inside
+    # main(); buffered, the shutdown flush fails too.  The exit code stays.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command, payload, code", [
+        ("models", None, 2),
+        ("evolve", {**FOUR_LEVEL, "model": {"kind": "four_level", "E": 10.0,
+                                            "V": 10.0}}, 4),
+    ], ids=["config", "physics"])
+    def test_full_stderr_keeps_the_exit_code(self, tmp_path, command, payload,
+                                             code, unbuffered):
+        cfg = (write_config(tmp_path, payload) if payload
+               else str(tmp_path / "missing.json"))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "circulant_qft", command,
+                 "--config", cfg, "--out", str(tmp_path / "out")],
+                stdout=subprocess.PIPE, stderr=full, text=True,
+                env=fresh_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, "")
 
     def test_unwritable_output_file_exits_1_with_one_line(self, tmp_path):
         # a directory squats on the sidecar, the first file models writes
