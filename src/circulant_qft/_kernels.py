@@ -286,8 +286,9 @@ def _reserve_series(scratch, terms, width):
 
 
 def _accumulate(sums, exponents, x, y, ratios, halvings, sample_idx,
-                scratch):
-    """(u_samples, u_final) of propagate for at most CHUNK step lengths.
+                scratch, reverse):
+    """(u_samples, u_final, u_reversed) of propagate for at most CHUNK step
+    lengths; u_reversed is None unless reverse is set.
 
     Each chunk's series stops at the degree its largest exponent needs.
     U is held in real form and read back as complex at the end."""
@@ -295,6 +296,7 @@ def _accumulate(sums, exponents, x, y, ratios, halvings, sample_idx,
     r_max = float(np.abs(ratios).max())
     eye = np.eye(w)
     u = np.repeat(eye[None], m, axis=0)
+    vt = u.copy() if reverse else None  # the transpose of u_reversed
     at = sample_idx.tolist()
     samples = np.empty((m, len(at), w, w))
     s = 1 if at[:1] == [0] else 0  # a sample at step 0 is the identity
@@ -326,10 +328,16 @@ def _accumulate(sums, exponents, x, y, ratios, halvings, sample_idx,
                 if s < last:
                     samples[:, s] = u
                     s += 1
-    return _complex_form(samples), _complex_form(u)
+        if reverse:
+            # V <- V e_start ... e_stop-1, transposed: the tree product of
+            # the transposed step matrices, times V^T
+            vt = _tree_product(np.moveaxis(mats, 1, 0).swapaxes(2, 3),
+                               scratch) @ vt
+    return (_complex_form(samples), _complex_form(u),
+            _complex_form(vt.swapaxes(1, 2)) if reverse else None)
 
 
-def propagate(h0, h1, a, b, dts, sample_idx):
+def propagate(h0, h1, a, b, dts, sample_idx, reverse=False):
     """Ordered product of step exponentials: U <- exp(-i dt H_k) U for
     k = 0, 1, ..., with H_k = a_k H0 + b_k H1, for every step length dt in
     the 1-D array dts.  The caller picks the exponents; the propagator
@@ -338,12 +346,15 @@ def propagate(h0, h1, a, b, dts, sample_idx):
     Returns (u_samples, u_final, max_unitarity_drift); u_samples and
     u_final carry a leading axis over dts.  ``sample_idx`` holds strictly
     ascending step counts in [0, len(a)] at which U is recorded (0
-    records the identity).  The drift is the largest ||U'U - I||_F over
-    the samples and the end of every step length.  Checking there loses
-    nothing: unitary steps leave U'U unchanged, so a defect made by any
-    step is still present at the next sample.  Raises IntegrationError,
-    before any step matrix is formed, when the largest exponent needs
-    more than MAX_HALVINGS halvings.
+    records the identity).  With reverse set, a fourth entry holds the
+    same step exponentials multiplied in reverse order, e_0 e_1 ... e_K-1
+    for U = e_K-1 ... e_1 e_0, from the same step matrices.  The drift is
+    the largest ||U'U - I||_F over the samples and the end of every step
+    length (and the reversed product).  Checking there loses nothing:
+    unitary steps leave U'U unchanged, so a defect made by any step is
+    still present at the next sample.  Raises IntegrationError, before
+    any step matrix is formed, when the largest exponent needs more than
+    MAX_HALVINGS halvings.
     """
     sums, exponents, x, y, ratios, halvings = _taylor(h0, h1, a, b, dts)
     scratch = getattr(_kept, "scratch", None) or _Scratch()
@@ -351,15 +362,19 @@ def propagate(h0, h1, a, b, dts, sample_idx):
     _reserve_series(scratch, len(sums), max(
         len(r) * min(len(a), _chunk_steps(len(r))) for r in batches))
     groups = [_accumulate(sums, exponents, x, y, r, halvings, sample_idx,
-                          scratch) for r in batches]
+                          scratch, reverse) for r in batches]
     _kept.scratch = scratch if scratch.nbytes <= SCRATCH_KEEP else None
-    samples = np.concatenate([group[0] for group in groups])
-    u = np.concatenate([group[1] for group in groups])
-    checked = np.concatenate([samples, u[:, None]], axis=1)
+    samples, u, u_reversed = zip(*groups)
+    samples, u = np.concatenate(samples), np.concatenate(u)
+    u_reversed = np.concatenate(u_reversed) if reverse else None
+    checked = [samples, u_reversed]
+    if not (len(sample_idx) and sample_idx[-1] == len(a)):
+        checked.append(u)  # otherwise U(t_max) is the last sample
     eye = np.eye(h0.shape[0], dtype=np.complex128)
-    defects = np.linalg.norm(
-        np.conj(np.swapaxes(checked, 2, 3)) @ checked - eye, axis=(2, 3))
-    return samples, u, float(defects.max())
+    drift = max(float(np.linalg.norm(
+        np.conj(np.swapaxes(c, -2, -1)) @ c - eye, axis=(-2, -1)).max())
+        for c in checked if c is not None and c.size)
+    return (samples, u, drift) + ((u_reversed,) if reverse else ())
 
 
 def eigh_grid(h0, h1, a, b):

@@ -13,7 +13,6 @@ import numpy but no scipy.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -522,13 +521,11 @@ def cmd_sweep(cfg, args):
     # every sweep point is a four-level model, read by a two-qubit register
     phi, r = _phase_register(cfg.get("phi", 0.75), 2, 4)
     # the model at energy E is E times the E = 1 model, so one schedule
-    # integrated at every scale serves all points, in either direction
+    # integrated at every scale serves all points, in both directions
     sched = build_schedule(cfg, build_four_level(1.0, v_over_e), pulses,
                            FORWARD, _stepping_steps, max(energies))
     sigma = predict_permutation(sched)  # a degenerate spectrum stops here
-    forward = final_propagators(sched, energies)
-    inverse = final_propagators(dataclasses.replace(sched, direction=INVERSE),
-                                energies)
+    forward, inverse = final_propagators(sched, energies)
     _, fidelities = register_readout(sigma, phi, r, inverse)
     rows = []
     for et, u, fidelity in zip(ets, forward, fidelities):
@@ -584,19 +581,27 @@ def build_parser():
     return parser
 
 
-def _report(message):
-    """Print message on stderr.  A stderr that cannot take it loses the
-    message, never the exit code it reports: stderr then goes to the null
-    device, where the interpreter's shutdown flush of the bytes still
-    buffered succeeds (a failed one exits 120)."""
+def _report(message=None):
+    """Print message on stderr, if given, and flush stderr.  A stderr that
+    cannot take it loses the message, never the exit code it reports:
+    stderr then goes to the null device, where the interpreter's shutdown
+    flush of the bytes still buffered succeeds (a failed one exits 120)."""
     try:
-        print(message, file=sys.stderr)
+        if message is not None:
+            print(message, file=sys.stderr)
+        sys.stderr.flush()
     except OSError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        # argparse ignores a failed write of its usage error, but the bytes
+        # it left buffered would fail the shutdown flush
+        _report()
+        raise
     runner, _, _, allowed, required = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)

@@ -16,7 +16,10 @@ squaring to stay inside UNITARITY_TOL.  evolve returns plain values,
 (times, u_samples, drift, convergence), whose last sample is U(t_max).
 final_propagators integrates the schedule's Hamiltonian scaled by each
 of several energies at once: E*H(t) only rescales each exponent, so one
-set of series terms serves every scale.
+set of series terms serves every scale.  It returns both directions:
+every pulse pair has f(-t) = g(t), so the other direction applies the
+same exponentials in reverse order, and on a symmetric window one set
+of step matrices serves both.
 
 In the adiabatic regime the final forward propagator is a DFT up to a
 basis renumbering sigma and per-column phases alpha; factor_phased_dft
@@ -36,7 +39,7 @@ every difference wrapped for the transport phase, so both are sixth
 order in the spacing.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -71,9 +74,11 @@ def _intervals(steps):
     return -(-steps // 2)
 
 
-def _integrate(s, intervals, sample_idx, scales=(1.0,)):
+def _integrate(s, intervals, sample_idx, scales=(1.0,), reverse=False):
     """Samples and final propagators of scale * H(t) for every scale,
-    with a leading axis over scales, and their worst unitarity drift.
+    with a leading axis over scales, and their worst unitarity drift;
+    with reverse set, a fourth entry holds the product of the same
+    exponentials in reverse order (_kernels.propagate).
 
     The window is cut into `intervals` CF4 intervals; sample_idx holds
     interval boundaries (0 is t_min, intervals is t_max).
@@ -83,17 +88,17 @@ def _integrate(s, intervals, sample_idx, scales=(1.0,)):
     a, b = s.coefficients(t_min + h * (np.arange(intervals)[:, None] + NODES))
     # row k holds interval k's two exponents, in their order of application
     a, b = (a @ WEIGHTS.T).ravel(), (b @ WEIGHTS.T).ravel()
-    samples, u_final, drift = _kernels.propagate(
+    samples, u_final, drift, *u_reversed = _kernels.propagate(
         s.h0, s.h1, a, b, h * np.asarray(scales, dtype=float),
-        2 * np.asarray(sample_idx, dtype=np.int64)
+        2 * np.asarray(sample_idx, dtype=np.int64), reverse=reverse
     )
-    if not np.all(np.isfinite(u_final)):
+    if not all(np.all(np.isfinite(u)) for u in [u_final, *u_reversed]):
         raise IntegrationError("propagator contains non-finite entries")
     if drift > UNITARITY_TOL:
         raise IntegrationError(
             f"unitarity drift {drift:.3e} exceeds {UNITARITY_TOL:.1e}"
         )
-    return samples, u_final, drift
+    return samples, u_final, drift, *u_reversed
 
 
 def evolve(s, convergence_check=True):
@@ -130,16 +135,36 @@ def evolve(s, convergence_check=True):
 
 def final_propagators(s, scales):
     """U(t_max) of the schedule with its Hamiltonian scaled by each of
-    scales, stacked along a leading axis over scales.
+    scales, and U(t_max) of the same schedule run in the other direction,
+    each stacked along a leading axis over scales.
 
     One integration at the interval lengths h * scales serves every
     scale, over the same ceil(s.steps / 2) CF4 intervals as evolve, and
     every scale passes the same finite and unitarity checks.  No samples
-    are recorded and there is no convergence rerun.  At scale 1 it is
-    evolve's last sample up to roundoff: the products group differently.
+    are recorded and there is no convergence rerun.  At scale 1 the
+    first is evolve's last sample up to roundoff: the products group
+    differently.
+
+    The other direction swaps the pulses, and every pulse pair has
+    f(-t) = g(t), so its Hamiltonian at t is this one's at -t.  CF4's
+    nodes and weights are mirror-symmetric within each interval, so on
+    the mirrored window (-t_max, -t_min) the other direction applies
+    this direction's exponentials in reverse order: U = e_K-1 ... e_0
+    gives e_0 ... e_K-1 from the same step matrices.  A symmetric window
+    is its own mirror and needs one integration; any other window takes
+    the reversed product of a second one over its mirror.  Both agree
+    with a direct integration of the other direction to roundoff (the
+    mirrored nodes are rounded separately).
     """
-    return _integrate(s, _intervals(s.steps), np.empty(0, dtype=np.int64),
-                      scales)[1]
+    intervals, no_samples = _intervals(s.steps), np.empty(0, dtype=np.int64)
+    t_min, t_max = s.window
+    if t_min == -t_max:
+        _, u, _, u_other = _integrate(s, intervals, no_samples, scales, True)
+    else:
+        u = _integrate(s, intervals, no_samples, scales)[1]
+        mirrored = replace(s, window=(-t_max, -t_min))
+        u_other = _integrate(mirrored, intervals, no_samples, scales, True)[3]
+    return u, u_other
 
 
 def _assign_columns(weights):

@@ -10,7 +10,10 @@ T and tau positive.  A pulse pair is any object with values(t) -> (f, g),
 derivatives(t) -> (f', g') (inf or nan where a rate such as 1/T is
 beyond float range), an attribute T, the timescale of the f/g crossing
 that sets the 1/T coupling scale, and window_halfwidth(), the
-half-width of the default window.
+half-width of the default window.  Its pulses mirror into each other,
+f(-t) = g(t) bit for bit (tanh is odd and cosh even, in floating point
+too), so the inverse direction's H(t) is the forward one's H(-t);
+propagator.final_propagators relies on that.
 
 Also here: instantaneous eigenvalue trajectories over the time window
 and the adiabaticity diagnostic comparing eigenvalue gaps to the exact

@@ -14,9 +14,9 @@ def propagated_steps(monkeypatch):
     total = [0]
     original = _kernels.propagate
 
-    def counting(h0, h1, a, b, dts, sample_idx):
+    def counting(h0, h1, a, b, dts, sample_idx, **kwargs):
         total[0] += len(a)
-        return original(h0, h1, a, b, dts, sample_idx)
+        return original(h0, h1, a, b, dts, sample_idx, **kwargs)
 
     monkeypatch.setattr(_kernels, "propagate", counting)
     return total

@@ -596,13 +596,23 @@ class TestStepCounts:
             pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1, steps=steps))
         assert [times[0], times[-1]] == [-6.0, 6.0]
 
-    # every point is the E = 1 model scaled by E, so one integration per
-    # direction serves all points
+    # every point is the E = 1 model scaled by E, and on the default,
+    # symmetric window the inverse direction applies the forward
+    # exponentials in reverse order, so one integration serves all points
+    # in both directions
     @pytest.mark.parametrize("et_values", [[10, 20], [5, 8, 10.5, 20, 40]],
                              ids=["2_points", "5_points"])
     def test_sweep_integrates_each_direction_once(self, tmp_path,
                                                   propagated_steps, et_values):
         cfg = write_config(tmp_path, {**SWEEP_CONFIG, "et_values": et_values})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert propagated_steps[0] == SWEEP_CONFIG["steps"]
+
+    # an asymmetric window is not its own mirror: the inverse direction
+    # takes a second integration, over the mirrored window
+    def test_sweep_on_asymmetric_window_integrates_twice(self, tmp_path,
+                                                         propagated_steps):
+        cfg = write_config(tmp_path, {**SWEEP_CONFIG, "window": [-5.0, 7.0]})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert propagated_steps[0] == 2 * SWEEP_CONFIG["steps"]
 
@@ -1090,6 +1100,20 @@ class TestEntryPoint:
                 stdout=subprocess.PIPE, stderr=full, text=True,
                 env=fresh_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
         assert (proc.returncode, proc.stdout) == (code, "")
+
+    # argparse drops a failed write of its usage error; buffered, the bytes
+    # it leaves would fail the shutdown flush and exit 120
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_full_stderr_keeps_the_usage_exit_code(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "circulant_qft", "bogus"],
+                stdout=subprocess.PIPE, stderr=full, text=True,
+                env=fresh_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
 
     def test_unwritable_output_file_exits_1_with_one_line(self, tmp_path):
         # a directory squats on the sidecar, the first file models writes

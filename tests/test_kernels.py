@@ -74,6 +74,27 @@ def test_propagate_matches_sequential_product(steps, sample_idx, scales):
     assert 0.0 <= drift <= 1e-10
 
 
+@pytest.mark.parametrize("steps, sample_idx, scales", [
+    (1, [1], [1.0]),
+    (2 * CHUNK + 37, [CHUNK - 1, 2 * CHUNK + 37], [1.0]),
+    (2 * CHUNK + 37, [], [1.0, 0.5, 3.7]),
+], ids=["one_step", "across_chunks", "batched_across_chunks"])
+def test_reversed_product_matches_sequential_product(steps, sample_idx,
+                                                     scales):
+    # the same step exponentials applied last to first, e_0 e_1 ... e_K-1;
+    # the forward results stay bit for bit what they are without it
+    h0, h1, a, b, dt = _case(steps)
+    idx = np.array(sample_idx, dtype=np.int64)
+    dts = dt * np.array(scales)
+    *forward, u_reversed = _kernels.propagate(h0, h1, a, b, dts, idx,
+                                              reverse=True)
+    for got, want in zip(forward, _kernels.propagate(h0, h1, a, b, dts, idx)):
+        assert np.array_equal(got, want)
+    for m, step in enumerate(dts):
+        _, ref = _sequential(h0, h1, a[::-1], b[::-1], step, [])
+        assert np.abs(u_reversed[m] - ref).max() <= 1e-12
+
+
 @pytest.mark.parametrize("points, steps", [(1, CHUNK + 5), (4, CHUNK + 5),
                                            (2 * CHUNK + 1, 3)],
                          ids=["1_point", "4_points", "2_chunks_plus_1_points"])
@@ -269,7 +290,8 @@ def test_stepping_never_decomposes(monkeypatch, paper_schedule):
     _, _, drift, convergence = evolve(paper_schedule)
     assert np.isfinite(convergence)
     assert drift <= UNITARITY_TOL
-    assert final_propagators(paper_schedule, [0.5, 1.0, 3.7]).shape == (3, 4, 4)
+    for u in final_propagators(paper_schedule, [0.5, 1.0, 3.7]):
+        assert u.shape == (3, 4, 4)
 
 
 def test_zero_step_length_gives_identity():
@@ -443,7 +465,7 @@ def _reference_step_matrices(sums, x, y, ratios, halvings, scratch):
 
 
 def _reference_accumulate(sums, exponents, x, y, ratios, halvings,
-                          sample_idx, scratch):
+                          sample_idx, scratch, reverse):
     """_accumulate with every chunk planned in numpy (searchsorted, append
     and _runs) and stepped by _reference_step_matrices; exponents is not
     read, as the reference rebuilds the index table per chunk."""
@@ -451,6 +473,7 @@ def _reference_accumulate(sums, exponents, x, y, ratios, halvings,
     norms, r_max = np.abs(x) + np.abs(y), float(np.abs(ratios).max())
     eye = np.eye(w)
     u = np.repeat(eye[None], m, axis=0)
+    vt = u.copy()
     samples = np.empty((m, len(sample_idx), w, w))
     s = int(np.searchsorted(sample_idx, 0, side="right"))
     samples[:, :s] = eye
@@ -477,17 +500,22 @@ def _reference_accumulate(sums, exponents, x, y, ratios, halvings,
                 if s < last:
                     samples[:, s] = u
                     s += 1
-    return _kernels._complex_form(samples), _kernels._complex_form(u)
+        vt = _kernels._tree_product(np.moveaxis(mats, 1, 0).swapaxes(2, 3),
+                                    scratch) @ vt
+    return (_kernels._complex_form(samples), _kernels._complex_form(u),
+            _kernels._complex_form(vt.swapaxes(1, 2)) if reverse else None)
 
 
 def _assert_bitwise_reference(monkeypatch, h0, h1, a, b, dts, sample_idx):
-    """propagate gives the very bits of the per-chunk reference path."""
+    """propagate gives the very bits of the per-chunk reference path, the
+    reversed product included."""
     idx = np.array(sample_idx, dtype=np.int64)
-    result = _kernels.propagate(h0, h1, a, b, dts, idx)
+    result = _kernels.propagate(h0, h1, a, b, dts, idx, reverse=True)
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "_accumulate", _reference_accumulate)
-        reference = _kernels.propagate(h0, h1, a, b, dts, idx)
+        reference = _kernels.propagate(h0, h1, a, b, dts, idx, reverse=True)
     assert result[0].shape == (len(dts), len(idx)) + h0.shape
+    assert len(result) == len(reference) == 4
     for got, want in zip(result, reference):
         assert np.array_equal(got, want)
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,8 +107,35 @@ class TestEvolve:
         # same steps, grouped differently, so they agree to roundoff
         # (1.6e-15 here, 3.4e-15 on an 8-level ring; a sample short of
         # t_max is off by far more)
-        [u_final] = final_propagators(paper_schedule, [1.0])
+        [u_final], _ = final_propagators(paper_schedule, [1.0])
         assert np.abs(samples[-1] - u_final).max() <= 1e-12
+
+
+class TestFinalPropagators:
+    # the other direction is this one's exponentials in reverse order, on
+    # the mirrored window; a direct integration of the other direction
+    # rounds the mirrored nodes separately, which moves U by ~1e-14
+    @pytest.mark.parametrize("pulses", [TanhPair(T=1.0),
+                                        SechMaskedPair(T=1.0, tau=1.5)],
+                             ids=["tanh", "sech_masked"])
+    @pytest.mark.parametrize("window", [None, (-5.0, 7.5)],
+                             ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("direction", [FORWARD, INVERSE])
+    def test_other_direction_matches_its_own_integration(
+            self, pulses, window, direction):
+        h0, h1 = build_four_level(1.0, 1 + 1j / 3)
+        s = Schedule(pulses=pulses, h0=h0, h1=h1, direction=direction,
+                     window=window, steps=1000)
+        other = replace(s, direction=INVERSE if direction == FORWARD
+                        else FORWARD)
+        scales = [0.5, 8.0, 20.0, 40.0]
+        u, u_other = final_propagators(s, scales)
+        no_samples = np.empty(0, dtype=np.int64)
+        want, want_other = (propagator._integrate(sched, 500, no_samples,
+                                                  scales)[1]
+                            for sched in (s, other))
+        assert np.array_equal(u, want)
+        assert np.abs(u_other - want_other).max() <= 1e-12
 
 
 class TestFactorization:

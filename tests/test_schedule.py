@@ -49,6 +49,22 @@ class TestPulses:
         assert np.allclose(ratio, np.exp(2 * t / 1.2), rtol=1e-10)
         assert np.all(np.diff(ratio) > 0)
 
+    # final_propagators derives the other direction from f(-t) = g(t); it
+    # must hold bit for bit, at t = 0, in the tails and where t/T and
+    # t/tau overflow
+    @pytest.mark.parametrize("pair", [TanhPair(T=0.7),
+                                      SechMaskedPair(T=0.7, tau=1.3),
+                                      SechMaskedPair(T=1e-300, tau=1e300),
+                                      TanhPair(T=5e-324)])
+    def test_values_mirror_into_each_other_exactly(self, pair):
+        t = np.concatenate([[0.0, 5e-324, 1e-300, 1e300, 1.7e308],
+                            np.linspace(0.01, 800.0, 2001)])
+        t = np.concatenate([t, -t])
+        bits = lambda x: np.asarray(x).view(np.uint64)
+        f, g = map(bits, pair.values(t))
+        g_mirror, f_mirror = map(bits, pair.values(-t))
+        assert np.array_equal(f, f_mirror) and np.array_equal(g, g_mirror)
+
     @pytest.mark.parametrize("pair", [TanhPair(T=0.7),
                                       SechMaskedPair(T=0.7, tau=1.3)])
     @pytest.mark.parametrize("x", [-6.0, -0.3, 0.0, 0.3, 6.0])
