@@ -7,18 +7,19 @@ program's matrix products are small, and OpenBLAS splitting them across
 threads makes them slower, not faster.  Setting any one of the three
 leaves all three to the user.
 
-Exit.  run() exits with main()'s exit code, or with 1 when stdout
-cannot take the output: quietly when it is closed before the output is
-written (`circulant-qft models ... | head -c 20`), as Python's signal
+Exit.  run() exits with main()'s exit code, or argparse's after --help,
+--version or a usage error, or with 1 when stdout cannot take the
+output: quietly when it is closed before the output is written
+(`circulant-qft models ... | head -c 20`), as Python's signal
 documentation advises for a broken pipe, and with one `output error:
 ...` line on stderr when a write fails for any other reason (`>
 /dev/full`), as main() reports an output file that cannot be written.
 Neither prints a traceback, and output files already written stay.  A
-stderr that cannot take a message loses it, never the exit code.
-Before exiting it disables the garbage collector and freezes every live
-object, so the interpreter's shutdown collections do not traverse
-objects the OS is about to free.  atexit handlers and the flushes of the standard streams
-still run.  main() itself, which tests and the benchmark call in
+stderr that cannot take a message loses it, never the exit code.  Before
+exiting it disables the garbage collector and freezes every live object,
+so the interpreter's shutdown collections do not traverse objects the OS
+is about to free.  atexit handlers and the flushes of the standard
+streams still run.  main() itself, which tests and the benchmark call in
 process, keeps its collector.
 """
 
@@ -37,7 +38,10 @@ from .cli import EXIT_OUTPUT, _report, main  # noqa: E402
 
 def run():
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's --help, --version, usage error
+            code = exc.code
         sys.stdout.flush()
     except OSError as exc:  # main() lets only a closed stdout through
         # the shutdown flush would raise again: send what is left nowhere

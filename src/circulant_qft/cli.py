@@ -292,18 +292,11 @@ def build_schedule(cfg, model, pulses, direction, max_steps, energy=1.0):
     return sched
 
 
-def _phase_register(phi, r, dim):
-    """Validated phase phi in [0, 1) and register size r with 2**r == dim."""
+def _phase(phi):
+    """Validated phase phi in [0, 1)."""
     if not _is_number(phi) or not 0 <= phi < 1:
         raise ConfigError(f"phi: expected a number in [0, 1), got {phi!r}")
-    if not _is_int(r) or r < 1:
-        raise ConfigError(f"r: expected a positive integer, got {r!r}")
-    # 2**r > dim once r reaches dim's bit length, so a huge r never
-    # builds 2**r
-    if r >= dim.bit_length() or 2**r != dim:
-        raise ConfigError(f"register of {r} qubits needs a model of "
-                          f"dimension 2**{r}, got {dim}")
-    return phi, r
+    return phi
 
 
 def cmd_eigentraj(cfg, args):
@@ -384,15 +377,22 @@ def cmd_qpe(cfg, args):
 
     sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
                            INVERSE, _stepping_steps)
-    phi, r = _phase_register(cfg["phi"], cfg["r"], sched.dim)
+    phi, n = _phase(cfg["phi"]), sched.dim
+    bits = (n - 1).bit_length()  # the register's qubits when n = 2**bits
+    r = cfg.get("r", bits)
+    if not _is_int(r) or r < 1:
+        raise ConfigError(f"r: expected a positive integer, got {r!r}")
+    if r != bits or 2**bits != n:  # never forms 2**r: r may be huge
+        raise ConfigError(f"register of {r} qubits needs a model of "
+                          f"dimension 2**{r}, got {n}")
     shots = cfg.get("shots", 0)
     # the sampler draws its counts as 64-bit integers
     if not _is_int(shots) or not 0 <= shots <= np.iinfo(np.int64).max:
         raise ConfigError(f"shots: expected an integer in [0, 2**63 - 1], "
                           f"got {shots!r}")
 
-    target, exact = nearest_value(phi, r)
-    times, fidelity, raw, relabeled = run_qpe(sched, phi, r)
+    target, exact = nearest_value(phi, n)
+    times, fidelity, raw, relabeled = run_qpe(sched, phi)
     top = int(np.argmax(relabeled))
     counts = None
     if shots:
@@ -407,14 +407,12 @@ def cmd_qpe(cfg, args):
         [[t, fv, gv, p] for t, fv, gv, p in zip(times, f_vals, g_vals, fidelity)],
     )
     dist_header = ["value", "bits", "raw_probability", "relabeled_probability"]
-    dist_rows = []
-    for k in range(len(raw)):
-        row = [str(k), f"{k:0{r}b}", raw[k], relabeled[k]]
-        if counts is not None:
-            row.append(str(int(counts[k])))
-        dist_rows.append(row)
+    dist_rows = [[str(k), f"{k:0{bits}b}", raw[k], relabeled[k]]
+                 for k in range(n)]
     if counts is not None:
         dist_header.append("counts")
+        for row, count in zip(dist_rows, counts):
+            row.append(str(int(count)))
     write_csv(out / "qpe_distribution.csv", dist_header, dist_rows)
     write_meta(out / "qpe_trace.meta.json", "qpe", cfg)
     if args.svg:
@@ -426,14 +424,14 @@ def cmd_qpe(cfg, args):
                             title="Phase estimation fidelity", xlabel="t",
                             ylabel="probability")
 
-    ideal = ideal_distribution(phi, r)
+    ideal = ideal_distribution(phi, n)
     tv = 0.5 * float(np.abs(ideal - relabeled).sum())
 
-    print(f"qpe: phi = {_fmt(phi)}, recovered bits {top:0{r}b} "
-          f"(target {target:0{r}b}, "
+    print(f"qpe: phi = {_fmt(phi)}, recovered bits {top:0{bits}b} "
+          f"(target {target:0{bits}b}, "
           f"{'exact' if exact else 'nearest'} expansion)")
     if not exact:
-        print(f"  phi has no exact {r}-bit expansion; nearest bits carry "
+        print(f"  phi has no exact {bits}-bit expansion; nearest bits carry "
               f"probability {_fmt(relabeled[target])}")
     print(f"  final fidelity {_fmt(fidelity[-1])}, "
           f"total variation vs ideal oracle {_fmt(tv)}")
@@ -518,15 +516,14 @@ def cmd_sweep(cfg, args):
         raise ConfigError(f"et_values: E*T / T underflows to 0 at T = "
                           f"{pulses.T!r}")
     v_over_e = _as_complex("v_over_e", cfg.get("v_over_e", [1.0, 1.0 / 3.0]))
-    # every sweep point is a four-level model, read by a two-qubit register
-    phi, r = _phase_register(cfg.get("phi", 0.75), 2, 4)
+    phi = _phase(cfg.get("phi", 0.75))
     # the model at energy E is E times the E = 1 model, so one schedule
     # integrated at every scale serves all points, in both directions
     sched = build_schedule(cfg, build_four_level(1.0, v_over_e), pulses,
                            FORWARD, _stepping_steps, max(energies))
     sigma = predict_permutation(sched)  # a degenerate spectrum stops here
     forward, inverse = final_propagators(sched, energies)
-    _, fidelities = register_readout(sigma, phi, r, inverse)
+    _, fidelities = register_readout(sigma, phi, inverse)
     rows = []
     for et, u, fidelity in zip(ets, forward, fidelities):
         _, _, residual = factor_phased_dft(u, FORWARD)
@@ -554,7 +551,7 @@ _COMMANDS = {
                      "gap vs nonadiabatic-coupling diagnostics", False,
                      _SCHEDULE_KEYS + ("direction",), ("model", "pulses")),
     "qpe": (cmd_qpe, "phase estimation via the simulated inverse transform", True,
-            _SCHEDULE_KEYS + ("phi", "r", "shots"), ("model", "pulses", "phi", "r")),
+            _SCHEDULE_KEYS + ("phi", "r", "shots"), ("model", "pulses", "phi")),
     "models": (cmd_models, "build and inspect the model Hamiltonians", False,
                ("model",), ("model",)),
     "sweep": (cmd_sweep, "factorization residual and fidelity across E*T values",

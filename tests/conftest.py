@@ -63,11 +63,11 @@ def phased_inverse_qft(alpha, sigma, n):
     return u
 
 
-def phased_oracle_distribution(phi, r, sigma, alpha):
+def phased_oracle_distribution(phi, n, sigma, alpha):
     """Outcome distribution of phased_inverse_qft on phi's register state,
     with the renumbering undone (index = register value)."""
-    u = phased_inverse_qft(alpha, sigma, 2**r)
-    p = np.abs(u @ prepare_register_state(phi, r)) ** 2
+    u = phased_inverse_qft(alpha, sigma, n)
+    p = np.abs(u @ prepare_register_state(phi, n)) ** 2
     # DFT column m is read out at physical index sigma[m]
     return p[np.asarray(sigma)]
 

@@ -123,7 +123,7 @@ def test_criterion_4_phase_estimation_figure(pulses):
     h0, h1 = paper_system(10.0)
     _, fidelity, _, relabeled = run_qpe(
         Schedule(pulses=pulses, h0=h0, h1=h1, direction=INVERSE, steps=4000),
-        0.75, 2)
+        0.75)
     elapsed = time.perf_counter() - start
     top = int(np.argmax(relabeled))
     ok = fidelity[-1] >= 0.99 and top == 3 and elapsed < 30.0
@@ -248,8 +248,8 @@ def test_criterion_10_oracle_equivalence(pulses):
     worst = 0.0
     for phi in (0.0, 0.25, 1 / 3, 0.6, 0.75):
         relabeled = run_qpe(Schedule(pulses=pulses, h0=h0, h1=h1,
-                                     direction=INVERSE), phi, 2)[3]
-        ideal = ideal_distribution(phi, 2)
+                                     direction=INVERSE), phi)[3]
+        ideal = ideal_distribution(phi, 4)
         tv = 0.5 * float(np.abs(ideal - relabeled).sum())
         worst = max(worst, tv)
     assert report(10, worst <= 1e-2, f"total variation <= {worst:.4f}")
@@ -262,10 +262,10 @@ def test_criterion_11_phase_irrelevance():
     sigma = rng.permutation(4)
     identical = True
     for phi in (0.75, 1 / 3):
-        base = np.round(ideal_distribution(phi, 2), 12)
+        base = np.round(ideal_distribution(phi, 4), 12)
         for _ in range(10):
             alpha = rng.uniform(-np.pi, np.pi, 4)
-            p = np.round(phased_oracle_distribution(phi, 2, sigma, alpha), 12)
+            p = np.round(phased_oracle_distribution(phi, 4, sigma, alpha), 12)
             identical &= bool(np.array_equal(p, base))
     assert report(
         11, identical,

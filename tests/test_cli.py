@@ -35,6 +35,18 @@ QPE_CONFIG = {
 }
 
 
+def ring_model(n, z):
+    """custom model: H0 = diag(0, ..., n - 1) and the circulant H1 with hop
+    z from each level to the next and conj(z) back."""
+    h1 = [[0] * n for _ in range(n)]
+    for j in range(n):
+        h1[(j + 1) % n][j] = [z.real, z.imag]
+        h1[j][(j + 1) % n] = [z.real, -z.imag]
+    return {"kind": "custom", "h1": h1,
+            "h0": [[float(i) if i == j else 0 for j in range(n)]
+                   for i in range(n)]}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -326,6 +338,41 @@ class TestQpe:
         assert not list(tmp_path.glob("*.csv"))
         assert propagated_steps[0] == 0
 
+    # r only restates log2 N: without it every output but the config
+    # echo is the same
+    @pytest.mark.parametrize("payload", [
+        QPE_CONFIG,
+        {**QPE_CONFIG, "model": ring_model(8, 4 + 1.2j), "steps": 800,
+         "phi": 0.625, "r": 3},
+    ], ids=["readme", "custom_n8"])
+    def test_register_defaults_to_the_model_levels(self, tmp_path, capsys,
+                                                   payload):
+        outputs = []
+        for run, cfg in [("with_r", payload),
+                         ("without_r", {k: v for k, v in payload.items()
+                                        if k != "r"})]:
+            path = write_config(tmp_path, cfg, f"{run}.json")
+            assert main(["qpe", "--config", path,
+                         "--out", str(tmp_path / run), "--svg"]) == 0
+            outputs.append((capsys.readouterr(), {
+                p.name: p.read_bytes() for p in (tmp_path / run).iterdir()
+                if p.suffix != ".json"}))
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0][1]) == [
+            "qpe_distribution.csv", "qpe_fidelity.svg", "qpe_pulses.svg",
+            "qpe_trace.csv"]
+
+    def test_register_without_r_needs_a_power_of_two_levels(
+            self, tmp_path, capsys, propagated_steps):
+        cfg = write_config(tmp_path, {
+            **{k: v for k, v in QPE_CONFIG.items() if k != "r"},
+            "model": ring_model(3, 1 + 0.3j)})
+        assert main(["qpe", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: register of 2 qubits needs a model of dimension "
+            "2**2, got 3\n")
+        assert propagated_steps[0] == 0
+
     def test_sampled_mode_adds_counts(self, tmp_path):
         cfg = write_config(tmp_path, {**QPE_CONFIG, "steps": 400, "shots": 200})
         assert main(["qpe", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -538,7 +585,7 @@ def per_point_sweep(payload):
         _, samples, _, _ = evolve(sched, convergence_check=False)
         _, _, residual = factor_phased_dft(samples[-1], "forward")
         _, fidelity, _, _ = run_qpe(
-            dataclasses.replace(sched, direction="inverse"), payload["phi"], 2)
+            dataclasses.replace(sched, direction="inverse"), payload["phi"])
         rows.append((et, residual, fidelity[-1]))
     return np.array(rows)
 
@@ -1114,6 +1161,24 @@ class TestEntryPoint:
                 stdout=subprocess.PIPE, stderr=full, text=True,
                 env=fresh_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
         assert (proc.returncode, proc.stdout) == (2, "")
+
+    # argparse prints these to a buffered stdout and leaves main() through
+    # SystemExit; run() still flushes, so the failed write is one output
+    # error, not the shutdown flush's exit 120.  Unbuffered, argparse drops
+    # the failed write and exits 0.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["models", "--help"]],
+                             ids=["help", "version", "command_help"])
+    def test_help_to_full_stdout_exits_1_with_one_line(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "circulant_qft", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env=fresh_env(PYTHONUNBUFFERED=None), timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            1, "output error: [Errno 28] No space left on device\n")
 
     def test_unwritable_output_file_exits_1_with_one_line(self, tmp_path):
         # a directory squats on the sidecar, the first file models writes

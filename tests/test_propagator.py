@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from circulant_qft import propagator
-from circulant_qft.circulant import dft_matrix
+from circulant_qft.circulant import dft_matrix, materialize
 from circulant_qft.errors import IntegrationError, PhysicsError
 from circulant_qft.linalg import frobenius
 from circulant_qft.models import build_four_level
@@ -217,6 +217,17 @@ class TestFactorization:
             factor_phased_dft(1.5 * dft_matrix(4), FORWARD)
 
 
+def assert_fits_agree(s, scales):
+    """The fitted sigma of U(t_max) at each scale is predict_permutation(s)
+    forward and its argsort in the other direction."""
+    sigma = predict_permutation(s)
+    forward, other = final_propagators(s, scales)
+    for u, u_other in zip(forward, other):
+        assert factor_phased_dft(u, FORWARD)[0].tolist() == sigma.tolist()
+        assert factor_phased_dft(u_other, INVERSE)[0].tolist() == \
+            np.argsort(sigma).tolist()
+
+
 class TestPredictPermutation:
     def test_paper_model(self, paper_model):
         h0, h1 = paper_model
@@ -235,6 +246,27 @@ class TestPredictPermutation:
         h0 = np.diag(np.array([1.0, 2.0, 3.0, 4.0], dtype=complex))
         s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1)
         assert predict_permutation(s).tolist() == [0, 1, 2, 3]
+
+    # the best-fit renumbering is the predicted one forward, and its
+    # inverse in the other direction, on every adiabatic sweep below
+    @pytest.mark.parametrize("pulses", [TanhPair(T=1.0),
+                                        SechMaskedPair(T=1.0, tau=1.0)],
+                             ids=["tanh", "sech_masked"])
+    def test_fit_agrees_on_the_paper_model(self, pulses):
+        h0, h1 = build_four_level(1.0, 1 + 1j / 3)
+        s = Schedule(pulses=pulses, h0=h0, h1=h1)
+        assert_fits_agree(s, [8.0, 20.0, 40.0])
+
+    def test_fit_agrees_on_an_eight_level_ring(self):
+        # the ring8_qpe benchmark's base model, E = 1, run at E*T = 40
+        h0 = np.diag([-0.153, -0.345, -0.593, -1.0, 0.763, 1.0, 0.153, 0.548])
+        spectrum = 2.0 * np.array([-0.675, -0.47, -0.096, 0.687, 0.807,
+                                   -1.0, 0.361, 1.0])
+        c = np.fft.ifft(spectrum)
+        c = (c + np.conj(np.roll(c[::-1], 1))) / 2  # c[-l] = conj(c[l])
+        s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0),
+                     h0=h0.astype(complex), h1=materialize(c))
+        assert_fits_agree(s, [40.0])
 
     def test_degenerate_diagonal_rejected(self, paper_model):
         _, h1 = paper_model

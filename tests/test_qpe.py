@@ -16,39 +16,39 @@ from conftest import phased_inverse_qft, phased_oracle_distribution
 
 class TestBits:
     def test_exact_expansion_roundtrip(self):
-        k, exact = nearest_value(0.75, 2)
+        k, exact = nearest_value(0.75, 4)
         assert k == 3 and exact
-        assert k / 2**2 == 0.75
+        assert k / 4 == 0.75
 
     def test_nearest_for_third(self):
-        k, exact = nearest_value(1 / 3, 2)
+        k, exact = nearest_value(1 / 3, 4)
         assert k == 1
         assert not exact
 
     def test_nearest_is_cyclic(self):
         # phases identify 1 with 0, so 0.99 rounds to 00 not 11
-        k, exact = nearest_value(0.99, 2)
+        k, exact = nearest_value(0.99, 4)
         assert k == 0
         assert not exact
 
 
 class TestRegisterState:
     def test_zero_phase_uniform(self):
-        psi = prepare_register_state(0.0, 2)
+        psi = prepare_register_state(0.0, 4)
         assert np.allclose(psi, 0.5 * np.ones(4), atol=1e-15)
 
     def test_three_quarters_is_dft_column_three(self):
-        psi = prepare_register_state(0.75, 2)
+        psi = prepare_register_state(0.75, 4)
         assert np.allclose(psi, 0.5 * np.array([1, -1j, -1, 1j]), atol=1e-14)
         assert np.allclose(psi, dft_matrix(4)[:, 3], atol=1e-14)
 
     def test_half_phase_single_qubit(self):
-        psi = prepare_register_state(0.5, 1)
+        psi = prepare_register_state(0.5, 2)
         assert np.allclose(psi, np.array([1, -1]) / np.sqrt(2), atol=1e-15)
 
     @pytest.mark.parametrize("phi", [0.0, 0.1, 1 / 3, 0.9])
     def test_unit_norm(self, phi):
-        assert abs(np.linalg.norm(prepare_register_state(phi, 3)) - 1) <= 1e-10
+        assert abs(np.linalg.norm(prepare_register_state(phi, 8)) - 1) <= 1e-10
 
 
 class TestIdealOracle:
@@ -90,19 +90,19 @@ class TestIdealOracle:
         rng = np.random.default_rng(3)
         sigma = rng.permutation(4)
         for phi in (0.75, 1 / 3, 0.11):
-            base = np.round(ideal_distribution(phi, 2), 12)
+            base = np.round(ideal_distribution(phi, 4), 12)
             for alpha in [np.zeros(4)] + list(rng.uniform(-np.pi, np.pi,
                                                           (10, 4))):
-                p = np.round(phased_oracle_distribution(phi, 2, sigma, alpha),
+                p = np.round(phased_oracle_distribution(phi, 4, sigma, alpha),
                              12)
                 assert np.array_equal(p, base)
 
     def test_exact_phase_point_mass_on_relabeled_bits(self):
         rng = np.random.default_rng(4)
         sigma = rng.permutation(4)
-        p = phased_oracle_distribution(0.75, 2, sigma, np.zeros(4))
+        p = phased_oracle_distribution(0.75, 4, sigma, np.zeros(4))
         assert np.isclose(p[3], 1.0, atol=1e-12)
-        assert np.isclose(ideal_distribution(0.75, 2)[3], 1.0, atol=1e-12)
+        assert np.isclose(ideal_distribution(0.75, 4)[3], 1.0, atol=1e-12)
 
 
 def inverse(model, pulses, **kwargs):
@@ -113,10 +113,10 @@ def inverse(model, pulses, **kwargs):
 class TestRunQpe:
     def test_paper_point(self, paper_model, paper_pulses):
         s = inverse(paper_model, paper_pulses)
-        times, fidelity, _, relabeled = run_qpe(s, 0.75, 2)
+        times, fidelity, _, relabeled = run_qpe(s, 0.75)
         assert fidelity[-1] >= 0.99
         assert np.argmax(relabeled) == 3
-        assert nearest_value(0.75, 2) == (3, True)
+        assert nearest_value(0.75, 4) == (3, True)
         # the trace ends at the window end, where the register is read
         # ("tends to unity"), and its last point is the target's weight
         assert times[-1] == s.window[1]
@@ -125,17 +125,17 @@ class TestRunQpe:
     def test_distributions_are_permutations_of_each_other(self, paper_model,
                                                           paper_pulses):
         _, _, raw, relabeled = run_qpe(inverse(paper_model, paper_pulses),
-                                       0.6, 2)
+                                       0.6)
         assert np.allclose(np.sort(raw), np.sort(relabeled), atol=0)
         assert abs(raw.sum() - 1) <= 1e-9
 
     def test_simulator_close_to_oracle_for_inexact_phase(self, paper_model,
                                                          paper_pulses):
         _, _, _, relabeled = run_qpe(inverse(paper_model, paper_pulses),
-                                     1 / 3, 2)
-        assert not nearest_value(1 / 3, 2)[1]
+                                     1 / 3)
+        assert not nearest_value(1 / 3, 4)[1]
         assert np.argmax(relabeled) == 1
-        ideal = ideal_distribution(1 / 3, 2)
+        ideal = ideal_distribution(1 / 3, 4)
         tv = 0.5 * np.abs(ideal - relabeled).sum()
         assert tv <= 1e-2
         # nearest-bit weight from the ideal oracle: |mean of 4 unit phasors
@@ -148,5 +148,5 @@ class TestRunQpe:
     def test_integrates_steps_once(self, paper_model, paper_pulses,
                                    propagated_steps):
         # run_qpe never reads the convergence estimate, so no rerun
-        run_qpe(inverse(paper_model, paper_pulses, steps=600), 0.75, 2)
+        run_qpe(inverse(paper_model, paper_pulses, steps=600), 0.75)
         assert propagated_steps[0] == 600
