@@ -43,8 +43,10 @@ def run():
         except SystemExit as exc:  # argparse's --help, --version, usage error
             code = exc.code
         sys.stdout.flush()
-    except OSError as exc:  # main() lets only a closed stdout through
-        # the shutdown flush would raise again: send what is left nowhere
+    except OSError as exc:
+        # main() lets through a closed stdout and a failed write of
+        # argparse's help or version text.
+        # The shutdown flush would raise again: send what is left nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
             _report(f"output error: {exc}")

@@ -13,6 +13,8 @@ import numpy but no scipy.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -302,21 +304,23 @@ def _phase(phi):
 def cmd_eigentraj(cfg, args):
     sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
                            FORWARD, _scan_steps)
-    traj = eigen_trajectories(sched)
-    n = traj.energies.shape[1]
+    times, energies = eigen_trajectories(sched)
+    gaps = np.diff(energies, axis=1).min(axis=1)
+    worst = int(np.argmin(gaps))
+    n = energies.shape[1]
     out = Path(args.out)
     header = ["t"] + [f"eps_{k}" for k in range(n)]
-    rows = np.column_stack([traj.times, traj.energies]).tolist()
+    rows = np.column_stack([times, energies]).tolist()
     write_csv(out / "eigentraj.csv", header, rows)
     write_meta(out / "eigentraj.meta.json", "eigentraj", cfg)
     if args.svg:
         svg.write_line_plot(
-            out / "eigentraj.svg", traj.times,
-            {f"eps_{k}": traj.energies[:, k] for k in range(n)},
+            out / "eigentraj.svg", times,
+            {f"eps_{k}": energies[:, k] for k in range(n)},
             title="Instantaneous eigenvalues", xlabel="t", ylabel="energy",
         )
-    print(f"eigentraj: {len(traj.times)} points, "
-          f"min gap {_fmt(traj.min_gap)} at t = {_fmt(traj.min_gap_time)}")
+    print(f"eigentraj: {len(times)} points, "
+          f"min gap {_fmt(gaps[worst])} at t = {_fmt(times[worst])}")
     return EXIT_OK
 
 
@@ -329,7 +333,7 @@ def cmd_evolve(cfg, args):
 
     sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
                            FORWARD, _evolve_steps)
-    predicted = adiabatic_phase_prediction(sched).alpha
+    predicted, _, _ = adiabatic_phase_prediction(sched)
     _, samples, drift, convergence = evolve(sched)
     u = samples[-1]
     sigma, alpha, residual = factor_phased_dft(u, sched.direction)
@@ -355,20 +359,23 @@ def cmd_evolve(cfg, args):
 def cmd_adiabaticity(cfg, args):
     sched = build_schedule(cfg, _schedule_model(cfg), build_pulses(cfg),
                            FORWARD, _scan_steps)
-    report = adiabaticity_report(sched)
-    if not np.isfinite(report.max_coupling):  # a pulse rate beyond float range
+    times, gap_trace, coupling_trace, margin, degenerate = (
+        adiabaticity_report(sched))
+    max_coupling, rate_scale = coupling_trace.max(), 1.0 / sched.pulses.T
+    if not np.isfinite(max_coupling):  # a pulse rate beyond float range
         raise ConfigError(f"pulses: a nonadiabatic coupling at 1/T = "
-                          f"{report.rate_scale:.3g} is beyond float range")
+                          f"{rate_scale:.3g} is beyond float range")
     out = Path(args.out)
-    rows = np.column_stack(
-        [report.times, report.gap_trace, report.coupling_trace]).tolist()
+    rows = np.column_stack([times, gap_trace, coupling_trace]).tolist()
     write_csv(out / "adiabaticity.csv", ["t", "min_gap", "max_coupling"], rows)
     write_meta(out / "adiabaticity.meta.json", "adiabaticity", cfg)
-    print(f"adiabaticity: min gap {_fmt(report.min_gap)}, "
-          f"max coupling {_fmt(report.max_coupling)}, "
-          f"margin {_fmt(report.margin)} (1/T = {_fmt(report.rate_scale)})")
-    for t, message in report.degeneracy_warnings[:5]:
-        print(f"  degeneracy at t = {_fmt(t)}: {message}")
+    print(f"adiabaticity: min gap {_fmt(gap_trace.min())}, "
+          f"max coupling {_fmt(max_coupling)}, "
+          f"margin {_fmt(margin)} (1/T = {_fmt(rate_scale)})")
+    # the first five pairs, sliced before zip so no tuple is built per pair
+    for t, m, n, gap in zip(*(column[:5] for column in degenerate)):
+        print(f"  degeneracy at t = {_fmt(t)}: eigenvalues {m} and {n} "
+              f"degenerate (gap {gap:.3e})")
     return EXIT_OK
 
 
@@ -592,12 +599,20 @@ def _report(message=None):
 
 
 def main(argv=None):
+    help_text = io.StringIO()
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(help_text):
+            args = build_parser().parse_args(argv)
     except SystemExit:
         # argparse ignores a failed write of its usage error, but the bytes
         # it left buffered would fail the shutdown flush
         _report()
+        # it ignores a failed write of its help and version text too, so
+        # that text is passed on here, where a failure raises.  A usage
+        # error leaves none, and writing none could still fail unbuffered
+        text = help_text.getvalue()
+        if text:
+            sys.stdout.write(text)
         raise
     runner, _, _, allowed, required = _COMMANDS[args.command]
     try:

@@ -11,7 +11,8 @@ from .errors import PhysicsError
 
 # Relative tolerance for accepting a matrix as Hermitian.
 HERMITIAN_RTOL = 1e-12
-# Eigenvalues closer than this (relative to ||M||) form a degenerate cluster.
+# Eigenvalues closer than this, relative to a scale each caller names, form a
+# degenerate cluster.
 CLUSTER_GAP_RTOL = 1e-9
 # Accepted propagators must keep ||U'U - I||_F below this.
 UNITARITY_TOL = 1e-8
@@ -26,7 +27,10 @@ def is_degenerate(values):
     """Whether two of the real values lie within CLUSTER_GAP_RTOL of the
     largest magnitude among them (within the smallest normal float, if
     all are 0): the spectrum then has no rank order.  The caller passes
-    at least two values."""
+    at least two values.  It judges the spectra at the two ends of a
+    sweep; Schedule requires exactly distinct H0 entries, and the phase
+    prediction and the adiabaticity scan apply their own thresholds along
+    the sweep."""
     values = np.sort(values)
     scale = max(np.abs(values).max(), np.finfo(float).tiny)
     return bool(np.diff(values).min() <= CLUSTER_GAP_RTOL * scale)

@@ -28,10 +28,11 @@ taking sigma from one exact assignment over the column overlaps
 (scipy.sparse.csgraph's LAPJVsp matching, after Jonker & Volgenant,
 Computing 38, 325, 1987; its import is over half of a cold start),
 predict_permutation derives sigma from eigenvalue rank matching alone,
-and adiabatic_phase_prediction predicts alpha from the instantaneous
-eigensystem: the quasienergy integral (dynamical part, also available
-alone as dynamical_phase_prediction) plus the open-path geometric phase
-of parallel transport along each eigenvalue branch.  Both parts are taken
+and adiabatic_phase_prediction returns (alpha, dynamical, geometric),
+alpha predicted from the instantaneous eigensystem as the wrapped sum of
+the quasienergy integral (dynamical part, also available alone as
+dynamical_phase_prediction) and the open-path geometric phase of
+parallel transport along each eigenvalue branch.  Both parts are taken
 on the phase grid of 4 ceil(steps / 32) + 1 points, an eighth of the
 schedule's grid, by two Romberg levels over the spacings h, 2h and 4h:
 Boole's rule for the quasienergy integral, and the same two levels with
@@ -39,7 +40,7 @@ every difference wrapped for the transport phase, so both are sixth
 order in the spacing.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -222,7 +223,9 @@ def _by_rank(s, spectrum):
     Entry k is the state whose eigenvalue has ascending rank k.  This is
     the one rank-matching rule: with no level crossings, adiabatic
     following sends the state of rank k in one spectrum to the state of
-    rank k in the other.  A degenerate spectrum has no rank order.
+    rank k in the other.  A spectrum that linalg.is_degenerate flags (a
+    gap at most CLUSTER_GAP_RTOL of its largest magnitude) has no rank
+    order and raises PhysicsError.
     """
     if spectrum == "H0":
         values = np.diag(s.h0).real
@@ -252,25 +255,6 @@ def _wrap(angles):
     return np.angle(np.exp(1j * angles))
 
 
-@dataclass(frozen=True)
-class AdiabaticPhases:
-    """Predicted factorization phases, split into their two parts.
-
-    dynamical holds the quasienergy integrals, geometric the open-path
-    (Pancharatnam) phases of parallel transport.  Both follow the sign
-    convention of the factorization for the schedule's direction, are
-    indexed like its alpha and are wrapped to (-pi, pi]; alpha is their
-    wrapped sum, the predicted alpha of the factorization.
-    """
-
-    dynamical: np.ndarray
-    geometric: np.ndarray
-
-    @property
-    def alpha(self):
-        return _wrap(self.dynamical + self.geometric)
-
-
 # The spectrum each direction starts and ends in, and the sign its
 # factorization gives the acquired phase.
 _ENDS = {FORWARD: ("H0", "H1", 1.0), INVERSE: ("H1", "H0", -1.0)}
@@ -295,8 +279,9 @@ def _branches(s):
     indexed by its start state, signed as in the factorization and
     wrapped, and v the eigenvectors of H(t) on the phase grid in
     ascending eigenvalue order.  Tracking by rank is invalid where two
-    branches collide, which is checked at the phase grid's points; a
-    vanishing Hamiltonian has nothing to track.
+    branches collide: a gap at most CLUSTER_GAP_RTOL times the largest
+    |eigenvalue| over the whole phase grid, checked at the grid's points,
+    raises PhysicsError.  A vanishing Hamiltonian has nothing to track.
     """
     t = _phase_grid(s)
     a, b = s.coefficients(t)
@@ -337,6 +322,13 @@ def _transport(v, enter_states, leave_states):
 def adiabatic_phase_prediction(s):
     """Predicted factorization phases from the instantaneous eigensystem.
 
+    Returns (alpha, dynamical, geometric): dynamical holds the quasienergy
+    integrals, geometric the open-path (Pancharatnam) phases of parallel
+    transport, and alpha their wrapped sum, the predicted alpha of the
+    factorization.  All three follow the factorization's sign convention
+    for the schedule's direction, are indexed like its alpha and are
+    wrapped to (-pi, pi].
+
     Tracks each eigenvalue branch by rank across the phase grid (valid
     while there are no crossings).  The state following the branch of
     rank r picks up the dynamical phase -int eps_r dt (Boole's rule) and
@@ -364,7 +356,8 @@ def adiabatic_phase_prediction(s):
     fine, coarse = fine + _wrap(fine - mid) / 3, mid + _wrap(mid - coarse) / 3
     geometric = np.empty(s.dim)
     geometric[label] = sign * (fine + _wrap(fine - coarse) / 15)
-    return AdiabaticPhases(dynamical=dynamical, geometric=_wrap(geometric))
+    geometric = _wrap(geometric)
+    return _wrap(dynamical + geometric), dynamical, geometric
 
 
 def dynamical_phase_prediction(s):

@@ -15,9 +15,12 @@ f(-t) = g(t) bit for bit (tanh is odd and cosh even, in floating point
 too), so the inverse direction's H(t) is the forward one's H(-t);
 propagator.final_propagators relies on that.
 
-Also here: instantaneous eigenvalue trajectories over the time window
-and the adiabaticity diagnostic comparing eigenvalue gaps to the exact
-nonadiabatic couplings, which dH/dt = a' H0 + b' H1 gives.
+Also here, each returning plain arrays over the schedule's grid: the
+instantaneous eigenvalue trajectories (eigen_trajectories) and the
+adiabaticity diagnostic comparing eigenvalue gaps to the exact
+nonadiabatic couplings, which dH/dt = a' H0 + b' H1 gives
+(adiabaticity_report).  Summaries such as the smallest gap and where it
+occurs are left to the caller.
 """
 
 from dataclasses import dataclass
@@ -97,6 +100,10 @@ class SechMaskedPair:
 
 
 def _check_h0(h0):
+    """H0 is diagonal and real to 1e-14 of its largest entry, and its
+    diagonal entries are exactly distinct: this degeneracy rule has no
+    tolerance, unlike linalg.is_degenerate's and the per-point rule of
+    adiabaticity_report."""
     scale = max(float(np.abs(h0).max()), np.finfo(float).tiny)
     diag = np.diag(h0)
     if np.abs(h0 - np.diag(diag)).max() > 1e-14 * scale:
@@ -178,73 +185,41 @@ class Schedule:
         return np.linspace(self.window[0], self.window[1], self.steps + 1)
 
 
-@dataclass(frozen=True)
-class TrajectoryResult:
-    """Instantaneous eigenvalues over the grid, ascending per time."""
-
-    times: np.ndarray
-    energies: np.ndarray  # shape (len(times), N), ascending along axis 1
-    min_gap: float
-    min_gap_time: float
-
-
 def eigen_trajectories(s):
-    """Ascending eigenvalues of H(t) on the schedule's grid, with the worst gap.
+    """(times, energies): the schedule's grid and the ascending eigenvalues
+    of H(t) on it, energies[k] at times[k].
 
-    The minimal pairwise gap over the scan is the quantity the adiabatic
-    protocol cares about; it is reported together with the time at which
-    it occurs.  Only eigenvalues are computed: one batched eigvalsh over
-    the stacked a_k H0 + b_k H1, with no eigenvectors.
+    Only eigenvalues are computed: one batched eigvalsh over the stacked
+    a_k H0 + b_k H1, with no eigenvectors.
     """
     t = s.grid()
     a, b = s.coefficients(t)
-    energies = np.linalg.eigvalsh(a[:, None, None] * s.h0
-                                  + b[:, None, None] * s.h1)
-    gaps = np.diff(energies, axis=1)
-    per_time = gaps.min(axis=1)
-    k = int(np.argmin(per_time))
-    return TrajectoryResult(
-        times=t,
-        energies=energies,
-        min_gap=float(per_time[k]),
-        min_gap_time=float(t[k]),
-    )
-
-
-@dataclass(frozen=True)
-class AdiabaticityReport:
-    """Gap vs nonadiabatic-coupling diagnostic over the window.
-
-    margin = min over all grid times and state pairs of
-    |eps_m - eps_n| / |<chi_m | dchi_n/dt>|; values well above 1 signal
-    the adiabatic regime.  rate_scale = 1/T is the heuristic magnitude
-    of the couplings for pulse-shaped schedules.  degeneracy_warnings
-    lists (time, message) where eigenvalues clustered and couplings
-    within the cluster are undefined.
-    """
-
-    min_gap: float
-    max_coupling: float
-    margin: float
-    rate_scale: float
-    times: np.ndarray
-    gap_trace: np.ndarray
-    coupling_trace: np.ndarray
-    degeneracy_warnings: list
+    return t, np.linalg.eigvalsh(a[:, None, None] * s.h0
+                                 + b[:, None, None] * s.h1)
 
 
 def adiabaticity_report(s):
-    """Exact nonadiabatic couplings at every grid point.
+    """Gaps and exact nonadiabatic couplings at every grid point.
 
-    <chi_m | dchi_n/dt> = <chi_m | dH/dt | chi_n> / (eps_n - eps_m) with
-    dH/dt = a' H0 + b' H1 needs no eigenvector gauge.  It is unchanged by
-    H -> cH, so H0, H1 and the gaps are divided by c = max |entry|, which
-    keeps large energies and fast pulses from overflowing the projection;
-    a rate beyond float range still leaves max_coupling inf or nan.  Pairs
-    inside a degenerate cluster (gap below the cluster threshold relative
-    to ||H||) are skipped and reported as warnings, ordered by time and
-    then by state pair.  The scan runs in batches of _kernels.CHUNK grid
-    points, which bounds the memory it holds on long grids.
+    Returns (times, gap_trace, coupling_trace, margin, degenerate).
+    gap_trace[k] is the smallest eigenvalue gap and coupling_trace[k] the
+    largest |<chi_m | dchi_n/dt>| at times[k]; margin is the minimum over
+    all grid times and coupled state pairs of |eps_m - eps_n| /
+    |<chi_m | dchi_n/dt>|, where values well above 1 signal the adiabatic
+    regime.  <chi_m | dchi_n/dt> = <chi_m | dH/dt | chi_n> / (eps_n -
+    eps_m) with dH/dt = a' H0 + b' H1 needs no eigenvector gauge.  It is
+    unchanged by H -> cH, so H0, H1 and the gaps are divided by c = max
+    |entry|, which keeps large energies and fast pulses from overflowing
+    the projection; a rate beyond float range still leaves a coupling inf
+    or nan.
+
+    A pair m < n is degenerate at a point where its gap is at most
+    CLUSTER_GAP_RTOL times ||H(t)||_F there (times the smallest normal
+    float where H(t) = 0).  Its coupling is undefined and skipped, and
+    degenerate = (time, m, n, gap) holds one array entry per such pair,
+    ordered by time and then by state pair.  The scan runs in batches of
+    _kernels.CHUNK grid points, which bounds the memory it holds on long
+    grids.
     """
     t = s.grid()
     a, b = s.coefficients(t)
@@ -259,7 +234,7 @@ def adiabaticity_report(s):
     upper = np.triu(off_diagonal)
     margin = np.inf
     coupling_trace = np.zeros(m_pts)
-    warnings_list = []
+    pairs = []
     for start in range(0, m_pts, _kernels.CHUNK):
         stop = min(start + _kernels.CHUNK, m_pts)
         hs = a[start:stop, None, None] * s.h0 + b[start:stop, None, None] * s.h1
@@ -271,11 +246,8 @@ def adiabaticity_report(s):
         w_k = w[start:stop]
         gap = np.abs(w_k[:, :, None] - w_k[:, None, :])
         degenerate = gap <= threshold[:, None, None]
-        for i, mm, nn in zip(*np.nonzero(degenerate & upper)):
-            warnings_list.append(
-                (float(t[start + i]), f"eigenvalues {mm} and {nn} degenerate "
-                                      f"(gap {gap[i, mm, nn]:.3e})")
-            )
+        i, mm, nn = np.nonzero(degenerate & upper)
+        pairs.append((t[start + i], mm, nn, gap[i, mm, nn]))
         coupled = off_diagonal & ~degenerate
         v_k = v[start:stop]
         # a rate beyond float range makes a coupling inf or nan; a subnormal
@@ -292,13 +264,5 @@ def adiabaticity_report(s):
         coupling_trace[start:stop] = coupling.max(axis=(1, 2))
         margin = min(margin, float(ratios.min(initial=np.inf)))
 
-    return AdiabaticityReport(
-        min_gap=float(gap_trace.min()),
-        max_coupling=float(coupling_trace.max()),
-        margin=float(margin),
-        rate_scale=1.0 / s.pulses.T,
-        times=t,
-        gap_trace=gap_trace,
-        coupling_trace=coupling_trace,
-        degeneracy_warnings=warnings_list,
-    )
+    return (t, gap_trace, coupling_trace, margin,
+            tuple(np.concatenate(column) for column in zip(*pairs)))

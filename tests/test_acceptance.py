@@ -38,8 +38,8 @@ from circulant_qft.schedule import (
     eigen_trajectories,
 )
 
-from conftest import (phased_oracle_distribution,
-                      random_hermitian_circulant_column)
+from helpers import (phased_oracle_distribution,
+                     random_hermitian_circulant_column)
 
 
 def report(number, passed, detail):
@@ -102,18 +102,19 @@ def test_criterion_3_eigenvalue_trajectories(pulses):
     h0, h1 = paper_system(10.0)
     sched = Schedule(pulses=pulses, h0=h0, h1=h1, window=(-4.0, 4.0),
                      steps=1600)
-    traj = eigen_trajectories(sched)
+    _, energies = eigen_trajectories(sched)
+    min_gap = np.diff(energies, axis=1).min()
 
     f, _ = pulses.values(-4.0)
-    low = np.abs(traj.energies[0] / np.sort(f * np.diag(h0).real) - 1).max()
+    low = np.abs(energies[0] / np.sort(f * np.diag(h0).real) - 1).max()
     _, g = pulses.values(4.0)
     lam = np.sort(circulant_eigenvalues(h1[:, 0]).real)
-    high = np.abs(traj.energies[-1] / np.sort(g * lam) - 1).max()
+    high = np.abs(energies[-1] / np.sort(g * lam) - 1).max()
     elapsed = time.perf_counter() - start
-    ok = low <= 0.01 and high <= 0.01 and traj.min_gap > 0 and elapsed < 5.0
+    ok = low <= 0.01 and high <= 0.01 and min_gap > 0 and elapsed < 5.0
     assert report(
         3, ok,
-        f"asymptote errors {low:.2e}/{high:.2e}, min gap {traj.min_gap:.4f}, "
+        f"asymptote errors {low:.2e}/{high:.2e}, min gap {min_gap:.4f}, "
         f"{elapsed:.2f} s",
     )
 
@@ -173,10 +174,10 @@ def test_criterion_7_adiabatic_phases(pulses):
         sched = Schedule(pulses=pulses, h0=h0, h1=h1)
         _, samples, _, _ = evolve(sched, convergence_check=False)
         _, alpha, _ = factor_phased_dft(samples[-1], FORWARD)
-        predicted = adiabatic_phase_prediction(sched)
+        predicted, dynamical, _ = adiabatic_phase_prediction(sched)
         return tuple(
             float(np.abs(np.angle(np.exp(1j * (alpha - p)))).max())
-            for p in (predicted.alpha, predicted.dynamical)
+            for p in (predicted, dynamical)
         )
 
     deviation, dynamical_only = deviations(20.0)

@@ -11,7 +11,7 @@ from circulant_qft.errors import PhysicsError
 from circulant_qft.linalg import dagger, frobenius, hermiticity_defect
 from circulant_qft.models import build_six_level
 
-from conftest import random_hermitian_circulant_column
+from helpers import random_hermitian_circulant_column
 
 
 def test_materialize_identity():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -93,6 +94,14 @@ class TestWriteCsv:
             == reference_csv(header, rows).encode()
 
 
+def eigentraj_line(out):
+    """The point count, min gap and its time from eigentraj's one stdout
+    line."""
+    points, gap, time = re.fullmatch(
+        r"eigentraj: (\d+) points, min gap (\S+) at t = (\S+)\n", out).groups()
+    return int(points), float(gap), float(time)
+
+
 class TestEigentraj:
     def test_writes_csv_and_meta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FOUR_LEVEL)
@@ -102,7 +111,12 @@ class TestEigentraj:
         assert len(rows) == 401
         meta = json.loads((tmp_path / "eigentraj.meta.json").read_text())
         assert meta["config"]["model"]["kind"] == "four_level"
-        assert "min gap" in capsys.readouterr().out
+        # the smallest gap lies at the grid's first point
+        table = np.array(rows, dtype=float)
+        gaps = np.diff(table[:, 1:], axis=1).min(axis=1)
+        points, gap, time = eigentraj_line(capsys.readouterr().out)
+        assert (points, time) == (401, table[np.argmin(gaps), 0]) == (401, -6)
+        assert gap == pytest.approx(gaps.min(), rel=1e-9)
 
     def test_no_crossings_in_paper_window(self, tmp_path):
         cfg = write_config(tmp_path, FOUR_LEVEL)
@@ -259,6 +273,22 @@ class TestAdiabaticity:
         assert main(["adiabaticity", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert "max coupling 8.99" in capsys.readouterr().out
 
+    # t / tau overflows, so H(t) = 0 at every grid point but t = 0: the
+    # scan finds 24 degenerate pairs, and only the first five are printed
+    def test_vanishing_hamiltonian_prints_five_pairs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            **FOUR_LEVEL, "pulses": {"kind": "sech_masked", "T": 1.0,
+                                     "tau": 5e-324}, "steps": 4})
+        assert main(["adiabaticity", "--config", cfg, "--out", str(tmp_path)]) == 0
+        pairs = ["0 and 1", "0 and 2", "0 and 3", "1 and 2", "1 and 3"]
+        assert capsys.readouterr().out == (
+            "adiabaticity: min gap 0, max coupling 0.587503807427, margin "
+            "23.2979093889 (1/T = 1)\n" + "".join(
+                f"  degeneracy at t = -6: eigenvalues {pair} degenerate "
+                f"(gap 0.000e+00)\n" for pair in pairs))
+        assert (tmp_path / "adiabaticity.csv").read_text() == (
+            "t,min_gap,max_coupling\n-6,0,0\n-3,0,0\n"
+            "0,13.6876104711,0.587503807427\n3,0,0\n6,0,0\n")
 
     # the margin's gap/coupling ratios overflow to inf at a subnormal
     # coupling; inf is never the minimum, so the margin is unchanged.  The
@@ -514,13 +544,19 @@ class TestSixLevelSchedules:
         model = {**SIX_LEVEL_MODEL, "omega1": omega, "omega2": omega}
         cfg = write_config(tmp_path, {**self.CONFIG, "model": model})
         assert main(["eigentraj", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert f"min gap {gap}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"min gap {gap}" in out
         table = np.loadtxt(tmp_path / "eigentraj.csv", delimiter=",", skiprows=1)
         f, g = TanhPair(T=1.0).values(table[:, 0])
         h0 = np.diag(SIX_LEVEL_MODEL["h0_diag"]).astype(complex)
         h1 = build_six_level(omega, omega)
         raw = np.linalg.eigvalsh(f[:, None, None] * h0 + g[:, None, None] * h1)
         assert np.abs(table[:, 1:] - raw).max() <= 1e-10
+        # the smallest gap lies at the grid's last point
+        gaps = np.diff(raw, axis=1).min(axis=1)
+        points, min_gap, time = eigentraj_line(out)
+        assert (points, time) == (401, table[np.argmin(gaps), 0]) == (401, 6)
+        assert min_gap == pytest.approx(gaps.min(), rel=1e-8)
 
     def test_adiabaticity_runs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.CONFIG)
@@ -1149,36 +1185,46 @@ class TestEntryPoint:
         assert (proc.returncode, proc.stdout) == (code, "")
 
     # argparse drops a failed write of its usage error; buffered, the bytes
-    # it leaves would fail the shutdown flush and exit 120
+    # it leaves would fail the shutdown flush and exit 120.  The error
+    # writes nothing to stdout, so a full stdout must not change the exit
+    # code either: unbuffered, even an empty write fails there.
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [None, "1"],
                              ids=["buffered", "unbuffered"])
     def test_full_stderr_keeps_the_usage_exit_code(self, unbuffered):
+        argv = [sys.executable, "-m", "circulant_qft", "bogus"]
+        env = fresh_env(PYTHONUNBUFFERED=unbuffered)
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "circulant_qft", "bogus"],
-                stdout=subprocess.PIPE, stderr=full, text=True,
-                env=fresh_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
+            proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=full,
+                                  text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout) == (2, "")
+        piped = subprocess.run(argv, capture_output=True, text=True, env=env,
+                               timeout=120)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, piped.stderr)
+        assert proc.stderr.splitlines()[-1].startswith("circulant-qft: error: ")
 
-    # argparse prints these to a buffered stdout and leaves main() through
-    # SystemExit; run() still flushes, so the failed write is one output
-    # error, not the shutdown flush's exit 120.  Unbuffered, argparse drops
-    # the failed write and exits 0.
+    # argparse would drop a failed write of these, so main() writes them
+    # itself: buffered, the write fails at run()'s flush, not at the
+    # shutdown flush's exit 120; unbuffered, inside main(), not silently
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["--help"], ["--version"],
                                       ["models", "--help"]],
                              ids=["help", "version", "command_help"])
     def test_help_to_full_stdout_exits_1_with_one_line(self, argv):
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "circulant_qft", *argv],
-                stdout=full, stderr=subprocess.PIPE, text=True,
-                env=fresh_env(PYTHONUNBUFFERED=None), timeout=120)
-        assert (proc.returncode, proc.stderr) == (
-            1, "output error: [Errno 28] No space left on device\n")
+        for unbuffered in (None, "1"):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "circulant_qft", *argv],
+                    stdout=full, stderr=subprocess.PIPE, text=True,
+                    env=fresh_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
+            assert (unbuffered, proc.returncode, proc.stderr) == (
+                unbuffered, 1,
+                "output error: [Errno 28] No space left on device\n")
 
     def test_unwritable_output_file_exits_1_with_one_line(self, tmp_path):
         # a directory squats on the sidecar, the first file models writes

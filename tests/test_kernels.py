@@ -18,7 +18,7 @@ from circulant_qft.propagator import (
 )
 from circulant_qft.schedule import FORWARD, INVERSE, Schedule, SechMaskedPair
 
-from conftest import complex_form, random_hermitian
+from helpers import complex_form, random_hermitian
 
 CHUNK = _kernels.CHUNK
 NO_SAMPLES = np.empty(0, dtype=np.int64)

@@ -15,7 +15,7 @@ from circulant_qft.linalg import (
     unitarity_defect,
 )
 
-from conftest import complex_form, random_hermitian
+from helpers import complex_form, random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 ONE = np.ones(1)

@@ -11,7 +11,7 @@ from circulant_qft.qpe import (
 )
 from circulant_qft.schedule import INVERSE, Schedule
 
-from conftest import phased_inverse_qft, phased_oracle_distribution
+from helpers import phased_inverse_qft, phased_oracle_distribution
 
 
 class TestBits:

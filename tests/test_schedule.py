@@ -150,41 +150,40 @@ class TestSchedule:
 class TestTrajectories:
     def test_asymptotic_values_at_four_crossing_times(self, paper_schedule):
         s = replace(paper_schedule, window=(-4.0, 4.0), steps=1600)
-        traj = eigen_trajectories(s)
+        _, energies = eigen_trajectories(s)
         f, _ = s.pulses.values(-4.0)
         expected = np.sort(f * np.diag(s.h0).real)
-        assert np.abs(traj.energies[0] / expected - 1).max() <= 0.01
+        assert np.abs(energies[0] / expected - 1).max() <= 0.01
         _, g = s.pulses.values(4.0)
         lam = np.sort(circulant_eigenvalues(s.h1[:, 0]).real)
         expected = np.sort(g * lam)
-        assert np.abs(traj.energies[-1] / expected - 1).max() <= 0.01
+        assert np.abs(energies[-1] / expected - 1).max() <= 0.01
 
     def test_min_gap_positive_in_window(self, paper_schedule):
-        traj = eigen_trajectories(replace(paper_schedule, window=(-4.0, 4.0),
-                                          steps=1600))
-        assert traj.min_gap > 0
+        _, energies = eigen_trajectories(replace(
+            paper_schedule, window=(-4.0, 4.0), steps=1600))
+        assert np.diff(energies, axis=1).min() > 0
 
     def test_no_coupling_gives_scaled_diagonal(self, paper_model):
         h0, _ = paper_model
         h1 = np.zeros_like(h0)
         s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1, window=(-3.0, 3.0),
                      steps=6)
-        traj = eigen_trajectories(s)
+        _, energies = eigen_trajectories(s)
         f, _ = s.pulses.values(s.grid())
         expected = np.sort(f[:, None] * np.diag(h0).real[None, :], axis=1)
-        assert np.allclose(traj.energies, expected, atol=1e-12)
+        assert np.allclose(energies, expected, atol=1e-12)
 
     @pytest.mark.parametrize("energy, steps", [(10.0, 4000), (13.7, 20000)],
                              ids=["paper", "dense_grid"])
     def test_eigenvalues_match_eigh(self, paper_pulses, energy, steps):
         h0, h1 = build_four_level(energy, energy * (1 + 1j / 3))
         s = Schedule(pulses=paper_pulses, h0=h0, h1=h1, steps=steps)
-        traj = eigen_trajectories(s)
-        a, b = s.coefficients(s.grid())
+        times, energies = eigen_trajectories(s)
+        assert np.array_equal(times, s.grid())
+        a, b = s.coefficients(times)
         w, _ = np.linalg.eigh(a[:, None, None] * h0 + b[:, None, None] * h1)
-        assert np.abs(traj.energies - w).max() <= 1e-12 * np.abs(w).max()
-        gaps = np.diff(w, axis=1).min(axis=1)
-        assert traj.min_gap_time == s.grid()[np.argmin(gaps)]
+        assert np.abs(energies - w).max() <= 1e-12 * np.abs(w).max()
 
     def test_solves_for_no_eigenvectors(self, monkeypatch, paper_schedule):
         calls = [0]
@@ -195,15 +194,15 @@ class TestTrajectories:
             return eigh(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        traj = eigen_trajectories(paper_schedule)
+        _, energies = eigen_trajectories(paper_schedule)
         assert calls[0] == 0
-        assert traj.energies.shape == (paper_schedule.steps + 1, 4)
+        assert energies.shape == (paper_schedule.steps + 1, 4)
 
     def test_continuity_improves_with_grid_refinement(self, paper_schedule):
         jumps = []
         for m in (200, 400):
-            traj = eigen_trajectories(replace(paper_schedule, steps=m))
-            jumps.append(np.abs(np.diff(traj.energies, axis=0)).max())
+            _, energies = eigen_trajectories(replace(paper_schedule, steps=m))
+            jumps.append(np.abs(np.diff(energies, axis=0)).max())
         assert jumps[1] <= 0.6 * jumps[0]
 
 
@@ -212,21 +211,21 @@ class TestAdiabaticity:
         h0, _ = paper_model
         s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0,
                      h1=np.zeros_like(h0), steps=400)
-        report = adiabaticity_report(s)
-        assert report.max_coupling == 0.0
-        assert report.margin == np.inf
+        _, _, coupling_trace, margin, _ = adiabaticity_report(s)
+        assert coupling_trace.max() == 0.0
+        assert margin == np.inf
 
     def test_operating_point_is_adiabatic(self, paper_schedule):
-        report = adiabaticity_report(replace(paper_schedule, steps=2000))
-        assert report.margin > 10
-        assert report.rate_scale == 1.0
+        _, _, _, margin, _ = adiabaticity_report(replace(paper_schedule,
+                                                         steps=2000))
+        assert margin > 10
 
     def test_weak_system_is_diabatic(self):
         h0, h1 = build_four_level(0.1, 0.1 * (1 + 1j / 3))
         s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
                      steps=2000)
-        report = adiabaticity_report(s)
-        assert report.margin < 1
+        _, _, _, margin, _ = adiabaticity_report(s)
+        assert margin < 1
 
     def test_degenerate_cluster_reports_timestamps(self):
         # two H0 levels split by 1e-12 stay below the cluster threshold
@@ -234,23 +233,22 @@ class TestAdiabaticity:
         h0 = np.diag(np.array([-1.0, -1.0 + 1e-12, 1 / 3, 1.0], dtype=complex))
         s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0),
                      steps=800)
-        report = adiabaticity_report(s)
-        assert report.degeneracy_warnings
-        t_stamp, message = report.degeneracy_warnings[0]
-        assert s.window[0] <= t_stamp <= s.window[1]
-        assert "degenerate" in message
+        times, m, n, gap = adiabaticity_report(s)[4]
+        assert len(times)
+        assert s.window[0] <= times[0] <= s.window[1]
+        assert (m[0], n[0]) == (0, 1) and gap[0] <= 1e-12
 
     def test_exact_where_the_gauge_anchor_switches(self):
         # README model with tanh pulses.  At these rows an eigenvector's
         # largest-modulus component changes, and central differences of
         # eigenvectors gauge-fixed on it read 0.8314 and 0.8288
         h0, h1 = build_four_level(10.0, complex(10.0, 3.3333333333))
-        report = adiabaticity_report(Schedule(pulses=TanhPair(T=1.0), h0=h0,
-                                              h1=h1, steps=4000))
+        times, _, coupling_trace, _, _ = adiabaticity_report(Schedule(
+            pulses=TanhPair(T=1.0), h0=h0, h1=h1, steps=4000))
         rows = [1914, 1915]
-        assert report.times[rows] == pytest.approx([-0.258, -0.255], rel=1e-12)
-        assert report.coupling_trace[rows] == pytest.approx([0.8781, 0.8758],
-                                                            rel=1e-3)
+        assert times[rows] == pytest.approx([-0.258, -0.255], rel=1e-12)
+        assert coupling_trace[rows] == pytest.approx([0.8781, 0.8758],
+                                                     rel=1e-3)
 
     @pytest.mark.parametrize("direction", [FORWARD, INVERSE])
     def test_matches_dense_finite_difference(self, paper_schedule, direction):
@@ -261,7 +259,7 @@ class TestAdiabaticity:
         # matrix changes the coupling.
         s = replace(paper_schedule, direction=direction, steps=400)
         h0, h1 = s.h0, s.h1
-        report = adiabaticity_report(s)
+        coupling_trace = adiabaticity_report(s)[2]
         h = 1e-4
         a, b = s.coefficients(s.grid()[:, None] + np.array([-h, 0.0, h]))
         _, v = np.linalg.eigh(a[..., None, None] * h0 + b[..., None, None] * h1)
@@ -273,13 +271,14 @@ class TestAdiabaticity:
         coupling[:, np.eye(len(h0), dtype=bool)] = 0.0
         smooth = (anchor == anchor[:, 1:2]).all(axis=(1, 2))
         assert smooth.sum() > 0.9 * len(smooth)
-        assert report.coupling_trace[smooth] == pytest.approx(
+        assert coupling_trace[smooth] == pytest.approx(
             coupling.max(axis=(1, 2))[smooth], rel=1e-6, abs=0)
 
 
 def reference_report(s):
-    """(gap_trace, coupling_trace, margin, warnings) computed one grid point
-    and one state pair at a time from |<m|dH/dt|n>| / |eps_n - eps_m|.
+    """(gap_trace, coupling_trace, margin, degenerate) computed one grid
+    point and one state pair at a time from |<m|dH/dt|n>| / |eps_n - eps_m|;
+    degenerate lists (time, m, n, gap) per degenerate pair m < n.
 
     As in the scan, H0, H1 and the gaps are divided by the largest entry
     c first: the projection's roundoff is absolute, so the small couplings
@@ -294,7 +293,7 @@ def reference_report(s):
     gap_trace = np.array([np.diff(w[k]).min() for k in range(m_pts)])
     margin = np.inf
     coupling_trace = np.zeros(m_pts)
-    warnings_list = []
+    degenerate = []
     for k in range(m_pts):
         projected = np.conj(v[k]).T @ (da[k] * (s.h0 / c)
                                        + db[k] * (s.h1 / c)) @ v[k]
@@ -308,16 +307,14 @@ def reference_report(s):
                 gap = abs(w[k, mm] - w[k, nn])
                 if gap <= threshold:
                     if mm < nn:
-                        warnings_list.append(
-                            (float(t[k]), f"eigenvalues {mm} and {nn} degenerate "
-                                          f"(gap {gap:.3e})"))
+                        degenerate.append((float(t[k]), mm, nn, float(gap)))
                     continue
                 coupling = abs(projected[mm, nn]) / (gap / c)
                 worst = max(worst, coupling)
                 if coupling > 0:
                     margin = min(margin, gap / coupling)
         coupling_trace[k] = worst
-    return gap_trace, coupling_trace, margin, warnings_list
+    return gap_trace, coupling_trace, margin, degenerate
 
 
 def _weak_schedule(_, steps):
@@ -338,6 +335,14 @@ def _clustered_schedule(_, steps):
                     steps=steps)
 
 
+def _vanishing_schedule(paper_model, steps):
+    # t / tau overflows, so H(t) = 0 at every grid point but t = 0, and
+    # all six pairs are degenerate there
+    h0, h1 = paper_model
+    return Schedule(pulses=SechMaskedPair(T=1.0, tau=5e-324), h0=h0, h1=h1,
+                    steps=steps)
+
+
 def _paper_schedule(paper_model, steps):
     h0, h1 = paper_model
     return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
@@ -349,21 +354,22 @@ class TestBatchedScan:
 
     @pytest.mark.parametrize("points", [2 * _kernels.CHUNK + 37, 3, 2])
     @pytest.mark.parametrize("make", [_paper_schedule, _weak_schedule,
-                                      _uncoupled_schedule, _clustered_schedule],
-                             ids=["paper", "weak", "uncoupled", "clustered"])
+                                      _uncoupled_schedule, _clustered_schedule,
+                                      _vanishing_schedule],
+                             ids=["paper", "weak", "uncoupled", "clustered",
+                                  "vanishing"])
     def test_matches_reference_loop(self, paper_model, make, points):
         s = make(paper_model, points - 1)
-        report = adiabaticity_report(s)
-        gap_trace, coupling_trace, margin, warnings_list = reference_report(s)
-        assert np.array_equal(report.times, np.linspace(-6, 6, points))
-        assert np.array_equal(report.gap_trace, gap_trace)
-        assert report.min_gap == gap_trace.min()
-        assert report.degeneracy_warnings == warnings_list
+        times, gaps, couplings, margin, degenerate = adiabaticity_report(s)
+        ref_gaps, ref_couplings, ref_margin, ref_degenerate = reference_report(s)
+        assert np.array_equal(times, np.linspace(-6, 6, points))
+        assert np.array_equal(gaps, ref_gaps)
+        assert list(zip(*(column.tolist() for column in degenerate))) == (
+            ref_degenerate)
         # the batched coupling product may sum in another order
         close = dict(rel=1e-12, abs=0)
-        assert report.coupling_trace == pytest.approx(coupling_trace, **close)
-        assert report.max_coupling == pytest.approx(coupling_trace.max(), **close)
-        assert report.margin == pytest.approx(margin, **close)
+        assert couplings == pytest.approx(ref_couplings, **close)
+        assert margin == pytest.approx(ref_margin, **close)
 
     @pytest.mark.parametrize("ratio, warns", [(0.75, True), (1.2, False)])
     def test_degeneracy_threshold_scales_with_frobenius_norm(self, ratio, warns):
@@ -374,24 +380,30 @@ class TestBatchedScan:
         levels[1] += ratio * CLUSTER_GAP_RTOL * np.linalg.norm(levels)
         h0 = np.diag(levels.astype(complex))
         steps = 2 * _kernels.CHUNK + 36
-        report = adiabaticity_report(Schedule(
+        times, _, _, _, (flagged, m, n, _) = adiabaticity_report(Schedule(
             pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0), steps=steps))
-        flagged = [(time, text.split(" (")[0])
-                   for time, text in report.degeneracy_warnings]
-        expected = [(float(time), "eigenvalues 0 and 1 degenerate")
-                    for time in report.times] if warns else []
-        assert flagged == expected
+        assert np.array_equal(flagged, times if warns else [])
+        assert set(m) | set(n) == ({0, 1} if warns else set())
 
     def test_edge_cases_are_exercised(self, paper_model):
         steps = 2 * _kernels.CHUNK + 36
-        uncoupled = adiabaticity_report(_uncoupled_schedule(paper_model, steps))
-        assert uncoupled.margin == np.inf and uncoupled.max_coupling == 0.0
-        clustered = adiabaticity_report(_clustered_schedule(paper_model, steps))
-        # one warning per grid point, endpoints and both chunk
-        # boundaries included
-        assert len(clustered.degeneracy_warnings) == steps + 1
-        weak = adiabaticity_report(_weak_schedule(paper_model, steps))
-        assert 0 < weak.margin < 1
+        _, _, couplings, margin, _ = adiabaticity_report(
+            _uncoupled_schedule(paper_model, steps))
+        assert margin == np.inf and couplings.max() == 0.0
+        times, _, _, _, (flagged, _, _, _) = adiabaticity_report(
+            _clustered_schedule(paper_model, steps))
+        # one pair per grid point, endpoints and both chunk boundaries
+        # included
+        assert np.array_equal(flagged, times)
+        # six pairs at every point but t = 0, in time-then-pair order
+        times, _, _, _, (flagged, m, n, gap) = adiabaticity_report(
+            _vanishing_schedule(paper_model, steps))
+        assert np.array_equal(flagged, np.repeat(times[times != 0], 6))
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert np.array_equal(np.column_stack([m, n]), np.tile(pairs, (steps, 1)))
+        assert not gap.any()
+        _, _, _, margin, _ = adiabaticity_report(_weak_schedule(paper_model, steps))
+        assert 0 < margin < 1
 
 
 def reference_polyline_points(x, y, x_lo, x_hi, y_lo, y_hi):

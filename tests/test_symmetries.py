@@ -40,7 +40,7 @@ def _outputs(c, kind, direction):
     times, samples, drift, convergence = evolve(s)
     return (times, samples, drift, convergence,
             *factor_phased_dft(samples[-1], direction),
-            adiabatic_phase_prediction(s).alpha)
+            adiabatic_phase_prediction(s)[0])
 
 
 @pytest.mark.parametrize("c", [2.0, 0.5])
