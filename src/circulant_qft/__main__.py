@@ -15,7 +15,10 @@ documentation advises for a broken pipe, and with one `output error:
 ...` line on stderr when a write fails for any other reason (`>
 /dev/full`), as main() reports an output file that cannot be written.
 Neither prints a traceback, and output files already written stay.  A
-stderr that cannot take a message loses it, never the exit code.  Before
+stderr that cannot take a message loses it, never the exit code.  A
+standard stream whose descriptor is closed when the process starts
+(`>&-`, `2>&-`) fails as a closed pipe does, so those rules hold for it
+too, and no message meant for stderr goes to stdout.  Before
 exiting it disables the garbage collector and freezes every live object,
 so the interpreter's shutdown collections do not traverse objects the OS
 is about to free.  atexit handlers and the flushes of the standard
@@ -36,7 +39,22 @@ if not any(var in os.environ for var in BLAS_THREAD_VARS):
 from .cli import EXIT_OUTPUT, _report, main  # noqa: E402
 
 
+def _closed_pipe(fd):
+    """A text stream on descriptor fd, which was closed at start: the write
+    end of a pipe with no reader, where a write fails with EPIPE."""
+    read, write = os.pipe()
+    os.dup2(write, fd)
+    for end in {read, write} - {fd}:
+        os.close(end)
+    return open(fd, "w")
+
+
 def run():
+    # Python leaves a stream None when its descriptor is closed at start
+    if sys.stdout is None:
+        sys.stdout = _closed_pipe(1)
+    if sys.stderr is None:
+        sys.stderr = _closed_pipe(2)
     try:
         try:
             code = main()

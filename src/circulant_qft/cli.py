@@ -35,9 +35,8 @@ from .schedule import (
     DEFAULT_STEPS,
     FORWARD,
     INVERSE,
+    PulsePair,
     Schedule,
-    SechMaskedPair,
-    TanhPair,
     adiabaticity_report,
     eigen_trajectories,
 )
@@ -244,11 +243,11 @@ def build_pulses(cfg):
     kind = pulses.get("kind")
     if kind == "tanh":
         _check_keys("pulses", pulses, ["kind", "T"], ["kind", "T"])
-        return TanhPair(T=_positive("pulses.T", pulses["T"]))
+        return PulsePair(T=_positive("pulses.T", pulses["T"]))
     if kind == "sech_masked":
         _check_keys("pulses", pulses, ["kind", "T", "tau"], ["kind", "T", "tau"])
-        return SechMaskedPair(T=_positive("pulses.T", pulses["T"]),
-                              tau=_positive("pulses.tau", pulses["tau"]))
+        return PulsePair(T=_positive("pulses.T", pulses["T"]),
+                         tau=_positive("pulses.tau", pulses["tau"]))
     raise ConfigError(f"pulses.kind: expected tanh or sech_masked, got {kind!r}")
 
 

@@ -182,7 +182,7 @@ def _assign_columns(weights):
     return sigma
 
 
-def factor_phased_dft(u, direction=FORWARD):
+def factor_phased_dft(u, direction):
     """Fit U as a phased, renumbered DFT (or inverse DFT).
 
     Returns (sigma, alpha, residual).  Forward: column n of the fit is

@@ -3,16 +3,17 @@
 The protocol interpolates H(t) = f(t) H0 + g(t) H1 (forward direction)
 or H(t) = g(t) H0 + f(t) H1 (inverse direction), where the pulse pair
 (f, g) satisfies g/f -> 0 as t -> -inf and g/f -> inf as t -> +inf, so
-the diagonal part precedes the circulant part in time.  Two pulse
-families are provided: the plain tanh crossing pair and the
-experimentally friendlier sech-masked variant.  The caller passes their
-T and tau positive.  A pulse pair is any object with values(t) -> (f, g),
-derivatives(t) -> (f', g') (inf or nan where a rate such as 1/T is
-beyond float range), an attribute T, the timescale of the f/g crossing
-that sets the 1/T coupling scale, and window_halfwidth(), the
-half-width of the default window.  Its pulses mirror into each other,
-f(-t) = g(t) bit for bit (tanh is odd and cosh even, in floating point
-too), so the inverse direction's H(t) is the forward one's H(-t);
+the diagonal part precedes the circulant part in time.  One class,
+PulsePair, serves both pulse kinds with two envelopes on the same tanh
+crossing: a constant 1/2 (the plain tanh pair) and the experimentally
+friendlier sech mask.  The caller passes T and tau positive.  A pulse
+pair is any object with values(t) -> (f, g), derivatives(t) -> (f', g')
+(inf or nan where a rate such as 1/T is beyond float range), an
+attribute T, the timescale of the f/g crossing that sets the 1/T
+coupling scale, and window_halfwidth(), the half-width of the default
+window.  Its pulses mirror into each other, f(-t) = g(t) bit for bit
+(tanh is odd and cosh even, in floating point too), so the inverse
+direction's H(t) is the forward one's H(-t);
 propagator.final_propagators relies on that.
 
 Also here, each returning plain arrays over the schedule's grid: the
@@ -44,59 +45,48 @@ DEFAULT_STEPS = 4000
 
 
 @dataclass(frozen=True)
-class TanhPair:
-    """f = [1 - tanh(t/T)]/2, g = [1 + tanh(t/T)]/2; f + g = 1 exactly."""
+class PulsePair:
+    """Tanh crossing under an envelope m(t): f = m [1 - tanh(t/T)],
+    g = m [1 + tanh(t/T)].
 
-    T: float
-
-    def values(self, t):
-        # t/T overflowing to +-inf gives tanh = +-1, its limit
-        with np.errstate(over="ignore"):
-            th = np.tanh(np.asarray(t, dtype=float) / self.T)
-        return 0.5 * (1.0 - th), 0.5 * (1.0 + th)
-
-    def derivatives(self, t):
-        # cosh overflow gives the limit 0, 1/T beyond float range inf
-        with np.errstate(over="ignore"):
-            rate = 0.5 / np.cosh(np.asarray(t, dtype=float) / self.T)**2 / self.T
-        return -rate, rate
-
-    def window_halfwidth(self):
-        return DEFAULT_WINDOW_HALFWIDTH * self.T
-
-
-@dataclass(frozen=True)
-class SechMaskedPair:
-    """Tanh crossing under a sech envelope of width tau.
-
-    f = sech(t/tau) [1 - tanh(t/T)], g = sech(t/tau) [1 + tanh(t/T)].
-    The mask switches the fields off at large |t| without touching the
-    g/f ratio, so the asymptotic eigenstates are unchanged.
+    m = 1/2 when tau is None (the tanh kind, f + g = 1 exactly) and
+    sech(t/tau) otherwise (the sech-masked kind).  The mask switches the
+    fields off at large |t| without touching the g/f ratio, so the
+    asymptotic eigenstates are unchanged.
     """
 
     T: float
-    tau: float
+    tau: float = None
+
+    def _envelope(self, t):
+        return 0.5 if self.tau is None else 1.0 / np.cosh(t / self.tau)
 
     def values(self, t):
         t = np.asarray(t, dtype=float)
-        # t/tau or cosh overflowing to inf gives sech = 0, its limit
+        # t/T overflowing to +-inf gives tanh = +-1, its limit; t/tau or
+        # cosh overflowing to inf gives sech = 0, its limit
         with np.errstate(over="ignore"):
-            mask = 1.0 / np.cosh(t / self.tau)
+            m = self._envelope(t)
             th = np.tanh(t / self.T)
-        return mask * (1.0 - th), mask * (1.0 + th)
+        return m * (1.0 - th), m * (1.0 + th)
 
     def derivatives(self, t):
         t = np.asarray(t, dtype=float)
-        # as in values; rates beyond float range may give inf - inf, inf * 0
+        # as in values; rates beyond float range give inf, and under the
+        # mask may give inf - inf or inf * 0
         with np.errstate(over="ignore", invalid="ignore"):
-            mask = 1.0 / np.cosh(t / self.tau)
+            m = self._envelope(t)
+            dth = m / np.cosh(t / self.T)**2 / self.T  # m * dtanh/dt
+            if self.tau is None:
+                # no envelope-rate term, not even 0.0 * (1 - th): it would
+                # turn -dth's -0.0 into +0.0 where cosh overflows
+                return -dth, dth
             th = np.tanh(t / self.T)
-            dmask = -mask * np.tanh(t / self.tau) / self.tau
-            dth = mask / np.cosh(t / self.T)**2 / self.T  # mask * dtanh/dt
-            return dmask * (1.0 - th) - dth, dmask * (1.0 + th) + dth
+            dm = -m * np.tanh(t / self.tau) / self.tau
+            return dm * (1.0 - th) - dth, dm * (1.0 + th) + dth
 
     def window_halfwidth(self):
-        return DEFAULT_WINDOW_HALFWIDTH * max(self.T, self.tau)
+        return DEFAULT_WINDOW_HALFWIDTH * max(self.T, self.tau or self.T)
 
 
 def _check_h0(h0):

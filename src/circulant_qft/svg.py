@@ -33,16 +33,16 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-def write_line_plot(path, x, series, title="", xlabel="", ylabel=""):
+def write_line_plot(path, x, series, title, xlabel, ylabel):
     """Write one SVG with a polyline per named series.
 
-    series is a mapping name -> y array (same length as x).  Axis ranges
-    are padded data ranges; formatting is fixed so identical inputs give
-    identical bytes.
+    series is a nonempty mapping name -> y array (same length as x).
+    Axis ranges are padded data ranges; formatting is fixed so identical
+    inputs give identical bytes.
     """
     x = np.asarray(x, dtype=float)
     ys = {name: np.asarray(y, dtype=float) for name, y in series.items()}
-    all_y = np.concatenate([y for y in ys.values()]) if ys else np.zeros(1)
+    all_y = np.concatenate(list(ys.values()))
     x_lo, x_hi = float(x.min()), float(x.max())
     y_lo, y_hi = float(all_y.min()), float(all_y.max())
     if y_hi == y_lo:
@@ -95,19 +95,17 @@ def write_line_plot(path, x, series, title="", xlabel="", ylabel=""):
             f'text-anchor="end" font-family="sans-serif" font-size="11">'
             f'{_fmt(ty)}</text>'
         )
-    if xlabel:
-        lines.append(
-            f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 10}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-            f'{xlabel}</text>'
-        )
-    if ylabel:
-        cy = MARGIN_TOP + plot_h / 2
-        lines.append(
-            f'<text x="18" y="{cy:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {cy:.1f})">{ylabel}</text>'
-        )
+    lines.append(
+        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 10}" '
+        f'text-anchor="middle" font-family="sans-serif" font-size="13">'
+        f'{xlabel}</text>'
+    )
+    cy = MARGIN_TOP + plot_h / 2
+    lines.append(
+        f'<text x="18" y="{cy:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 18 {cy:.1f})">{ylabel}</text>'
+    )
 
     # every polyline shares the x pixels: they are formatted once, into
     # one %-format ("70.00,%.2f 70.03,%.2f ...") that each polyline fills

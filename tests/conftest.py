@@ -2,7 +2,7 @@ import pytest
 
 from circulant_qft import _kernels
 from circulant_qft.models import build_four_level
-from circulant_qft.schedule import Schedule, SechMaskedPair
+from circulant_qft.schedule import PulsePair, Schedule
 
 
 @pytest.fixture()
@@ -29,7 +29,7 @@ def paper_model():
 
 @pytest.fixture(scope="session")
 def paper_pulses():
-    return SechMaskedPair(T=1.0, tau=1.0)
+    return PulsePair(T=1.0, tau=1.0)
 
 
 @pytest.fixture()

@@ -33,8 +33,8 @@ from circulant_qft.qpe import ideal_distribution, run_qpe
 from circulant_qft.schedule import (
     FORWARD,
     INVERSE,
+    PulsePair,
     Schedule,
-    SechMaskedPair,
     eigen_trajectories,
 )
 
@@ -60,7 +60,7 @@ def spec_corpus():
 
 @pytest.fixture(scope="module")
 def pulses():
-    return SechMaskedPair(T=1.0, tau=1.0)
+    return PulsePair(T=1.0, tau=1.0)
 
 
 def paper_system(et):

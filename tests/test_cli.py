@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -16,7 +17,7 @@ from circulant_qft.cli import main, write_csv
 from circulant_qft.models import build_four_level, build_six_level
 from circulant_qft.propagator import evolve, factor_phased_dft
 from circulant_qft.qpe import run_qpe
-from circulant_qft.schedule import Schedule, SechMaskedPair, TanhPair
+from circulant_qft.schedule import PulsePair, Schedule
 
 FOUR_LEVEL = {
     "model": {"kind": "four_level", "E": 10.0, "V": [10.0, 10.0 / 3.0]},
@@ -547,7 +548,7 @@ class TestSixLevelSchedules:
         out = capsys.readouterr().out
         assert f"min gap {gap}" in out
         table = np.loadtxt(tmp_path / "eigentraj.csv", delimiter=",", skiprows=1)
-        f, g = TanhPair(T=1.0).values(table[:, 0])
+        f, g = PulsePair(T=1.0).values(table[:, 0])
         h0 = np.diag(SIX_LEVEL_MODEL["h0_diag"]).astype(complex)
         h1 = build_six_level(omega, omega)
         raw = np.linalg.eigvalsh(f[:, None, None] * h0 + g[:, None, None] * h1)
@@ -608,8 +609,7 @@ def per_point_sweep(payload):
     """(et, residual, final_fidelity) of every sweep point, each from its
     own four-level model, forward evolution and phase estimation."""
     pulses = payload["pulses"]
-    pair = (SechMaskedPair(T=pulses["T"], tau=pulses["tau"])
-            if pulses["kind"] == "sech_masked" else TanhPair(T=pulses["T"]))
+    pair = PulsePair(T=pulses["T"], tau=pulses.get("tau"))
     v_over_e = complex(*payload["v_over_e"])
     window = tuple(payload["window"])
     rows = []
@@ -676,7 +676,7 @@ class TestStepCounts:
         assert [float(rows[0][0]), float(rows[-1][0])] == [-6.0, 6.0]
         h0, h1 = build_four_level(10.0, 10.0 * (1 + 1j / 3))
         times, _, _, _ = evolve(Schedule(
-            pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1, steps=steps))
+            pulses=PulsePair(T=1.0, tau=1.0), h0=h0, h1=h1, steps=steps))
         assert [times[0], times[-1]] == [-6.0, 6.0]
 
     # every point is the E = 1 model scaled by E, and on the default,
@@ -835,53 +835,72 @@ class TestStepCounts:
 
 
 class TestConfigErrors:
-    @pytest.mark.parametrize("command, payload", [
-        ("qpe", {**QPE_CONFIG, "steps": "x"}),
-        ("qpe", {**QPE_CONFIG, "window": "ab"}),
-        ("sweep", {**SWEEP_CONFIG, "phi": 2.0}),
-        ("sweep", {**SWEEP_CONFIG, "steps": 0}),
-        ("qpe", {**QPE_CONFIG, "steps": True}),
-        ("sweep", {**SWEEP_CONFIG, "phi": False}),
-        ("evolve", {**FOUR_LEVEL, "model": {**FOUR_LEVEL["model"], "E": True}}),
+    # message: the start of what follows "config error: ", which names the
+    # rule the row breaks
+    @pytest.mark.parametrize("command, payload, message", [
+        ("qpe", {**QPE_CONFIG, "steps": "x"}, "steps:"),
+        ("qpe", {**QPE_CONFIG, "window": "ab"}, "window:"),
+        ("sweep", {**SWEEP_CONFIG, "phi": 2.0}, "phi:"),
+        ("sweep", {**SWEEP_CONFIG, "steps": 0}, "steps:"),
+        ("qpe", {**QPE_CONFIG, "steps": True}, "steps:"),
+        ("sweep", {**SWEEP_CONFIG, "phi": False}, "phi:"),
+        ("evolve", {**FOUR_LEVEL, "model": {**FOUR_LEVEL["model"], "E": True}},
+         "model.E:"),
         ("evolve", {**FOUR_LEVEL,
-                    "model": {**FOUR_LEVEL["model"], "V": [True, 3.0]}}),
-        ("sweep", {**SWEEP_CONFIG, "et_values": [True, 20.0]}),
-        ("eigentraj", {**FOUR_LEVEL, "window": [False, 4.0]}),
+                    "model": {**FOUR_LEVEL["model"], "V": [True, 3.0]}},
+         "model.V:"),
+        ("sweep", {**SWEEP_CONFIG, "et_values": [True, 20.0]}, "et_values[0]:"),
+        ("eigentraj", {**FOUR_LEVEL, "window": [False, 4.0]}, "window:"),
         ("models", {"model": {"kind": "six_level", "omega1": [2.0, 0.0],
                               "omega2": [0.0, 2.0],
-                              "h0_diag": [-2.5, -1.5, -0.5, 0.5, 1.5, True]}}),
+                              "h0_diag": [-2.5, -1.5, -0.5, 0.5, 1.5, True]}},
+         "model.h0_diag:"),
         ("evolve", {**FOUR_LEVEL,
-                    "model": {**FOUR_LEVEL["model"], "E": float("nan")}}),
+                    "model": {**FOUR_LEVEL["model"], "E": float("nan")}},
+         "model.E:"),
         ("evolve", {**FOUR_LEVEL,
-                    "model": {**FOUR_LEVEL["model"], "E": float("inf")}}),
+                    "model": {**FOUR_LEVEL["model"], "E": float("inf")}},
+         "model.E:"),
         ("evolve", {**FOUR_LEVEL, "pulses": {"kind": "sech_masked",
-                                             "T": True, "tau": "1"}}),
-        ("qpe", {**QPE_CONFIG, "shots": True}),
+                                             "T": True, "tau": "1"}},
+         "pulses.T:"),
+        ("qpe", {**QPE_CONFIG, "shots": True}, "shots:"),
         # the rate 1/T has no finite value, so neither has the coupling
         ("adiabaticity", {**FOUR_LEVEL, "pulses": {"kind": "tanh", "T": 5e-324},
-                          "steps": 20}),
+                          "steps": 20}, "pulses: a nonadiabatic coupling"),
         # E = E*T / T underflows to 0 and overflows to inf
         ("sweep", {"pulses": {"kind": "tanh", "T": 2.0},
-                   "et_values": [5e-324], "steps": 20}),
+                   "et_values": [5e-324], "steps": 20}, "et_values:"),
         ("sweep", {"pulses": {"kind": "tanh", "T": 1e-300},
-                   "et_values": [1e300], "steps": 20}),
+                   "et_values": [1e300], "steps": 20}, "et_values[0]:"),
         # the sampler draws 64-bit counts
-        ("qpe", {**QPE_CONFIG, "shots": 2**63}),
-        ("qpe", {**QPE_CONFIG, "shots": 10**400}),
+        ("qpe", {**QPE_CONFIG, "shots": 2**63}, "shots:"),
+        ("qpe", {**QPE_CONFIG, "shots": 10**400}, "shots:"),
         # custom model rows that are not lists
         ("evolve", {**FOUR_LEVEL, "model": {"kind": "custom", "h0": [1, 2],
-                                            "h1": [[0, 1], [1, 0]]}}),
+                                            "h1": [[0, 1], [1, 0]]}},
+         "model.h0:"),
         ("evolve", {**FOUR_LEVEL, "model": {"kind": "custom",
                                             "h0": [[1, 2], None],
-                                            "h1": [[0, 1], [1, 0]]}}),
+                                            "h1": [[0, 1], [1, 0]]}},
+         "model.h0:"),
         # rules the config layer alone checks
-        ("evolve", {**FOUR_LEVEL, "model": {**FOUR_LEVEL["model"], "E": 0}}),
-        ("evolve", {**FOUR_LEVEL, "model": {**FOUR_LEVEL["model"], "E": -1}}),
-        ("evolve", {**FOUR_LEVEL, "pulses": {"kind": "tanh", "T": 0}}),
+        ("evolve", {**FOUR_LEVEL, "model": {**FOUR_LEVEL["model"], "E": 0}},
+         "model.E:"),
+        ("evolve", {**FOUR_LEVEL, "model": {**FOUR_LEVEL["model"], "E": -1}},
+         "model.E:"),
+        ("evolve", {**FOUR_LEVEL, "pulses": {"kind": "tanh", "T": 0}},
+         "pulses.T:"),
         ("evolve", {**FOUR_LEVEL, "pulses": {"kind": "sech_masked",
-                                             "T": 1.0, "tau": -1}}),
-        ("qpe", {**QPE_CONFIG, "r": 0}),
-        ("evolve", {**FOUR_LEVEL, "steps": 0}),
+                                             "T": 1.0, "tau": -1}},
+         "pulses.tau:"),
+        ("qpe", {**QPE_CONFIG, "r": 0}, "r:"),
+        ("evolve", {**FOUR_LEVEL, "steps": 0}, "steps:"),
+        # one pulse class takes an optional tau, but each kind keeps its keys
+        ("evolve", {**FOUR_LEVEL, "pulses": {"kind": "tanh", "T": 1, "tau": 1}},
+         "pulses: unknown key(s) tau"),
+        ("evolve", {**FOUR_LEVEL, "pulses": {"kind": "sech_masked", "T": 1}},
+         "pulses: missing required key(s) tau"),
     ], ids=["qpe_steps", "qpe_window", "sweep_phi", "sweep_steps",
             "qpe_steps_bool", "sweep_phi_bool", "model_E_bool",
             "model_V_bool", "sweep_et_bool", "window_bool", "h0_diag_bool",
@@ -891,14 +910,15 @@ class TestConfigErrors:
             "sweep_energy_overflow", "qpe_shots_2_63", "qpe_shots_10_400",
             "custom_scalar_rows", "custom_null_row", "model_E_zero",
             "model_E_negative", "tanh_T_zero", "sech_tau_negative",
-            "qpe_r_zero", "evolve_steps_zero"])
+            "qpe_r_zero", "evolve_steps_zero", "tanh_with_tau",
+            "sech_without_tau"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_config_code_without_traceback(self, tmp_path, capsys,
-                                                 command, payload):
+                                                 command, payload, message):
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "config error:" in err
+        assert f"config error: {message}" in err
         assert "Traceback" not in err
 
     def test_unknown_key_named(self, tmp_path, capsys):
@@ -1225,6 +1245,105 @@ class TestEntryPoint:
             assert (unbuffered, proc.returncode, proc.stderr) == (
                 unbuffered, 1,
                 "output error: [Errno 28] No space left on device\n")
+
+    # The stream table.  Each cell runs `models` (it imports no scipy) with
+    # stdout and stderr each a file, a closed pipe, a descriptor closed at
+    # start or /dev/full, for one outcome: success, a config error, --help
+    # or a usage error.  The codes follow one rule: a config or usage error
+    # exits 2 whatever the streams, and a command that writes to a stdout
+    # that fails exits 1, quietly unless stdout is /dev/full.  No cell
+    # prints a traceback, and nothing meant for stderr reaches stdout.
+    # Cells left out as redundant:
+    # - a pipe or file on both streams: test_matches_main_in_process;
+    # - a closed pipe or /dev/full on stdout with stderr piped:
+    #   test_closed_stdout_exits_1_without_traceback,
+    #   test_full_stdout_exits_1_with_one_line and
+    #   test_help_to_full_stdout_exits_1_with_one_line;
+    # - /dev/full on stderr with stdout piped: the two
+    #   test_full_stderr_keeps_* tests, for a config, physics and usage
+    #   error, buffered and unbuffered;
+    # - buffered and unbuffered runs of a closed descriptor: run() builds
+    #   its stream itself, the same in both modes, so only the mode of a
+    #   /dev/full stdout beside it can matter.
+    STREAM_CELLS = [
+        ("closed_fd", "file", "success", None),
+        ("closed_fd", "file", "config", None),
+        ("closed_fd", "file", "help", None),
+        ("closed_fd", "file", "usage", None),
+        ("file", "closed_fd", "success", None),
+        ("file", "closed_fd", "config", None),
+        ("file", "closed_fd", "help", None),
+        ("file", "closed_fd", "usage", None),
+        ("closed_fd", "closed_fd", "success", None),
+        ("closed_fd", "closed_fd", "config", None),
+        ("closed_pipe", "closed_fd", "help", None),
+        ("full", "closed_fd", "success", None),
+        ("full", "closed_fd", "success", "1"),
+        ("closed_fd", "full", "config", None),
+    ]
+
+    # closes the descriptors listed in argv[1] ("1,2"), then runs the CLI
+    # on the rest: the descriptors are closed when it starts
+    CLOSE_THEN_RUN = (
+        "import os, sys\n"
+        "for fd in filter(None, sys.argv[1].split(',')):\n"
+        "    os.close(int(fd))\n"
+        "os.execv(sys.executable,\n"
+        "         [sys.executable, '-m', 'circulant_qft', *sys.argv[2:]])\n")
+
+    @pytest.mark.parametrize(
+        "stdout, stderr, outcome, unbuffered", STREAM_CELLS,
+        ids=["-".join(filter(None, (o, e, c, u and "unbuffered")))
+             for o, e, c, u in STREAM_CELLS])
+    def test_stream_table(self, tmp_path, stdout, stderr, outcome,
+                          unbuffered):
+        if "full" in (stdout, stderr) and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        cfg = write_config(tmp_path, {"model": SIX_LEVEL_MODEL})
+        argv = {"success": ["models", "--config", cfg, "--out", str(tmp_path)],
+                "config": ["models", "--config", str(tmp_path / "missing.json")],
+                "help": ["--help"], "usage": ["bogus"]}[outcome]
+        with contextlib.ExitStack() as stack:
+            streams, closed = {}, []
+            for fd, kind in ((1, stdout), (2, stderr)):
+                if kind == "file":
+                    streams[fd] = stack.enter_context(
+                        open(tmp_path / f"fd{fd}", "w+"))
+                elif kind == "full":
+                    streams[fd] = stack.enter_context(open("/dev/full", "w"))
+                elif kind == "closed_pipe":
+                    read, streams[fd] = os.pipe()
+                    os.close(read)
+                    stack.callback(os.close, streams[fd])
+                else:
+                    streams[fd] = subprocess.DEVNULL
+                    closed.append(fd)
+            proc = subprocess.run(
+                [sys.executable, "-c", self.CLOSE_THEN_RUN,
+                 ",".join(map(str, closed)), *argv],
+                stdout=streams[1], stderr=streams[2],
+                env=fresh_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
+        out, err = ((tmp_path / f"fd{fd}").read_text()
+                    if kind == "file" else None
+                    for fd, kind in ((1, stdout), (2, stderr)))
+        writes = outcome in ("success", "help")
+        assert proc.returncode == (2 if not writes else
+                                   0 if stdout == "file" else 1)
+        if out is not None:
+            first = {"success": "H0 diagonal:",
+                     "help": "usage: circulant-qft"}.get(outcome, "")
+            assert out.startswith(first) and (writes or out == "")
+            assert "Traceback" not in out
+        if err is not None:
+            assert "Traceback" not in err
+            if outcome == "config":
+                assert err.startswith("config error: cannot read config")
+                assert err.count("\n") == 1
+            elif outcome == "usage":
+                assert err.splitlines()[-1].startswith("circulant-qft: error: ")
+            else:
+                assert err == ("output error: [Errno 28] No space left on "
+                               "device\n" if stdout == "full" else "")
 
     def test_unwritable_output_file_exits_1_with_one_line(self, tmp_path):
         # a directory squats on the sidecar, the first file models writes

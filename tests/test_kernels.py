@@ -16,7 +16,7 @@ from circulant_qft.propagator import (
     evolve,
     final_propagators,
 )
-from circulant_qft.schedule import FORWARD, INVERSE, Schedule, SechMaskedPair
+from circulant_qft.schedule import FORWARD, INVERSE, PulsePair, Schedule
 
 from helpers import complex_form, random_hermitian
 
@@ -27,7 +27,7 @@ NO_SAMPLES = np.empty(0, dtype=np.int64)
 def _case(steps):
     h0, h1 = build_four_level(10.0, 10.0 * (1 + 1j / 3))
     dt = 12.0 / steps
-    a, b = SechMaskedPair(T=1.0, tau=1.0).values(-6 + dt * (np.arange(steps) + 0.5))
+    a, b = PulsePair(T=1.0, tau=1.0).values(-6 + dt * (np.arange(steps) + 0.5))
     return h0, h1, a, b, dt
 
 
@@ -207,7 +207,7 @@ def _cf4_loop(s, intervals, scale):
                                                    (257, [0, 100, 101, 257])])
 def test_integrate_matches_plain_cf4_loop(direction, intervals, sample_idx):
     h0, h1 = build_four_level(10.0, 10.0 * (1 + 1j / 3))
-    s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+    s = Schedule(pulses=PulsePair(T=1.0, tau=1.0), h0=h0, h1=h1,
                  direction=direction)
     scales = [1.0, 0.5, 3.7]
     samples, u_final, _ = _integrate(s, intervals, sample_idx, scales)
@@ -369,7 +369,7 @@ def test_series_buffers_are_allocated_once_per_call(monkeypatch, scales):
     monkeypatch.setattr(_kernels, "_kept", threading.local())
     formed = _record_terms(monkeypatch)
     h0, h1 = build_four_level(1.0, 1 + 1j / 3)
-    s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1)
+    s = Schedule(pulses=PulsePair(T=1.0, tau=1.0), h0=h0, h1=h1)
     final_propagators(s, scales)
     assert len({terms for terms, _ in formed}) >= 3
     for name in ("bases", "powers", "weights", "weights_q"):
@@ -424,7 +424,7 @@ def test_sweep_forms_about_half_the_terms_of_one_global_degree(monkeypatch,
     monkeypatch.setattr(_kernels, "_step_matrices", counting)
     monkeypatch.setattr(_kernels, "_taylor", recording)
     h0, h1 = build_four_level(1.0, 1 + 1j / 3)
-    s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+    s = Schedule(pulses=PulsePair(T=1.0, tau=1.0), h0=h0, h1=h1,
                  direction=direction)
     final_propagators(s, [10.0, 20.0, 40.0])
     assert series == [105]  # degree 13
@@ -529,7 +529,7 @@ REFERENCE_SAMPLES = [0, 5, 10, 15, BATCH_CHUNK, 500, CHUNK, REFERENCE_STEPS]
 def _pulse_case(h0, h1, steps, theta):
     """Sech-masked coefficients over steps, and the step length at which
     the largest exponent has norm theta."""
-    a, b = SechMaskedPair(T=1.0, tau=1.0).values(np.linspace(-6, 6, steps))
+    a, b = PulsePair(T=1.0, tau=1.0).values(np.linspace(-6, 6, steps))
     return a, b, theta / _theta(h0, h1, a, b, [1.0])
 
 

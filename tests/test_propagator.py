@@ -20,9 +20,8 @@ from circulant_qft.propagator import (
 from circulant_qft.schedule import (
     FORWARD,
     INVERSE,
+    PulsePair,
     Schedule,
-    SechMaskedPair,
-    TanhPair,
 )
 
 
@@ -115,8 +114,8 @@ class TestFinalPropagators:
     # the other direction is this one's exponentials in reverse order, on
     # the mirrored window; a direct integration of the other direction
     # rounds the mirrored nodes separately, which moves U by ~1e-14
-    @pytest.mark.parametrize("pulses", [TanhPair(T=1.0),
-                                        SechMaskedPair(T=1.0, tau=1.5)],
+    @pytest.mark.parametrize("pulses", [PulsePair(T=1.0),
+                                        PulsePair(T=1.0, tau=1.5)],
                              ids=["tanh", "sech_masked"])
     @pytest.mark.parametrize("window", [None, (-5.0, 7.5)],
                              ids=["symmetric", "asymmetric"])
@@ -231,7 +230,7 @@ def assert_fits_agree(s, scales):
 class TestPredictPermutation:
     def test_paper_model(self, paper_model):
         h0, h1 = paper_model
-        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1)
+        s = Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=h1)
         assert predict_permutation(s).tolist() == [2, 1, 3, 0]
 
     def test_identity_when_spectrum_ascending_in_index(self):
@@ -244,13 +243,13 @@ class TestPredictPermutation:
              [np.conj(c1), -0.75, c1, 0]]
         )
         h0 = np.diag(np.array([1.0, 2.0, 3.0, 4.0], dtype=complex))
-        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1)
+        s = Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=h1)
         assert predict_permutation(s).tolist() == [0, 1, 2, 3]
 
     # the best-fit renumbering is the predicted one forward, and its
     # inverse in the other direction, on every adiabatic sweep below
-    @pytest.mark.parametrize("pulses", [TanhPair(T=1.0),
-                                        SechMaskedPair(T=1.0, tau=1.0)],
+    @pytest.mark.parametrize("pulses", [PulsePair(T=1.0),
+                                        PulsePair(T=1.0, tau=1.0)],
                              ids=["tanh", "sech_masked"])
     def test_fit_agrees_on_the_paper_model(self, pulses):
         h0, h1 = build_four_level(1.0, 1 + 1j / 3)
@@ -264,7 +263,7 @@ class TestPredictPermutation:
                                    -1.0, 0.361, 1.0])
         c = np.fft.ifft(spectrum)
         c = (c + np.conj(np.roll(c[::-1], 1))) / 2  # c[-l] = conj(c[l])
-        s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0),
+        s = Schedule(pulses=PulsePair(T=1.0, tau=1.0),
                      h0=h0.astype(complex), h1=materialize(c))
         assert_fits_agree(s, [40.0])
 
@@ -272,13 +271,13 @@ class TestPredictPermutation:
         _, h1 = paper_model
         h0 = np.diag(np.array([1.0, 1.0, 2.0, 3.0], dtype=complex))
         with pytest.raises(PhysicsError, match="pairwise distinct"):
-            predict_permutation(Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1))
+            predict_permutation(Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=h1))
 
     def test_degenerate_circulant_rejected_by_every_rank_match(self):
         # a real V makes two circulant eigenvalues coincide; the phase
         # prediction matches end states by the same rule, so it fails too
         h0, h1 = build_four_level(10.0, 10.0)
-        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1)
+        s = Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=h1)
         with pytest.raises(PhysicsError, match="H1 spectrum"):
             predict_permutation(s)
         with pytest.raises(PhysicsError, match="H1 spectrum"):
@@ -290,7 +289,7 @@ class TestDynamicalPhases:
         # with H1 = 0 each branch integrates -E_j * int f dt, and
         # int f dt = [t - T ln cosh(t/T)] / 2 in closed form
         h0, _ = paper_model
-        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0))
+        s = Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=np.zeros_like(h0))
         t0, t1 = s.window
         antideriv = lambda t: 0.5 * (t - np.log(np.cosh(t)))
         integral = antideriv(t1) - antideriv(t0)
@@ -334,7 +333,7 @@ class TestDynamicalPhases:
 
     def test_branch_tracking_failure_carries_time(self):
         h0 = np.diag(np.array([-1.0, -1.0 + 1e-12, 1 / 3, 1.0], dtype=complex))
-        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0))
+        s = Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=np.zeros_like(h0))
         # the first phase-grid point, where the branches already collide
         with pytest.raises(PhysicsError, match=r"branches collide at t = -6 "):
             dynamical_phase_prediction(s)
@@ -346,7 +345,7 @@ class TestPhaseGrid:
     def test_uniform_odd_and_spans_window(self, paper_model, steps,
                                           monkeypatch):
         h0, h1 = paper_model
-        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1, steps=steps,
+        s = Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=h1, steps=steps,
                      window=(-6.0, 5.0))
         t = propagator._phase_grid(s)
         assert len(t) == 4 * -(-steps // 32) + 1
@@ -377,7 +376,7 @@ class TestPredictionOrder:
         between each pair of consecutive step counts."""
         h0, h1 = model
         parts = [adiabatic_phase_prediction(Schedule(
-            pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+            pulses=PulsePair(T=1.0, tau=1.0), h0=h0, h1=h1,
             direction=direction, steps=n, window=window)) for n in steps]
         return [(np.abs(wrap(b[1] - a[1])).max(), np.abs(wrap(b[2] - a[2])).max())
                 for a, b in zip(parts, parts[1:])]
@@ -419,7 +418,7 @@ class TestAdiabaticLimit:
         # at tau = 2 T and E*T = 80 that reaches ~3e-9, while a window cut
         # at +-6 T, where the mask is still sech(3) ~ 0.10, stalls at ~2e-5
         h0, h1 = build_four_level(80.0, 80.0 * (1 + 1j / 3))
-        s = Schedule(pulses=SechMaskedPair(T=1.0, tau=2.0), h0=h0, h1=h1,
+        s = Schedule(pulses=PulsePair(T=1.0, tau=2.0), h0=h0, h1=h1,
                      steps=16000)
         _, _, residual = factor_phased_dft(final_u(s), FORWARD)
         assert residual <= 1e-6
@@ -456,9 +455,9 @@ class TestAdiabaticLimit:
         # is also E*T independent
         def mirror_sum(et):
             h0, h1 = build_four_level(et, et * (1 + 1j / 3))
-            fwd = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1,
+            fwd = Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=h1,
                            direction=FORWARD)
-            inv = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1,
+            inv = Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=h1,
                            direction=INVERSE)
             sigma, alpha_fwd, _ = factor_phased_dft(final_u(fwd), FORWARD)
             _, alpha_inv, _ = factor_phased_dft(final_u(inv), INVERSE)

@@ -12,9 +12,8 @@ from circulant_qft.models import build_four_level
 from circulant_qft.schedule import (
     FORWARD,
     INVERSE,
+    PulsePair,
     Schedule,
-    SechMaskedPair,
-    TanhPair,
     adiabaticity_report,
     eigen_trajectories,
 )
@@ -22,26 +21,26 @@ from circulant_qft.schedule import (
 
 class TestPulses:
     def test_tanh_midpoint(self):
-        f, g = TanhPair(T=2.0).values(0.0)
+        f, g = PulsePair(T=2.0).values(0.0)
         assert f == 0.5 and g == 0.5
 
     def test_tanh_sums_to_one(self):
-        pair = TanhPair(T=0.7)
+        pair = PulsePair(T=0.7)
         t = np.linspace(-10, 10, 101)
         f, g = pair.values(t)
         assert np.all(f + g == 1.0)
 
     def test_sech_masked_midpoint(self):
-        f, g = SechMaskedPair(T=3.0, tau=0.5).values(0.0)
+        f, g = PulsePair(T=3.0, tau=0.5).values(0.0)
         assert f == 1.0 and g == 1.0
 
     def test_ratio_at_three_crossing_times(self):
         # (1 + tanh 3) / (1 - tanh 3) = e^6
         T = 1.4
-        f, g = TanhPair(T=T).values(3 * T)
+        f, g = PulsePair(T=T).values(3 * T)
         assert np.isclose(g / f, np.e**6, rtol=1e-12)
 
-    @pytest.mark.parametrize("pair", [TanhPair(T=1.2), SechMaskedPair(T=1.2, tau=0.8)])
+    @pytest.mark.parametrize("pair", [PulsePair(T=1.2), PulsePair(T=1.2, tau=0.8)])
     def test_ratio_is_exponential_and_monotone(self, pair):
         t = np.linspace(-4, 4, 81)
         f, g = pair.values(t)
@@ -52,10 +51,10 @@ class TestPulses:
     # final_propagators derives the other direction from f(-t) = g(t); it
     # must hold bit for bit, at t = 0, in the tails and where t/T and
     # t/tau overflow
-    @pytest.mark.parametrize("pair", [TanhPair(T=0.7),
-                                      SechMaskedPair(T=0.7, tau=1.3),
-                                      SechMaskedPair(T=1e-300, tau=1e300),
-                                      TanhPair(T=5e-324)])
+    @pytest.mark.parametrize("pair", [PulsePair(T=0.7),
+                                      PulsePair(T=0.7, tau=1.3),
+                                      PulsePair(T=1e-300, tau=1e300),
+                                      PulsePair(T=5e-324)])
     def test_values_mirror_into_each_other_exactly(self, pair):
         t = np.concatenate([[0.0, 5e-324, 1e-300, 1e300, 1.7e308],
                             np.linspace(0.01, 800.0, 2001)])
@@ -65,8 +64,30 @@ class TestPulses:
         g_mirror, f_mirror = map(bits, pair.values(-t))
         assert np.array_equal(f, f_mirror) and np.array_equal(g, g_mirror)
 
-    @pytest.mark.parametrize("pair", [TanhPair(T=0.7),
-                                      SechMaskedPair(T=0.7, tau=1.3)])
+    # the constant envelope adds no rate term: 0.0 * (1 - th) - rate would
+    # turn the -0.0 of f' where cosh(t/T)**2 overflows (|t/T| > 355) into
+    # +0.0
+    def test_tanh_envelope_is_the_closed_form_bit_for_bit(self):
+        T = 0.7
+        t = np.concatenate([[0.0, 5e-324, 1e-300, 1.0, 355 * T, 356 * T,
+                             700 * T, 1e300, 1.7e308],
+                            np.linspace(0.01, 800.0, 2001)])
+        t = np.concatenate([t, -t])
+        with np.errstate(over="ignore"):
+            x = t / T
+            th = np.tanh(x)
+            rate = 0.5 / np.cosh(x)**2 / T
+        pair = PulsePair(T=T)
+        bits = lambda x: np.asarray(x).view(np.uint64)
+        for got, want in zip((*pair.values(t), *pair.derivatives(t)),
+                             (0.5 * (1.0 - th), 0.5 * (1.0 + th), -rate, rate),
+                             strict=True):
+            assert np.array_equal(bits(got), bits(want))
+        f_rate = pair.derivatives(t)[0]
+        assert np.all(np.signbit(f_rate[np.abs(x) >= 356]))
+
+    @pytest.mark.parametrize("pair", [PulsePair(T=0.7),
+                                      PulsePair(T=0.7, tau=1.3)])
     @pytest.mark.parametrize("x", [-6.0, -0.3, 0.0, 0.3, 6.0])
     def test_derivatives_match_central_difference(self, pair, x):
         # five-point stencil: its truncation and roundoff both stay near
@@ -83,14 +104,14 @@ class TestSchedule:
         _, h1 = paper_model
         h0 = np.diag(np.array([1.0, 1.0, 2.0, 3.0], dtype=complex))
         with pytest.raises(PhysicsError, match="pairwise distinct"):
-            Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1)
+            Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=h1)
 
     def test_non_diagonal_h0_rejected(self, paper_model):
         h0, h1 = paper_model
         bad = h0.copy()
         bad[0, 1] = 0.1
         with pytest.raises(ValueError):
-            Schedule(pulses=TanhPair(T=1.0), h0=bad, h1=h1)
+            Schedule(pulses=PulsePair(T=1.0), h0=bad, h1=h1)
 
     def test_non_circulant_h1_rejected(self, paper_model):
         # the structure rule is relative: at a norm far below 1, H1 is no
@@ -101,12 +122,12 @@ class TestSchedule:
         bad[1, 0] = np.conj(bad[0, 1])
         for scale in (1.0, 1e-13):
             with pytest.raises(ValueError, match="not circulant"):
-                Schedule(pulses=TanhPair(T=1.0), h0=h0,
+                Schedule(pulses=PulsePair(T=1.0), h0=h0,
                          h1=scale * bad / frobenius(bad))
 
     def test_default_window_scales_with_crossing_time(self, paper_model):
         h0, h1 = paper_model
-        s = Schedule(pulses=TanhPair(T=2.5), h0=h0, h1=h1)
+        s = Schedule(pulses=PulsePair(T=2.5), h0=h0, h1=h1)
         assert s.window == (-15.0, 15.0)
 
     @pytest.mark.parametrize("T, tau, half", [(1.0, 1.0, 6.0), (1.0, 2.0, 12.0),
@@ -114,7 +135,7 @@ class TestSchedule:
     def test_default_window_covers_the_sech_mask(self, paper_model, T, tau,
                                                  half):
         h0, h1 = paper_model
-        s = Schedule(pulses=SechMaskedPair(T=T, tau=tau), h0=h0, h1=h1)
+        s = Schedule(pulses=PulsePair(T=T, tau=tau), h0=h0, h1=h1)
         assert s.window == (-half, half)
 
     def test_forward_asymptotics(self, paper_schedule):
@@ -132,7 +153,7 @@ class TestSchedule:
 
     def test_inverse_midpoint_is_average(self, paper_model):
         h0, h1 = paper_model
-        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1, direction=INVERSE)
+        s = Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=h1, direction=INVERSE)
         a, b = s.coefficients(0.0)
         assert np.allclose(a * h0 + b * h1, (h0 + h1) / 2, atol=0)
 
@@ -140,8 +161,8 @@ class TestSchedule:
         # tanh is odd, so f(-t) = g(t) makes the mirror identity of the
         # coefficients of H0 and H1 exact
         h0, h1 = paper_model
-        fwd = Schedule(pulses=TanhPair(T=1.3), h0=h0, h1=h1, direction=FORWARD)
-        inv = Schedule(pulses=TanhPair(T=1.3), h0=h0, h1=h1, direction=INVERSE)
+        fwd = Schedule(pulses=PulsePair(T=1.3), h0=h0, h1=h1, direction=FORWARD)
+        inv = Schedule(pulses=PulsePair(T=1.3), h0=h0, h1=h1, direction=INVERSE)
         t = np.linspace(-5, 5, 41)
         assert np.array_equal(np.array(fwd.coefficients(t)),
                               np.array(inv.coefficients(-t)))
@@ -167,7 +188,7 @@ class TestTrajectories:
     def test_no_coupling_gives_scaled_diagonal(self, paper_model):
         h0, _ = paper_model
         h1 = np.zeros_like(h0)
-        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=h1, window=(-3.0, 3.0),
+        s = Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=h1, window=(-3.0, 3.0),
                      steps=6)
         _, energies = eigen_trajectories(s)
         f, _ = s.pulses.values(s.grid())
@@ -209,7 +230,7 @@ class TestTrajectories:
 class TestAdiabaticity:
     def test_no_coupling_means_no_mixing(self, paper_model):
         h0, _ = paper_model
-        s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0,
+        s = Schedule(pulses=PulsePair(T=1.0, tau=1.0), h0=h0,
                      h1=np.zeros_like(h0), steps=400)
         _, _, coupling_trace, margin, _ = adiabaticity_report(s)
         assert coupling_trace.max() == 0.0
@@ -222,7 +243,7 @@ class TestAdiabaticity:
 
     def test_weak_system_is_diabatic(self):
         h0, h1 = build_four_level(0.1, 0.1 * (1 + 1j / 3))
-        s = Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+        s = Schedule(pulses=PulsePair(T=1.0, tau=1.0), h0=h0, h1=h1,
                      steps=2000)
         _, _, _, margin, _ = adiabaticity_report(s)
         assert margin < 1
@@ -231,7 +252,7 @@ class TestAdiabaticity:
         # two H0 levels split by 1e-12 stay below the cluster threshold
         # when nothing couples them; couplings within the pair are undefined
         h0 = np.diag(np.array([-1.0, -1.0 + 1e-12, 1 / 3, 1.0], dtype=complex))
-        s = Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0),
+        s = Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=np.zeros_like(h0),
                      steps=800)
         times, m, n, gap = adiabaticity_report(s)[4]
         assert len(times)
@@ -244,7 +265,7 @@ class TestAdiabaticity:
         # eigenvectors gauge-fixed on it read 0.8314 and 0.8288
         h0, h1 = build_four_level(10.0, complex(10.0, 3.3333333333))
         times, _, coupling_trace, _, _ = adiabaticity_report(Schedule(
-            pulses=TanhPair(T=1.0), h0=h0, h1=h1, steps=4000))
+            pulses=PulsePair(T=1.0), h0=h0, h1=h1, steps=4000))
         rows = [1914, 1915]
         assert times[rows] == pytest.approx([-0.258, -0.255], rel=1e-12)
         assert coupling_trace[rows] == pytest.approx([0.8781, 0.8758],
@@ -319,19 +340,19 @@ def reference_report(s):
 
 def _weak_schedule(_, steps):
     h0, h1 = build_four_level(0.1, 0.1 * (1 + 1j / 3))
-    return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+    return Schedule(pulses=PulsePair(T=1.0, tau=1.0), h0=h0, h1=h1,
                     steps=steps)
 
 
 def _uncoupled_schedule(paper_model, steps):
     h0, _ = paper_model
-    return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0,
+    return Schedule(pulses=PulsePair(T=1.0, tau=1.0), h0=h0,
                     h1=np.zeros_like(h0), steps=steps)
 
 
 def _clustered_schedule(_, steps):
     h0 = np.diag(np.array([-1.0, -1.0 + 1e-12, 1 / 3, 1.0], dtype=complex))
-    return Schedule(pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0),
+    return Schedule(pulses=PulsePair(T=1.0), h0=h0, h1=np.zeros_like(h0),
                     steps=steps)
 
 
@@ -339,13 +360,13 @@ def _vanishing_schedule(paper_model, steps):
     # t / tau overflows, so H(t) = 0 at every grid point but t = 0, and
     # all six pairs are degenerate there
     h0, h1 = paper_model
-    return Schedule(pulses=SechMaskedPair(T=1.0, tau=5e-324), h0=h0, h1=h1,
+    return Schedule(pulses=PulsePair(T=1.0, tau=5e-324), h0=h0, h1=h1,
                     steps=steps)
 
 
 def _paper_schedule(paper_model, steps):
     h0, h1 = paper_model
-    return Schedule(pulses=SechMaskedPair(T=1.0, tau=1.0), h0=h0, h1=h1,
+    return Schedule(pulses=PulsePair(T=1.0, tau=1.0), h0=h0, h1=h1,
                     steps=steps)
 
 
@@ -381,7 +402,7 @@ class TestBatchedScan:
         h0 = np.diag(levels.astype(complex))
         steps = 2 * _kernels.CHUNK + 36
         times, _, _, _, (flagged, m, n, _) = adiabaticity_report(Schedule(
-            pulses=TanhPair(T=1.0), h0=h0, h1=np.zeros_like(h0), steps=steps))
+            pulses=PulsePair(T=1.0), h0=h0, h1=np.zeros_like(h0), steps=steps))
         assert np.array_equal(flagged, times if warns else [])
         assert set(m) | set(n) == ({0, 1} if warns else set())
 
@@ -427,7 +448,8 @@ def test_line_plot_points_match_per_point_formatter(tmp_path, count, points):
               "c": rng.uniform(-1e3, 1e3, points),
               "d": rng.standard_normal(points) * 1e-3}
     series = dict(list(series.items())[:count])
-    svg.write_line_plot(tmp_path / "plot.svg", x, series, title="t")
+    svg.write_line_plot(tmp_path / "plot.svg", x, series, title="t",
+                        xlabel="x", ylabel="y")
     text = (tmp_path / "plot.svg").read_text()
     all_y = np.concatenate(list(series.values()))
     pad = 0.05 * (all_y.max() - all_y.min())
