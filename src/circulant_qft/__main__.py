@@ -18,17 +18,24 @@ Neither prints a traceback, and output files already written stay.  A
 stderr that cannot take a message loses it, never the exit code.  A
 standard stream whose descriptor is closed when the process starts
 (`>&-`, `2>&-`) fails as a closed pipe does, so those rules hold for it
-too, and no message meant for stderr goes to stdout.  Before
-exiting it disables the garbage collector and freezes every live object,
-so the interpreter's shutdown collections do not traverse objects the OS
-is about to free.  atexit handlers and the flushes of the standard
-streams still run.  main() itself, which tests and the benchmark call in
-process, keeps its collector.
+too, and no message meant for stderr goes to stdout.
+
+Collector.  Importing this module disables the cyclic garbage collector
+before numpy loads, so the imports, the command and the exit run without
+a collection: the process is short, and the garbage a command leaves
+does not grow with its size.  Before exiting, run() freezes every live
+object, as the interpreter's shutdown collection runs even with the
+collector disabled, and would traverse objects the OS is about to free.
+atexit handlers and the flushes of the standard streams still run.
+main() itself, which tests and the benchmark call in process, keeps its
+collector.
 """
 
 import gc
 import os
 import sys
+
+gc.disable()  # before numpy loads; see Collector above
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -69,7 +76,6 @@ def run():
         if not isinstance(exc, BrokenPipeError):
             _report(f"output error: {exc}")
         code = EXIT_OUTPUT
-    gc.disable()
     gc.freeze()
     sys.exit(code)
 

@@ -1113,8 +1113,8 @@ class TestImportSplit:
 class TestEntryPoint:
     """`python -m circulant_qft`, which the `circulant-qft` script shares:
     run() ends the process with main()'s outputs and exit code, exits 1
-    when stdout is closed or an output cannot be written, and defaults
-    BLAS to one thread."""
+    when stdout is closed or an output cannot be written, defaults BLAS to
+    one thread and runs without the cyclic garbage collector."""
 
     @pytest.mark.parametrize("command, payload, code", [
         ("models", {"model": SIX_LEVEL_MODEL}, 0),
@@ -1387,3 +1387,64 @@ class TestEntryPoint:
         only_omp = {**dict.fromkeys(self.BLAS), "OMP_NUM_THREADS": "3"}
         assert run_fresh(self.SHOW_BLAS, tmp_path, **only_omp).split() == [
             "None", "3", "None"]
+
+    def test_collector_is_off_before_numpy_loads(self, tmp_path):
+        out = run_fresh("import gc, sys, circulant_qft.__main__\n"
+                        "print(gc.isenabled(), 'numpy' in sys.modules)\n",
+                        tmp_path)
+        assert out.split() == ["False", "True"]
+
+    def test_collector_stays_on_for_in_process_callers(self, tmp_path):
+        out = run_fresh("import gc, circulant_qft.cli\n"
+                        "print(gc.isenabled())\n", tmp_path)
+        assert out.split() == ["True"]
+
+    def test_exit_runs_atexit_handlers_after_freezing(self, tmp_path, capsys):
+        # run() ends the child through sys.exit, and run_fresh checks that
+        # the child's exit code is 0
+        out = run_fresh(
+            "import atexit, gc, sys\n"
+            "from circulant_qft.__main__ import run\n"
+            "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['circulant-qft', 'models', '--config', CONFIG,\n"
+            "            '--out', OUT]\n"
+            "run()\n", tmp_path, {"model": SIX_LEVEL_MODEL})
+        assert main(["models", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert out == capsys.readouterr().out + "atexit True\n"
+
+    def test_commands_leave_no_garbage_that_grows_with_their_size(
+            self, tmp_path):
+        """The CLI runs with the collector off, which is safe only while a
+        command's cyclic garbage does not scale with its work.  What it
+        leaves is the argparse parser that each main() call builds and the
+        closures of json's encoder, one set per .meta.json; neither
+        depends on the step count or the number of sweep points, so a
+        larger run of the same command must leave exactly as many objects.
+        Each config runs once before the counts, as importing the
+        propagator leaves garbage of its own once."""
+        sweep = lambda ets: {"pulses": FOUR_LEVEL["pulses"], "et_values": ets,
+                             "steps": 300}
+        sizes = {  # command: (small config, large config)
+            "evolve": (dict(FOUR_LEVEL, steps=400), dict(FOUR_LEVEL, steps=4000)),
+            "sweep": (sweep([10, 20]), sweep([8, 10, 12, 14, 16, 20, 30, 40])),
+            "eigentraj": (FOUR_LEVEL, dict(FOUR_LEVEL, steps=4000)),
+            "adiabaticity": (FOUR_LEVEL, dict(FOUR_LEVEL, steps=4000)),
+        }
+        runs = [[command, write_config(tmp_path, payload, f"{command}_{i}.json")]
+                for command, pair in sizes.items()
+                for i, payload in enumerate(pair)]
+        out = run_fresh(
+            "import contextlib, gc, io\n"
+            "gc.disable()\n"
+            "from circulant_qft.cli import main\n"
+            "def left(command, config):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main([command, '--config', config, '--out', OUT]) == 0\n"
+            "    return gc.collect()\n"
+            f"runs = {runs!r}\n"
+            "[left(*run) for run in runs]\n"
+            "print(*(left(*run) for run in runs))\n", tmp_path)
+        counts = [int(n) for n in out.split()]  # small, large, small, ...
+        assert counts[1::2] == counts[::2]
+        assert min(counts) > 0
