@@ -1,5 +1,6 @@
 """Command-line entry point: `python -m circulant_qft` and the
-`circulant-qft` script both call run().
+`circulant-qft` script both call run(), the one place in the package
+that handles the standard streams.
 
 BLAS threads.  When none of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS is set, all three are set to 1 before numpy loads.  The
@@ -7,18 +8,18 @@ program's matrix products are small, and OpenBLAS splitting them across
 threads makes them slower, not faster.  Setting any one of the three
 leaves all three to the user.
 
-Exit.  run() exits with main()'s exit code, or argparse's after --help,
---version or a usage error, or with 1 when stdout cannot take the
-output: quietly when it is closed before the output is written
-(`circulant-qft models ... | head -c 20`), as Python's signal
-documentation advises for a broken pipe, and with one `output error:
-...` line on stderr when a write fails for any other reason (`>
-/dev/full`), as main() reports an output file that cannot be written.
-Neither prints a traceback, and output files already written stay.  A
-stderr that cannot take a message loses it, never the exit code.  A
+Exit.  run() calls main() with stdout and stderr held in memory, so
+argparse's help, version and usage text lands there too, and then
+writes each once: stderr's text, then stdout's, also when main() raises
+an exception it does not map, ahead of the traceback.  It exits with
+main()'s exit code, or argparse's, unless stdout cannot take its text:
+then it exits 1, quietly for a closed pipe (`... | head -c 20`), as
+Python's signal documentation advises, and with one `output error: ...`
+line on stderr otherwise (`> /dev/full`).  A stderr that cannot take
+its text loses it, never the exit code.  A stream that fails is pointed
+at the null device, so the interpreter's shutdown flush succeeds.  A
 standard stream whose descriptor is closed when the process starts
-(`>&-`, `2>&-`) fails as a closed pipe does, so those rules hold for it
-too, and no message meant for stderr goes to stdout.
+(`>&-`, `2>&-`) fails as a closed pipe does.
 
 Collector.  Importing this module disables the cyclic garbage collector
 before numpy loads, so the imports, the command and the exit run without
@@ -32,6 +33,7 @@ collector.
 """
 
 import gc
+import io
 import os
 import sys
 
@@ -43,7 +45,7 @@ if not any(var in os.environ for var in BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 # loads numpy, so it comes after the thread count
-from .cli import EXIT_OUTPUT, _report, main  # noqa: E402
+from .cli import EXIT_OUTPUT, main  # noqa: E402
 
 
 def _closed_pipe(fd):
@@ -56,28 +58,45 @@ def _closed_pipe(fd):
     return open(fd, "w")
 
 
+def _write(stream, text):
+    """Write text to stream and flush it, unless text is empty (even an
+    empty write and flush fail on a full device); return the OSError that
+    stops it, or None.  A failed stream is pointed at the null device,
+    where the shutdown flush of the bytes still buffered succeeds (a
+    failed one exits 120)."""
+    try:
+        if text:
+            stream.write(text)
+            stream.flush()
+    except OSError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stream.fileno())
+        os.close(null)
+        return exc
+    return None
+
+
 def run():
     # Python leaves a stream None when its descriptor is closed at start
     if sys.stdout is None:
         sys.stdout = _closed_pipe(1)
     if sys.stderr is None:
         sys.stderr = _closed_pipe(2)
+    streams = sys.stdout, sys.stderr
+    out, err = sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     try:
         try:
             code = main()
         except SystemExit as exc:  # argparse's --help, --version, usage error
             code = exc.code
-        sys.stdout.flush()
-    except OSError as exc:
-        # main() lets through a closed stdout and a failed write of
-        # argparse's help or version text.
-        # The shutdown flush would raise again: send what is left nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            _report(f"output error: {exc}")
-        code = EXIT_OUTPUT
+    finally:
+        sys.stdout, sys.stderr = streams
+        _write(sys.stderr, err.getvalue())
+        failure = _write(sys.stdout, out.getvalue())
+        if failure is not None and not isinstance(failure, BrokenPipeError):
+            _write(sys.stderr, f"output error: {failure}\n")
     gc.freeze()
-    sys.exit(code)
+    sys.exit(EXIT_OUTPUT if failure is not None else code)
 
 
 if __name__ == "__main__":

@@ -60,7 +60,9 @@ def phase_equivalent_circulant(h):
     Frobenius distance between D H D† and the circulant of first_column,
     so any departure from the ring form shows in it.
 
-    Raises PhysicsError for a zero coupling and when the ring moduli
+    A ring whose couplings are all exactly 0 is circulant as it is: beta
+    = 0 and the first column is (H[0, 0], 0, ..., 0).  Raises
+    PhysicsError when only some couplings are 0 and when the ring moduli
     differ.
     """
     h = np.asarray(h, dtype=np.complex128)
@@ -68,6 +70,10 @@ def phase_equivalent_circulant(h):
     scale = max(float(np.abs(h).max()), np.finfo(float).tiny)
     sub = h[(np.arange(n) + 1) % n, np.arange(n)]
     moduli = np.abs(sub)
+    if not moduli.any():  # a ring without couplings is circulant as it is
+        column = np.zeros(n, dtype=np.complex128)
+        column[0] = h[0, 0].real
+        return np.zeros(n), column, frobenius(h - materialize(column))
     if moduli.min() <= RING_RTOL * scale:
         raise PhysicsError("cyclic subdiagonal contains a zero coupling")
     if (moduli.max() - moduli.min()) > RING_RTOL * moduli.max():

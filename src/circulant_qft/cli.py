@@ -5,19 +5,16 @@ declared once in _COMMANDS with its config keys.  The config is a run's
 only input besides --out and --svg.  Each run writes CSV files with a
 fixed 12-significant-digit float format plus a .meta.json sidecar
 echoing the config, so identical configs produce byte-identical outputs.
-Exit codes: 0 success, 1 an output that cannot be written, 2 config
-error, 3 numerical failure, 4 violated physics precondition.  Only
+Exit codes: 0 success, 1 an output file that cannot be written, 2
+config error, 3 numerical failure, 4 violated physics precondition.  Only
 evolve, qpe and sweep import the propagator, and through it
 scipy.sparse.csgraph (over half of a cold start); the other commands
 import numpy but no scipy.
 """
 
 import argparse
-import contextlib
-import io
 import json
 import math
-import os
 import sys
 from itertools import chain
 from pathlib import Path
@@ -227,11 +224,10 @@ def _schedule_model(cfg):
 
     D is diagonal, so it commutes with H0, and D H(t) D† = f H0 + g D H1 D†
     at every t: eigenvalues, gaps and |<m|dH/dt|n>| are unchanged, and a
-    propagator changes only by D on each side.  A ring without couplings
-    is already circulant.
+    propagator changes only by D on each side.
     """
     h0, h1 = build_model(cfg)
-    if cfg["model"]["kind"] == "six_level" and h1.any():
+    if cfg["model"]["kind"] == "six_level":
         h1 = materialize(phase_equivalent_circulant(h1)[1])
     return h0, h1
 
@@ -584,35 +580,8 @@ def build_parser():
     return parser
 
 
-def _report(message=None):
-    """Print message on stderr, if given, and flush stderr.  A stderr that
-    cannot take it loses the message, never the exit code it reports:
-    stderr then goes to the null device, where the interpreter's shutdown
-    flush of the bytes still buffered succeeds (a failed one exits 120)."""
-    try:
-        if message is not None:
-            print(message, file=sys.stderr)
-        sys.stderr.flush()
-    except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
-
-
 def main(argv=None):
-    help_text = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(help_text):
-            args = build_parser().parse_args(argv)
-    except SystemExit:
-        # argparse ignores a failed write of its usage error, but the bytes
-        # it left buffered would fail the shutdown flush
-        _report()
-        # it ignores a failed write of its help and version text too, so
-        # that text is passed on here, where a failure raises.  A usage
-        # error leaves none, and writing none could still fail unbuffered
-        text = help_text.getvalue()
-        if text:
-            sys.stdout.write(text)
-        raise
+    args = build_parser().parse_args(argv)
     runner, _, _, allowed, required = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
@@ -624,22 +593,16 @@ def main(argv=None):
         _check_keys("config", cfg, allowed, required)
         return runner(cfg, args)
     except ConfigError as exc:
-        _report(f"config error: {exc}")
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, np.linalg.LinAlgError) as exc:
-        _report(f"numerical failure: {exc}")
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PhysicsError as exc:
-        _report(f"physics precondition violated: {exc}")
+        print(f"physics precondition violated: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except BrokenPipeError:
-        raise  # stdout is closed: __main__.run() ends the process quietly
     except OSError as exc:
         # load_config and the --out mkdir raise theirs as ConfigError, so
-        # this one came from writing a CSV, SVG or .meta.json, or stdout
-        _report(f"output error: {exc}")
+        # this one came from writing a CSV, SVG or .meta.json
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -148,6 +148,18 @@ class TestPhaseEquivalent:
                            (omega / 2) * np.exp(1j * np.pi / 6), atol=1e-12)
         assert residual <= 1e-12
 
+    def test_uncoupled_ring_is_circulant_as_it_is(self):
+        for h in (build_six_level(0.0, 0.0), 2.5 * np.eye(6)):
+            beta, column, residual = phase_equivalent_circulant(h)
+            assert beta.tolist() == [0.0] * 6
+            assert column.tolist() == [h[0, 0]] + [0] * 5
+            assert residual == 0.0
+
+    def test_some_zero_couplings_rejected(self):
+        h = build_six_level(0.0, 1.0)
+        with pytest.raises(PhysicsError, match="zero coupling"):
+            phase_equivalent_circulant(h)
+
     def test_modulus_mismatch_rejected(self):
         h = build_six_level(1.0, 2.0)
         with pytest.raises(PhysicsError, match="unequal moduli"):

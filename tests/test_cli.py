@@ -463,6 +463,18 @@ class TestModels:
         assert "gauge phases" in out
         assert "degenerate for every choice" in out
 
+    def test_six_level_uncoupled_ring_notes_degenerate_spectrum(
+            self, tmp_path, capsys):
+        payload = {"model": {**SIX_LEVEL_MODEL, "omega1": 0.0, "omega2": 0.0}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["models", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "gauge phases beta: [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]" in out
+        assert out.splitlines()[-1] == (
+            "  note: spectrum is degenerate for every choice of the Rabi "
+            "phases (the ring's loop product has a fixed argument)")
+
     def test_six_level_modulus_mismatch_diagnosed(self, tmp_path, capsys):
         payload = {"model": {"kind": "six_level", "omega1": [1.0, 0.0],
                              "omega2": [2.0, 0.0],
@@ -1146,7 +1158,7 @@ class TestEntryPoint:
                              for p in sorted((d / "out").iterdir())}
         assert written(child) == written(local)
 
-    # buffered, the write fails at run()'s flush; unbuffered, inside main()
+    # buffered or not, the write fails where run() writes main()'s stdout
     @pytest.mark.parametrize("unbuffered", [None, "1"],
                              ids=["buffered", "unbuffered"])
     def test_closed_stdout_exits_1_without_traceback(self, tmp_path,
@@ -1164,7 +1176,7 @@ class TestEntryPoint:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, "")
 
-    # as above: buffered, at run()'s flush; unbuffered, inside main()
+    # as above: where run() writes main()'s stdout, buffered or not
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [None, "1"],
@@ -1181,8 +1193,8 @@ class TestEntryPoint:
             1, "output error: [Errno 28] No space left on device\n")
         assert (tmp_path / "models.meta.json").is_file()
 
-    # the message cannot be written: unbuffered, its write fails inside
-    # main(); buffered, the shutdown flush fails too.  The exit code stays.
+    # the message cannot be written where run() writes main()'s stderr,
+    # buffered or not, nor at the shutdown flush.  The exit code stays.
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [None, "1"],
@@ -1204,10 +1216,10 @@ class TestEntryPoint:
                 env=fresh_env(PYTHONUNBUFFERED=unbuffered), timeout=120)
         assert (proc.returncode, proc.stdout) == (code, "")
 
-    # argparse drops a failed write of its usage error; buffered, the bytes
-    # it leaves would fail the shutdown flush and exit 120.  The error
-    # writes nothing to stdout, so a full stdout must not change the exit
-    # code either: unbuffered, even an empty write fails there.
+    # argparse's usage error goes to main()'s stderr; bytes of it left
+    # behind by a failed write would fail the shutdown flush and exit 120.
+    # The error writes nothing to stdout, so a full stdout must not change
+    # the exit code either: even an empty write fails there.
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [None, "1"],
@@ -1227,9 +1239,9 @@ class TestEntryPoint:
         assert (proc.returncode, proc.stderr) == (2, piped.stderr)
         assert proc.stderr.splitlines()[-1].startswith("circulant-qft: error: ")
 
-    # argparse would drop a failed write of these, so main() writes them
-    # itself: buffered, the write fails at run()'s flush, not at the
-    # shutdown flush's exit 120; unbuffered, inside main(), not silently
+    # argparse would drop a failed write of these, so run() writes them
+    # itself: buffered or not, the write fails there, not silently and not
+    # at the shutdown flush's exit 120
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [["--help"], ["--version"],
@@ -1344,6 +1356,44 @@ class TestEntryPoint:
             else:
                 assert err == ("output error: [Errno 28] No space left on "
                                "device\n" if stdout == "full" else "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_main_leaves_the_callers_descriptors_alone(self, tmp_path):
+        # the message stays in the caller's buffer; closing it then fails
+        out = run_fresh(
+            "import os, sys\n"
+            "from circulant_qft.cli import main\n"
+            "sys.stderr = full = open('/dev/full', 'w')\n"
+            "code = main(['models', '--config', CONFIG + '.missing',\n"
+            "             '--out', OUT])\n"
+            "sys.stderr = sys.__stderr__\n"
+            "rdev = os.fstat(full.fileno()).st_rdev\n"
+            "print(code, rdev == os.stat('/dev/full').st_rdev)\n"
+            "try:\n"
+            "    full.close()\n"
+            "except OSError:\n"
+            "    pass\n", tmp_path)
+        assert out.split() == ["2", "True"]
+
+    def test_unmapped_exception_keeps_the_printed_output(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from circulant_qft import cli\n"
+            "from circulant_qft.__main__ import run\n"
+            "def failing(cfg, args):\n"
+            "    print('partial')\n"
+            "    raise RuntimeError('not mapped to an exit code')\n"
+            "cli._COMMANDS['models'] = (failing, *cli._COMMANDS['models'][1:])\n"
+            "sys.argv = ['circulant-qft', 'models', '--config',\n"
+            f"            {write_config(tmp_path, {'model': SIX_LEVEL_MODEL})!r},\n"
+            f"            '--out', {str(tmp_path / 'out')!r}]\n"
+            "run()\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "partial\n")
+        assert proc.stderr.startswith("Traceback")
+        assert proc.stderr.splitlines()[-1].startswith("RuntimeError")
 
     def test_unwritable_output_file_exits_1_with_one_line(self, tmp_path):
         # a directory squats on the sidecar, the first file models writes

@@ -84,6 +84,35 @@ def test_every_constant_has_a_reader():
     assert [c for c in defined if c.split(":")[1] not in read] == []
 
 
+# Only __main__.run() handles the standard streams and ends the process,
+# so that main(), which tests and the benchmark call in process, changes
+# neither.
+PROCESS_HANDLING = {"os.dup2", "os.open", "sys.exit", "redirect_stdout",
+                    "redirect_stderr", "if __name__"}
+
+
+def process_handling(tree):
+    """The members of PROCESS_HANDLING that tree uses."""
+    found = {name for name, _ in references(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+              and getattr(node.test.left, "id", None) == "__name__"):
+            found.add("if __name__")
+    return found & PROCESS_HANDLING
+
+
+def test_only_the_entry_point_handles_streams_and_exit():
+    trees = parse(PACKAGE)
+    assert process_handling(trees.pop("__main__.py")) == {
+        "os.dup2", "os.open", "sys.exit", "if __name__"}
+    assert {module: handling for module, tree in trees.items()
+            if (handling := process_handling(tree))} == {}
+
+
 def test_span_table_names_live_bindings():
     # the benchmark wraps these by name and reports a missing one as
     # absent, so a deletion here would silently empty its span
